@@ -51,14 +51,13 @@ class _LengthTable:
     """Rows (reversed label, target) for labels of one fixed length,
     sorted lexicographically by reversed label, then target."""
 
-    def __init__(self, rows: list[tuple[bytes, int]]):
-        rows = sorted(rows)
-        self.rev_labels = [rl for rl, _ in rows]
-        self.targets = [t for _, t in rows]
+    def __init__(self, rev_labels: list[bytes], targets: list[int]):
+        self.rev_labels = rev_labels
+        self.targets = targets
         # suffix_min[i] = smallest target among rows i.., 0 when empty
-        suffix = [0] * (len(rows) + 1)
-        for i in range(len(rows) - 1, -1, -1):
-            t = self.targets[i]
+        suffix = [0] * (len(targets) + 1)
+        for i in range(len(targets) - 1, -1, -1):
+            t = targets[i]
             nxt = suffix[i + 1]
             suffix[i] = t if nxt == 0 or t < nxt else nxt
         self.suffix_min = suffix
@@ -68,16 +67,15 @@ class _ColexTable:
     """All labeled edges sorted by (reversed label, target), with a
     sparse table answering range-maximum over the targets."""
 
-    def __init__(self, rows: list[tuple[bytes, int]]):
-        rows = sorted(rows)
-        self.rev_labels = [rl for rl, _ in rows]
-        self.targets = [t for _, t in rows]
+    def __init__(self, rev_labels: list[bytes], targets: list[int]):
+        self.rev_labels = rev_labels
+        self.targets = targets
         levels = []
-        if rows:
-            cur = np.asarray(self.targets, dtype=np.int64)
+        if targets:
+            cur = np.asarray(targets, dtype=np.int64)
             levels.append(cur)
             span = 1
-            while 2 * span <= len(rows):
+            while 2 * span <= len(targets):
                 cur = np.maximum(cur[: len(cur) - span], cur[span:])
                 levels.append(cur)
                 span *= 2
@@ -105,29 +103,60 @@ def _suffix_range_upper(rev: bytes) -> bytes | None:
 
 
 class WheelerIndex:
-    """Built via build_index() or deserialize(); states are 1..n."""
+    """Built via build_index() or deserialize(); states are 1..n.
+
+    Both pass the same inputs: the state and epsilon-edge counts, the
+    finals and marker bits, the dictionary (non-empty labels strictly
+    increasing in co-lex order) and its postings (at least one edge per
+    label, ascending sources and targets).  The summary and the length
+    and co-lex edge tables are derived here and nowhere else.
+    """
 
     def __init__(
         self,
-        summary: AutomatonSummary,
+        state_count: int,
+        epsilon_edge_count: int,
         sentinel_mode: bool,
-        finals_bits,
-        b_max_bits,
-        b_min_bits,
+        finals: RankSelectBits,
+        b_max: RankSelectBits,
+        b_min: RankSelectBits,
         labels: tuple[bytes, ...],
         postings: dict[bytes, LabelPostings],
-        length_rows: dict[int, list[tuple[bytes, int]]],
-        colex_rows: list[tuple[bytes, int]],
     ):
-        self.summary = summary
         self.sentinel_mode = sentinel_mode
-        self.finals = RankSelectBits(finals_bits)
-        self.b_max = RankSelectBits(b_max_bits)
-        self.b_min = RankSelectBits(b_min_bits)
+        self.finals = finals
+        self.b_max = b_max
+        self.b_min = b_min
         self.labels = labels
         self.postings = postings
-        self._by_len = {k: _LengthTable(rows) for k, rows in length_rows.items()}
-        self._colex = _ColexTable(colex_rows)
+
+        # co-lex order is the order of reversed labels, so walking the
+        # dictionary emits rows already sorted by (reversed label, target)
+        by_len: dict[int, tuple[list[bytes], list[int]]] = {}
+        all_rev: list[bytes] = []
+        all_targets: list[int] = []
+        symbols: set[int] = set()
+        symbol_total = 0
+        for rho in labels:
+            targets = postings[rho].targets
+            rows = [rho[::-1]] * len(targets)  # one shared reversed label
+            revs, tgts = by_len.setdefault(len(rho), ([], []))
+            revs += rows
+            tgts += targets
+            all_rev += rows
+            all_targets += targets
+            symbols.update(rho)
+            symbol_total += len(rho) * len(targets)
+        self._by_len = {k: _LengthTable(*cols) for k, cols in by_len.items()}
+        self._colex = _ColexTable(all_rev, all_targets)
+        self.summary = AutomatonSummary(
+            state_count=state_count,
+            edge_count=len(all_targets) + epsilon_edge_count,
+            label_symbol_total=symbol_total,
+            alphabet_size=len(symbols),
+            max_label_len=max(by_len, default=0),
+            epsilon_edge_count=epsilon_edge_count,
+        )
 
     @property
     def n_states(self) -> int:
@@ -239,14 +268,10 @@ def build_index(
     markers = build_marker_bits(closure)
 
     per_label: dict[bytes, tuple[list[int], list[int]]] = {}
-    length_rows: dict[int, list[tuple[bytes, int]]] = {}
-    colex_rows: list[tuple[bytes, int]] = []
     for u, v, rho in a.labeled_edges:
         srcs, tgts = per_label.setdefault(rho, ([], []))
         srcs.append(u)
         tgts.append(v)
-        length_rows.setdefault(len(rho), []).append((rho[::-1], v))
-        colex_rows.append((rho[::-1], v))
 
     labels = tuple(sorted(per_label, key=colex_key))
     postings = {
@@ -259,13 +284,12 @@ def build_index(
         finals_bits[q - 1] = 1
 
     return WheelerIndex(
-        summary=a.summary(),
+        state_count=n,
+        epsilon_edge_count=len(a.epsilon_edges),
         sentinel_mode=with_sentinel,
-        finals_bits=finals_bits,
-        b_max_bits=markers.b_max[1:],
-        b_min_bits=markers.b_min[1:],
+        finals=RankSelectBits(finals_bits),
+        b_max=RankSelectBits(markers.b_max[1:]),
+        b_min=RankSelectBits(markers.b_min[1:]),
         labels=labels,
         postings=postings,
-        length_rows=length_rows,
-        colex_rows=colex_rows,
     )

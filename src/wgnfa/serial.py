@@ -3,42 +3,53 @@
 Layout, all integers little-endian:
 
   magic   "WGNE" (4 bytes)
-  version 0x01   (1 byte)
+  version 0x02   (1 byte)
   flags   1 byte, bit 0 set when the index was built with the sentinel
-  8 sections, each an 8-byte payload length followed by the payload:
-    1 summary        width byte w in {1,2,4,8}, then six w-byte ints:
-                     states, edges, total label bytes, alphabet size,
-                     max label length, epsilon edge count
+  6 sections, each an 8-byte payload length followed by the payload:
+    1 summary        width byte w in {1,2,4,8}, then two w-byte ints:
+                     states n and epsilon edge count
     2 finals         packed bits, one per state
     3 b_max markers  packed bits
     4 b_min markers  packed bits
-    5 dictionary     label count, then per label (sorted by reversed
-                     bytes): length + raw bytes
+    5 dictionary     label count, then per label (strictly increasing in
+                     co-lex order): length + raw bytes
     6 postings       per dictionary entry: edge count, that many
                      ascending sources, that many ascending targets
-    7 length tables  for each k = 1..r: row count, then rows of
-                     (label id, target) sorted by reversed label
-    8 edge table     row count, then all labeled edges as
-                     (label id, target) rows in the same sort
-  checksum 8 bytes: byte sum of everything above, mod 2^64
+  digest  8 bytes: blake2b (digest_size=8) of everything above
 
-The width w is the smallest of 1/2/4/8 bytes that fits every integer in
-the file, so small automata serialize compactly while anything up to
-2^64 still round-trips.  Sections 7 and 8 are redundant given 5 and 6
-but are stored anyway so a reader can map the file without re-deriving
-sort orders.
+The framing around the payloads is 62 bytes.  The width w is the
+smallest of 1/2/4/8 bytes that fits every integer in the file, so small
+automata serialize compactly while anything up to 2^64 still
+round-trips.
+
+Only what the index cannot derive is stored.  The edge count, total
+label bytes, alphabet size and longest label are recomputed from the
+dictionary and postings, and the per-length and co-lex edge tables are
+rebuilt by WheelerIndex, so none of them can disagree with the rest of
+the file.
+
+Besides magic, version, flags, framing and digest, loading checks that
+the bit sections are ceil(n/8) bytes, that dictionary labels are
+non-empty and strictly increasing in co-lex order, and that every
+postings entry holds at least one edge with ascending sources and
+targets in 1..n.  Version 1 files, which also stored the derived
+tables, are rejected; rebuild them from their .gnfa source.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
+from .bitvec import RankSelectBits
 from .index import LabelPostings, WheelerIndex
-from .model import AutomatonSummary, colex_key
 
 MAGIC = b"WGNE"
-VERSION = 1
+VERSION = 2
 FLAG_SENTINEL = 0x01
+SECTION_COUNT = 6
+DIGEST_SIZE = 8
 
 
 class IndexFormatError(ValueError):
@@ -46,10 +57,8 @@ class IndexFormatError(ValueError):
     checksum, or inconsistent section contents)."""
 
 
-def _byte_sum(data: bytes) -> int:
-    if not data:
-        return 0
-    return int(np.frombuffer(data, dtype=np.uint8).sum(dtype=np.uint64)) % (1 << 64)
+def _digest(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
 
 
 def _pick_width(vmax: int) -> int:
@@ -67,6 +76,9 @@ class _Writer:
     def u(self, value: int) -> None:
         self.parts.append(int(value).to_bytes(self.width, "little"))
 
+    def ints(self, values) -> None:
+        self.parts.append(np.asarray(values, dtype=f"<u{self.width}").tobytes())
+
     def raw(self, data: bytes) -> None:
         self.parts.append(data)
 
@@ -75,70 +87,39 @@ class _Writer:
 
 
 def serialize(ix: WheelerIndex) -> bytes:
-    s = ix.summary
-    label_list = list(ix.labels)
-    label_id = {rho: i for i, rho in enumerate(label_list)}
-    vmax = max(
-        s.state_count,
-        s.edge_count,
-        s.label_symbol_total,
-        s.alphabet_size,
-        s.max_label_len,
-        s.epsilon_edge_count,
-        len(label_list),
+    n = ix.n_states
+    eps = ix.summary.epsilon_edge_count
+    labels = ix.labels
+    w = _pick_width(
+        max(
+            n,
+            eps,
+            len(labels),
+            ix.r,
+            max((len(p.sources) for p in ix.postings.values()), default=0),
+        )
     )
-    w = _pick_width(vmax)
 
     wr = _Writer(w)
     wr.raw(bytes([w]))
-    for v in (
-        s.state_count,
-        s.edge_count,
-        s.label_symbol_total,
-        s.alphabet_size,
-        s.max_label_len,
-        s.epsilon_edge_count,
-    ):
-        wr.u(v)
+    wr.u(n)
+    wr.u(eps)
     sec_summary = wr.payload()
 
-    sec_finals = ix.finals.to_bytes()
-    sec_bmax = ix.b_max.to_bytes()
-    sec_bmin = ix.b_min.to_bytes()
-
     wr = _Writer(w)
-    wr.u(len(label_list))
-    for rho in label_list:
+    wr.u(len(labels))
+    for rho in labels:
         wr.u(len(rho))
         wr.raw(rho)
     sec_dict = wr.payload()
 
     wr = _Writer(w)
-    for rho in label_list:
+    for rho in labels:
         p = ix.postings[rho]
         wr.u(len(p.sources))
-        for v in p.sources:
-            wr.u(v)
-        for v in p.targets:
-            wr.u(v)
+        wr.ints(p.sources)
+        wr.ints(p.targets)
     sec_postings = wr.payload()
-
-    wr = _Writer(w)
-    for k in range(1, s.max_label_len + 1):
-        rows = _length_rows(ix, k)
-        wr.u(len(rows))
-        for rho, tgt in rows:
-            wr.u(label_id[rho])
-            wr.u(tgt)
-    sec_lengths = wr.payload()
-
-    wr = _Writer(w)
-    rows = _colex_rows(ix)
-    wr.u(len(rows))
-    for rho, tgt in rows:
-        wr.u(label_id[rho])
-        wr.u(tgt)
-    sec_colex = wr.payload()
 
     body = bytearray()
     body += MAGIC
@@ -146,46 +127,61 @@ def serialize(ix: WheelerIndex) -> bytes:
     body.append(FLAG_SENTINEL if ix.sentinel_mode else 0)
     for sec in (
         sec_summary,
-        sec_finals,
-        sec_bmax,
-        sec_bmin,
+        ix.finals.to_bytes(),
+        ix.b_max.to_bytes(),
+        ix.b_min.to_bytes(),
         sec_dict,
         sec_postings,
-        sec_lengths,
-        sec_colex,
     ):
         body += len(sec).to_bytes(8, "little")
         body += sec
-    body += _byte_sum(bytes(body)).to_bytes(8, "little")
+    body += _digest(bytes(body))
     return bytes(body)
 
 
+def _sections(data: bytes) -> tuple[int, list[bytes]]:
+    """Check the header and walk the section frame.
+
+    Returns the flags byte and the six section payloads.  The digest is
+    not checked here, so a cut-off file reports as truncation and not
+    as a checksum mismatch.
+    """
+    if len(data) < 6:
+        raise IndexFormatError("truncated index file")
+    if data[:4] != MAGIC:
+        raise IndexFormatError("bad magic, not an index file")
+    if data[4] != VERSION:
+        raise IndexFormatError(f"unsupported index version {data[4]}")
+    flags = data[5]
+    if flags & ~FLAG_SENTINEL:
+        raise IndexFormatError(f"unknown flag bits 0x{flags:02x}")
+
+    body_end = len(data) - DIGEST_SIZE
+    pos = 6
+    sections = []
+    for _ in range(SECTION_COUNT):
+        if pos + 8 > body_end:
+            raise IndexFormatError("truncated index file")
+        ln = int.from_bytes(data[pos : pos + 8], "little")
+        pos += 8
+        if pos + ln > body_end:
+            raise IndexFormatError("truncated index file")
+        sections.append(data[pos : pos + ln])
+        pos += ln
+    if pos != body_end:
+        raise IndexFormatError("trailing bytes after final section")
+    return flags, sections
+
+
 def payload_bits(data: bytes) -> int:
-    """Summed size of the eight section payloads, in bits.
+    """Summed size of the six section payloads, in bits.
 
     This is the content the succinct space accounting is about; the
-    fixed 78 bytes of magic, version, flags, section lengths and
-    checksum are framing overhead on top.
+    fixed 62 bytes of magic, version, flags, section lengths and digest
+    are framing overhead on top.  Raises IndexFormatError when the
+    header or the section frame is unreadable.
     """
-    pos = 6
-    total = 0
-    for _ in range(8):
-        ln = int.from_bytes(data[pos : pos + 8], "little")
-        total += ln
-        pos += 8 + ln
-    return 8 * total
-
-
-def _length_rows(ix: WheelerIndex, k: int) -> list[tuple[bytes, int]]:
-    tab = ix._by_len.get(k)
-    if tab is None:
-        return []
-    return [(rl[::-1], t) for rl, t in zip(tab.rev_labels, tab.targets)]
-
-
-def _colex_rows(ix: WheelerIndex) -> list[tuple[bytes, int]]:
-    ct = ix._colex
-    return [(rl[::-1], t) for rl, t in zip(ct.rev_labels, ct.targets)]
+    return 8 * sum(len(sec) for sec in _sections(data)[1])
 
 
 class _Reader:
@@ -204,119 +200,73 @@ class _Reader:
     def u(self) -> int:
         return int.from_bytes(self.take(self.width), "little")
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def ints(self, k: int) -> np.ndarray:
+        return np.frombuffer(self.take(k * self.width), dtype=f"<u{self.width}")
+
+    def finish(self, what: str) -> None:
+        if self.pos != len(self.data):
+            raise IndexFormatError(f"oversized {what} section")
 
 
 def deserialize(data: bytes) -> WheelerIndex:
-    if len(data) < 6:
-        raise IndexFormatError("truncated index file")
-    if data[:4] != MAGIC:
-        raise IndexFormatError("bad magic, not an index file")
-    if data[4] != VERSION:
-        raise IndexFormatError(f"unsupported index version {data[4]}")
-    flags = data[5]
-    if flags & ~FLAG_SENTINEL:
-        raise IndexFormatError(f"unknown flag bits 0x{flags:02x}")
-
-    # walk the section frame before touching the checksum, so a cut-off
-    # file reports as truncation and not as a sum mismatch
-    body_end = len(data) - 8
-    pos = 6
-    bounds = []
-    for _ in range(8):
-        if pos + 8 > body_end:
-            raise IndexFormatError("truncated index file")
-        ln = int.from_bytes(data[pos : pos + 8], "little")
-        pos += 8
-        if pos + ln > body_end:
-            raise IndexFormatError("truncated index file")
-        bounds.append((pos, pos + ln))
-        pos += ln
-    if pos != body_end:
-        raise IndexFormatError("trailing bytes after final section")
-
-    stored_sum = int.from_bytes(data[-8:], "little")
-    if _byte_sum(data[:body_end]) != stored_sum:
+    flags, sections = _sections(data)
+    if _digest(data[:-DIGEST_SIZE]) != data[-DIGEST_SIZE:]:
         raise IndexFormatError("checksum mismatch")
-    sections = [data[a:b] for a, b in bounds]
 
     rd = _Reader(sections[0])
     w = rd.take(1)[0]
     if w not in (1, 2, 4, 8):
         raise IndexFormatError(f"bad integer width {w}")
     rd.width = w
-    summary = AutomatonSummary(*(rd.u() for _ in range(6)))
-    if not rd.done():
-        raise IndexFormatError("oversized summary section")
-    n = summary.state_count
+    n = rd.u()
+    eps = rd.u()
+    rd.finish("summary")
 
-    def unpack_bits(payload: bytes, what: str) -> np.ndarray:
-        if len(payload) != (n + 7) // 8:
-            raise IndexFormatError(f"{what} bit section has the wrong length")
-        return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n)
-
-    finals_bits = unpack_bits(sections[1], "finals")
-    bmax_bits = unpack_bits(sections[2], "b_max")
-    bmin_bits = unpack_bits(sections[3], "b_min")
+    bits = []
+    for what, payload in zip(("finals", "b_max", "b_min"), sections[1:4]):
+        try:
+            bits.append(RankSelectBits.from_bytes(payload, n))
+        except ValueError:
+            raise IndexFormatError(f"{what} bit section has the wrong length") from None
 
     rd = _Reader(sections[4], w)
-    label_count = rd.u()
-    labels = []
-    for _ in range(label_count):
-        ln = rd.u()
-        labels.append(rd.take(ln))
-    if not rd.done():
-        raise IndexFormatError("oversized dictionary section")
-    if labels != sorted(labels, key=colex_key):
-        raise IndexFormatError("dictionary not in sorted order")
+    labels: list[bytes] = []
+    prev_rev = b""
+    for _ in range(rd.u()):
+        rho = rd.take(rd.u())
+        rev = rho[::-1]
+        if not rho or rev <= prev_rev:
+            raise IndexFormatError(
+                "dictionary labels must be non-empty and strictly increasing in co-lex order"
+            )
+        labels.append(rho)
+        prev_rev = rev
+    rd.finish("dictionary")
 
     rd = _Reader(sections[5], w)
     postings = {}
     for rho in labels:
         cnt = rd.u()
-        sources = tuple(rd.u() for _ in range(cnt))
-        targets = tuple(rd.u() for _ in range(cnt))
-        postings[rho] = LabelPostings(sources, targets)
-    if not rd.done():
-        raise IndexFormatError("oversized postings section")
+        if cnt < 1:
+            raise IndexFormatError("postings entry without edges")
+        sides = []
+        for arr in (rd.ints(cnt), rd.ints(cnt)):
+            if np.any(arr[1:] < arr[:-1]):
+                raise IndexFormatError("postings not in ascending order")
+            side = tuple(arr.tolist())
+            if side[0] < 1 or side[-1] > n:
+                raise IndexFormatError("postings state out of range 1..n")
+            sides.append(side)
+        postings[rho] = LabelPostings(*sides)
+    rd.finish("postings")
 
-    rd = _Reader(sections[6], w)
-    length_rows: dict[int, list[tuple[bytes, int]]] = {}
-    for k in range(1, summary.max_label_len + 1):
-        cnt = rd.u()
-        if not cnt:
-            continue
-        rows = []
-        for _ in range(cnt):
-            lid = rd.u()
-            if lid >= label_count:
-                raise IndexFormatError("label id out of range")
-            rows.append((labels[lid][::-1], rd.u()))
-        length_rows[k] = rows
-    if not rd.done():
-        raise IndexFormatError("oversized length table section")
-
-    rd = _Reader(sections[7], w)
-    cnt = rd.u()
-    colex_rows = []
-    for _ in range(cnt):
-        lid = rd.u()
-        if lid >= label_count:
-            raise IndexFormatError("label id out of range")
-        colex_rows.append((labels[lid][::-1], rd.u()))
-    if not rd.done():
-        raise IndexFormatError("oversized edge table section")
-
-    ix = WheelerIndex(
-        summary=summary,
+    return WheelerIndex(
+        state_count=n,
+        epsilon_edge_count=eps,
         sentinel_mode=bool(flags & FLAG_SENTINEL),
-        finals_bits=finals_bits,
-        b_max_bits=bmax_bits,
-        b_min_bits=bmin_bits,
+        finals=bits[0],
+        b_max=bits[1],
+        b_min=bits[2],
         labels=tuple(labels),
         postings=postings,
-        length_rows=length_rows,
-        colex_rows=colex_rows,
     )
-    return ix

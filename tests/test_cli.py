@@ -142,10 +142,10 @@ def test_oracle_check_patterns_file(tmp_path, four_file, capsys):
 def test_bench_space_lines(four_file, capsys):
     assert main(["bench", str(four_file)]) == 0
     out = capsys.readouterr().out
-    assert "space.payload_bits\t320" in out
+    assert "space.payload_bits\t176" in out
     assert "space.bound_bits\t704" in out
     assert "space.within_bound\t1" in out
-    assert "space.file_bytes\t118" in out
+    assert "space.file_bytes\t84" in out
 
 
 def test_bench_query_lines(gnfa_file, capsys):
@@ -185,6 +185,16 @@ def test_exit_code_bad_index(tmp_path, capsys):
     pats.write_text("a\n")
     assert main(["query", str(junk), "--patterns", str(pats)]) == 3
 
+
+
+def test_exit_code_v1_index(tmp_path, index_file, capsys):
+    data = bytearray(index_file.read_bytes())
+    data[4] = 1
+    index_file.write_bytes(bytes(data))
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\n")
+    assert main(["query", str(index_file), "--patterns", str(pats)]) == 3
+    assert "unsupported index version 1" in capsys.readouterr().err
 
 def test_exit_code_sentinel_pattern(tmp_path, index_file, capsys):
     pats = tmp_path / "p.txt"

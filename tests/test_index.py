@@ -7,7 +7,7 @@ from bisect import bisect_right
 
 import pytest
 
-from wgnfa import build_index, colex_compare, colex_key, is_suffix
+from wgnfa import augment_with_sentinel, build_index, colex_compare, colex_key, is_suffix
 
 from conftest import corpus_names, load_index, load_instance
 
@@ -116,6 +116,16 @@ def test_properties(ten_state_index, four_state_index):
     assert ten_state_index.labels == (b"a", b"ba", b"ca", b"b", b"bb", b"c")
     assert not ten_state_index.sentinel_mode
 
+
+
+def test_summary_derived_from_postings(ten_state, four_state):
+    """The index derives its summary; it must equal the automaton's."""
+    for a in (ten_state, four_state):
+        assert build_index(a).summary == a.summary()
+        sentinel = build_index(a, with_sentinel=True)
+        assert sentinel.summary == augment_with_sentinel(a).summary()
+    for name in corpus_names():
+        assert load_index(name).summary == load_instance(name).summary(), name
 
 # -- ops versus direct scans on real instances ----------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from wgnfa import (
     build_index,
     build_piece_trie,
     deserialize,
+    match_interval,
     payload_bits,
     serialize,
 )
@@ -61,7 +64,7 @@ def test_round_trip_sentinel(ten_state):
 def test_header_bytes(four_state, four_state_index):
     data = serialize(four_state_index)
     assert data[:4] == b"WGNE"
-    assert data[4] == 1
+    assert data[4] == 2
     assert data[5] == 0
     data_s = serialize(build_index(four_state, with_sentinel=True))
     assert data_s[5] == 1
@@ -70,11 +73,11 @@ def test_header_bytes(four_state, four_state_index):
 def test_known_sizes(ten_state_index, four_state_index):
     ten = serialize(ten_state_index)
     four = serialize(four_state_index)
-    assert (len(ten), payload_bits(ten)) == (188, 880)
-    assert (len(four), payload_bits(four)) == (118, 320)
-    # framing is the 6 header bytes, eight 8-byte lengths, 8-byte sum
-    assert len(ten) - payload_bits(ten) // 8 == 78
-    assert len(four) - payload_bits(four) // 8 == 78
+    assert (len(ten), payload_bits(ten)) == (117, 440)
+    assert (len(four), payload_bits(four)) == (84, 176)
+    # framing is the 6 header bytes, six 8-byte lengths, 8-byte digest
+    assert len(ten) - payload_bits(ten) // 8 == 62
+    assert len(four) - payload_bits(four) // 8 == 62
 
 
 def test_bad_magic(four_state_index):
@@ -85,9 +88,10 @@ def test_bad_magic(four_state_index):
 
 
 def test_bad_version(four_state_index):
+    # a version 1 file is rejected cleanly; it has to be rebuilt
     data = bytearray(serialize(four_state_index))
-    data[4] = 2
-    with pytest.raises(IndexFormatError, match="version"):
+    data[4] = 1
+    with pytest.raises(IndexFormatError, match="unsupported index version 1"):
         deserialize(bytes(data))
 
 
@@ -101,8 +105,9 @@ def test_unknown_flags(four_state_index):
 def test_truncation(four_state_index):
     data = serialize(four_state_index)
     for cut in (3, 5, 20, len(data) // 2, len(data) - 9):
-        with pytest.raises(IndexFormatError, match="truncated"):
-            deserialize(data[:cut])
+        for read in (deserialize, payload_bits):
+            with pytest.raises(IndexFormatError, match="truncated"):
+                read(data[:cut])
 
 
 def test_checksum_mismatch(four_state_index):
@@ -118,19 +123,103 @@ def test_trailing_garbage(four_state_index):
         deserialize(data + b"xx")
 
 
-def test_corrupt_every_byte(four_state_index):
-    """Flipping any single byte must never yield a silently wrong index."""
-    data = serialize(four_state_index)
+# every pattern of length 0..4 over the sample alphabet
+BATTERY = [b""] + [
+    bytes(t) for m in range(1, 5) for t in itertools.product(b"abc", repeat=m)
+]
+
+
+def battery_answers(ix, patterns=BATTERY):
+    return [
+        (res.lo, res.hi, res.count, res.accepted)
+        for res in (match_interval(ix, p) for p in patterns)
+    ]
+
+
+def flips_and_swaps(data: bytes):
+    """Every single-byte flip and every two-byte swap that changes data."""
     for pos in range(len(data)):
         bad = bytearray(data)
         bad[pos] ^= 0x01
-        try:
-            again = deserialize(bytes(bad))
-        except IndexFormatError:
-            continue
-        # survivable flips may only occur if they cancel in the sum and
-        # leave content identical; re-serialization must prove it
-        assert serialize(again) == data
+        yield bytes(bad)
+    for i, j in itertools.combinations(range(len(data)), 2):
+        if data[i] != data[j]:
+            bad = bytearray(data)
+            bad[i], bad[j] = bad[j], bad[i]
+            yield bytes(bad)
+
+
+def test_corrupt_every_byte(ten_state, ten_state_index, four_state_index):
+    """No flip or swap may yield a silently wrong index."""
+    for ix in (four_state_index, ten_state_index, build_index(ten_state, with_sentinel=True)):
+        data = serialize(ix)
+        want = battery_answers(ix)
+        for bad in flips_and_swaps(data):
+            try:
+                again = deserialize(bad)
+            except IndexFormatError:
+                continue
+            assert battery_answers(again) == want
+
+
+def test_crafted_files_with_valid_digest(ten_state, ten_state_index):
+    """A corrupted body under a recomputed digest either fails to load
+    with IndexFormatError or loads into an index the matcher can run on."""
+    short = BATTERY[:40]  # lengths 0..3
+    loaded = 0
+    for ix in (ten_state_index, build_index(ten_state, with_sentinel=True)):
+        body = serialize(ix)[:-8]
+        for bad in flips_and_swaps(body):
+            crafted = bad + hashlib.blake2b(bad, digest_size=8).digest()
+            try:
+                again = deserialize(crafted)
+            except IndexFormatError:
+                continue
+            loaded += 1
+            battery_answers(again, short)
+    assert loaded  # the checks do not simply reject everything
+
+
+def split_sections(data: bytes) -> list[bytes]:
+    pos = 6
+    out = []
+    for _ in range(6):
+        ln = int.from_bytes(data[pos : pos + 8], "little")
+        out.append(data[pos + 8 : pos + 8 + ln])
+        pos += 8 + ln
+    return out
+
+
+def reframe(data: bytes, section: int, payload: bytes) -> bytes:
+    """data with one section payload replaced, framed and digested anew."""
+    parts = split_sections(data)
+    parts[section] = payload
+    body = data[:6] + b"".join(len(p).to_bytes(8, "little") + p for p in parts)
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
+def test_load_checks(ten_state_index):
+    """Each load-time check rejects a body that carries a valid digest."""
+    data = serialize(ten_state_index)
+    summary, finals, _, _, dictionary, postings = split_sections(data)
+    assert reframe(data, 4, dictionary) == data
+    assert dictionary == b"\x06\x01a\x02ba\x02ca\x01b\x02bb\x01c"
+    assert postings[:7] == bytes([3, 1, 8, 9, 2, 3, 4])  # label a
+    cases = [
+        (0, b"\x03" + summary[1:], "width"),
+        (0, summary + b"\x00", "oversized summary"),
+        (1, finals[:-1], "finals bit section has the wrong length"),
+        (4, b"\x06\x01a\x02ca\x02ba\x01b\x02bb\x01c", "co-lex"),
+        (4, b"\x07\x00" + dictionary[1:], "non-empty"),
+        (5, b"\x00" + postings[1:], "without edges"),
+        (5, bytes([3, 9, 8, 1]) + postings[4:], "ascending"),
+        (5, bytes([3, 0]) + postings[2:], "out of range"),
+        (5, postings[:6] + b"\x0b" + postings[7:], "out of range"),
+        (5, postings + b"\x00", "oversized postings"),
+    ]
+    for section, payload, message in cases:
+        with pytest.raises(IndexFormatError, match=message):
+            deserialize(reframe(data, section, payload))
 
 
 def test_wide_integers_round_trip():
@@ -143,10 +232,5 @@ def test_wide_integers_round_trip():
 def test_payload_bits_arithmetic(four_state_index):
     data = serialize(four_state_index)
     # sum the section lengths by hand
-    total = 0
-    pos = 6
-    for _ in range(8):
-        ln = int.from_bytes(data[pos : pos + 8], "little")
-        total += ln
-        pos += 8 + ln
+    total = sum(len(sec) for sec in split_sections(data))
     assert payload_bits(data) == 8 * total
