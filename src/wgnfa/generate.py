@@ -89,8 +89,8 @@ def build_piece_trie(
 ) -> GeneralizedAutomaton:
     """The raw trie DAG, Wheeler-numbered, all sinks final.
 
-    Used directly for large benchmark inputs, where the construction
-    being correct by design matters because validation is quadratic.
+    Used directly for large benchmark inputs, which are Wheeler by
+    construction and need no screening.
     """
     node_keys = {b""}
     edge_set: set[tuple[bytes, bytes, bytes]] = set()

@@ -38,6 +38,7 @@ from .model import (
     GeneralizedAutomaton,
     augment_with_sentinel,
     colex_key,
+    suffix_range_upper,
 )
 
 
@@ -88,18 +89,6 @@ class _ColexTable:
         k = (hi - lo).bit_length() - 1
         lvl = self._levels[k]
         return int(max(lvl[lo], lvl[hi - (1 << k)]))
-
-
-def _suffix_range_upper(rev: bytes) -> bytes | None:
-    """Smallest reversed label beyond the 'starts with rev' block.
-
-    Returns None when the block extends to the end of the table (rev is
-    empty or all 0xff).
-    """
-    trimmed = rev.rstrip(b"\xff")
-    if not trimmed:
-        return None
-    return trimmed[:-1] + bytes([trimmed[-1] + 1])
 
 
 class WheelerIndex:
@@ -227,7 +216,7 @@ class WheelerIndex:
         rev = alpha[::-1]
         ct = self._colex
         lo = bisect_left(ct.rev_labels, rev)
-        upper = _suffix_range_upper(rev)
+        upper = suffix_range_upper(rev)
         hi = len(ct.rev_labels) if upper is None else bisect_left(ct.rev_labels, upper)
         return ct.range_max(lo, hi)
 

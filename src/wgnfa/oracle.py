@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import permutations
 
-from .model import EPSILON, GeneralizedAutomaton, validate
+from .model import EPSILON, GeneralizedAutomaton
 
 
 class ShapeViolation(AssertionError):
@@ -196,38 +195,3 @@ def brute_accepts(a: GeneralizedAutomaton, alpha: bytes) -> bool:
         if not live:
             return False
     return any(x <= exp.n_orig and x in a.finals for x in live)
-
-
-def brute_wheeler_order(
-    a: GeneralizedAutomaton, axiom1_depth: int = 4
-) -> tuple[int, ...] | None:
-    """Search all orderings of at most 8 states for one satisfying the
-    axioms (axiom 1 probed at the given depth); None if all fail.
-
-    Returns the old states listed in accepted order.  Orders are tried
-    lexicographically, so when the given numbering is already Wheeler
-    the identity comes back.  Only the axioms are checked, not
-    reachability, since those do not depend on the numbering.
-    """
-    n = a.state_count
-    if n > 8:
-        raise ValueError("exhaustive order search is limited to 8 states")
-    others = [q for q in range(1, n + 1) if q != a.initial]
-    for rest in permutations(others):
-        order = (a.initial,) + rest
-        new_id = {old: pos for pos, old in enumerate(order, start=1)}
-        cand = GeneralizedAutomaton(
-            state_count=n,
-            edges=tuple((new_id[u], new_id[v], rho) for u, v, rho in a.edges),
-            finals=frozenset(new_id[q] for q in a.finals),
-            initial=1,
-        )
-        rep = validate(cand, axiom1_depth)
-        if (
-            rep.axiom2_ok
-            and rep.axiom3_ok
-            and rep.axiom4_ok
-            and rep.axiom1_verdict != "failed"
-        ):
-            return order
-    return None

@@ -30,10 +30,11 @@ the file.
 
 Besides magic, version, flags, framing and digest, loading checks that
 the bit sections are ceil(n/8) bytes, that dictionary labels are
-non-empty and strictly increasing in co-lex order, and that every
-postings entry holds at least one edge with ascending sources and
-targets in 1..n.  Version 1 files, which also stored the derived
-tables, are rejected; rebuild them from their .gnfa source.
+non-empty, strictly increasing in co-lex order and free of the reserved
+bytes 0x00 and 0x01 (a sentinel file may hold the single label 0x01),
+and that every postings entry holds at least one edge with ascending
+sources and targets in 1..n.  Version 1 files, which also stored the
+derived tables, are rejected; rebuild them from their .gnfa source.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import numpy as np
 
 from .bitvec import RankSelectBits
 from .index import LabelPostings, WheelerIndex
+from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
 VERSION = 2
@@ -229,6 +231,7 @@ def deserialize(data: bytes) -> WheelerIndex:
         except ValueError:
             raise IndexFormatError(f"{what} bit section has the wrong length") from None
 
+    sentinel_mode = bool(flags & FLAG_SENTINEL)
     rd = _Reader(sections[4], w)
     labels: list[bytes] = []
     prev_rev = b""
@@ -239,6 +242,10 @@ def deserialize(data: bytes) -> WheelerIndex:
             raise IndexFormatError(
                 "dictionary labels must be non-empty and strictly increasing in co-lex order"
             )
+        if 0x00 in rho:
+            raise IndexFormatError("reserved byte 0x00 in a dictionary label")
+        if SENTINEL in rho and not (sentinel_mode and rho == SENTINEL_BYTES):
+            raise IndexFormatError("reserved byte 0x01 outside the sentinel label")
         labels.append(rho)
         prev_rev = rev
     rd.finish("dictionary")
@@ -263,7 +270,7 @@ def deserialize(data: bytes) -> WheelerIndex:
     return WheelerIndex(
         state_count=n,
         epsilon_edge_count=eps,
-        sentinel_mode=bool(flags & FLAG_SENTINEL),
+        sentinel_mode=sentinel_mode,
         finals=bits[0],
         b_max=bits[1],
         b_min=bits[2],

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
-from hypothesis import given
+from conftest import load_instance
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgnfa import (
@@ -13,7 +17,9 @@ from wgnfa import (
     GeneralizedAutomaton,
     GnfaFormatError,
     SentinelInLabelError,
+    ValidationReport,
     augment_with_sentinel,
+    build_piece_trie,
     colex_compare,
     colex_key,
     escape_label,
@@ -266,3 +272,152 @@ def test_model_rejects_bad_shapes():
         state_count=2, edges=((2, 1, b"a"),), finals=frozenset({1}), initial=2
     )
     assert not validate(shifted).axiom2_ok
+
+
+# -- the near-linear axiom 3/4 pass against the plain pair loop --------------
+
+
+def _reference_pair_breaks(e1, e2):
+    """3 or 4 for the axiom a pair breaks, 0 for neither; e1 enters a
+    smaller state than e2."""
+    rho, rho2 = e1[2], e2[2]
+    if rho2 != rho and is_suffix(rho2, rho):
+        return 0  # strict suffix, exempt from the label comparison
+    if colex_compare(rho, rho2) == GT:
+        return 3
+    if rho == rho2 and e1[0] > e2[0]:
+        return 4
+    return 0
+
+
+def _reference_first_broken_pair(edges):
+    """The O(E^2) pair loop: the first pair of the by-target order that
+    breaks axiom 3 or 4, as (axiom, pair), else (None, None)."""
+    by_target = sorted(edges, key=lambda e: e[1])
+    for i, e1 in enumerate(by_target):
+        for e2 in by_target[i + 1 :]:
+            if e2[1] != e1[1]:
+                axiom = _reference_pair_breaks(e1, e2)
+                if axiom:
+                    return axiom, (e1, e2)
+    return None, None
+
+
+def _reached(adj, start):
+    seen = set(start)
+    todo = deque(seen)
+    while todo:
+        for v in adj[todo.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _reference_validate(a):
+    """validate at depth 0, with axioms 3 and 4 by the pair loop."""
+    n = a.state_count
+    fwd = [[] for _ in range(n + 1)]
+    rev = [[] for _ in range(n + 1)]
+    for u, v, _ in a.edges:
+        fwd[u].append(v)
+        rev[v].append(u)
+    witness = {3: None, 4: None}
+    axiom, pair = _reference_first_broken_pair(a.edges)
+    if axiom:
+        witness[axiom] = pair
+    return ValidationReport(
+        reachable_ok=len(_reached(fwd, [a.initial])) == n,
+        coreachable_ok=len(_reached(rev, a.finals)) == n,
+        axiom2_ok=a.initial == 1,
+        axiom3_ok=witness[3] is None,
+        axiom4_ok=witness[4] is None,
+        axiom3_witness=witness[3],
+        axiom4_witness=witness[4],
+        axiom1_verdict="skipped",
+        axiom1_depth=0,
+        axiom1_witness=None,
+    )
+
+
+def _renumber(a, perm, edge_order=None):
+    edges = [(perm[u], perm[v], rho) for u, v, rho in a.edges]
+    if edge_order is not None:
+        edges = [edges[k] for k in edge_order]
+    return GeneralizedAutomaton(
+        state_count=a.state_count,
+        edges=tuple(edges),
+        finals=frozenset(perm[q] for q in a.finals),
+    )
+
+
+def _random_renumbering(a, rng):
+    """a with states 2..n and the edge list shuffled; state 1 stays."""
+    rest = list(range(2, a.state_count + 1))
+    rng.shuffle(rest)
+    perm = {1: 1, **dict(zip(range(2, a.state_count + 1), rest))}
+    order = list(range(len(a.edges)))
+    rng.shuffle(order)
+    return _renumber(a, perm, order)
+
+
+def test_validate_equals_pair_loop_on_corpus(all_corpus_names):
+    rng = random.Random(20171)
+    failing = 0
+    for name in all_corpus_names:
+        a = load_instance(name)
+        for b in [a] + [_random_renumbering(a, rng) for _ in range(5)]:
+            want = _reference_validate(b)
+            assert validate(b) == want, name
+            failing += not (want.axiom3_ok and want.axiom4_ok)
+    assert failing > len(all_corpus_names)  # most renumberings break an axiom
+
+
+# short labels over a, b and 0xff: suffixes of one another, all-0xff
+# labels whose co-lex block has no upper end, and the empty label
+_labels34 = st.lists(st.sampled_from(b"ab\xff"), max_size=3).map(bytes)
+
+
+@st.composite
+def _small_automata(draw):
+    n = draw(st.integers(1, 6))
+    state = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(state, state, _labels34), max_size=14))
+    # repeat some edges, and send some to one target, so parallel edges
+    # and crowded targets are common
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    target = draw(state)
+    crowd = draw(st.lists(st.tuples(state, _labels34), max_size=4))
+    edges += [(u, target, rho) for u, rho in crowd]
+    order = draw(st.permutations(range(len(edges))))
+    return GeneralizedAutomaton(
+        state_count=n,
+        edges=tuple(edges[k] for k in order),
+        finals=frozenset(draw(st.sets(state))),
+    )
+
+
+@settings(max_examples=400)
+@given(_small_automata())
+def test_validate_equals_pair_loop_on_small_automata(a):
+    assert validate(a) == _reference_validate(a)
+
+
+def test_validate_criterion_09_trie():
+    """The 10k-edge trie validates (the pair loop needs tens of seconds
+    here), and breaking its order is caught with a genuine witness."""
+    a = build_piece_trie(random.Random(271828), 1300, 28, 2, b"abcd")
+    assert len(a.edges) > 10_000
+    assert validate(a).ok
+
+    into = {v: rho for _, v, rho in a.edges}  # a trie: one edge per state
+    u = 2
+    v = next(q for q in range(a.state_count, u, -1) if into[q] != into[u])
+    perm = {q: q for q in range(1, a.state_count + 1)}
+    perm[u], perm[v] = v, u
+    rep = validate(_renumber(a, perm))
+    assert not rep.ok
+    assert rep.axiom3_ok != rep.axiom4_ok
+    axiom, (e1, e2) = (3, rep.axiom3_witness) if not rep.axiom3_ok else (4, rep.axiom4_witness)
+    assert e1[1] < e2[1]
+    assert _reference_pair_breaks(e1, e2) == axiom

@@ -11,7 +11,6 @@ from wgnfa import (
     brute_below_count,
     brute_closure,
     brute_match,
-    brute_wheeler_order,
 )
 
 
@@ -107,39 +106,3 @@ def test_brute_accepts(ten_state, four_state):
     assert brute_accepts(four_state, b"ba")
     assert brute_accepts(four_state, b"bc")
     assert not brute_accepts(four_state, b"bb")
-
-
-def test_wheeler_order_identity_when_valid(four_state):
-    assert brute_wheeler_order(four_state) == (1, 2, 3, 4)
-
-
-def test_wheeler_order_recovers_shuffle(four_state):
-    # scramble the numbering, keep state 1 initial, and ask for an order
-    perm = {1: 1, 2: 4, 3: 2, 4: 3}
-    shuffled = GeneralizedAutomaton(
-        state_count=4,
-        edges=tuple((perm[u], perm[v], rho) for u, v, rho in four_state.edges),
-        finals=frozenset(perm[q] for q in four_state.finals),
-    )
-    order = brute_wheeler_order(shuffled)
-    assert order is not None
-    # mapping back along the found order must reproduce a valid instance
-    new_id = {old: pos for pos, old in enumerate(order, start=1)}
-    fixed_edges = sorted(
-        (new_id[u], new_id[v], rho) for u, v, rho in shuffled.edges
-    )
-    assert fixed_edges == sorted(four_state.edges)
-
-
-def test_wheeler_order_none_for_epsilon_cycle():
-    a = GeneralizedAutomaton(
-        state_count=3,
-        edges=((1, 2, b"a"), (2, 3, b""), (3, 2, b"")),
-        finals=frozenset({3}),
-    )
-    assert brute_wheeler_order(a) is None
-
-
-def test_wheeler_order_size_cap(ten_state):
-    with pytest.raises(ValueError, match="8 states"):
-        brute_wheeler_order(ten_state)

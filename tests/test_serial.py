@@ -198,7 +198,7 @@ def reframe(data: bytes, section: int, payload: bytes) -> bytes:
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
-def test_load_checks(ten_state_index):
+def test_load_checks(ten_state, ten_state_index):
     """Each load-time check rejects a body that carries a valid digest."""
     data = serialize(ten_state_index)
     summary, finals, _, _, dictionary, postings = split_sections(data)
@@ -211,6 +211,9 @@ def test_load_checks(ten_state_index):
         (1, finals[:-1], "finals bit section has the wrong length"),
         (4, b"\x06\x01a\x02ca\x02ba\x01b\x02bb\x01c", "co-lex"),
         (4, b"\x07\x00" + dictionary[1:], "non-empty"),
+        (4, b"\x06\x01\x00" + dictionary[3:], "reserved byte 0x00"),
+        (4, b"\x06\x02\x00a" + dictionary[3:], "reserved byte 0x00"),
+        (4, b"\x06\x01\x01" + dictionary[3:], "reserved byte 0x01"),
         (5, b"\x00" + postings[1:], "without edges"),
         (5, bytes([3, 9, 8, 1]) + postings[4:], "ascending"),
         (5, bytes([3, 0]) + postings[2:], "out of range"),
@@ -220,6 +223,15 @@ def test_load_checks(ten_state_index):
     for section, payload, message in cases:
         with pytest.raises(IndexFormatError, match=message):
             deserialize(reframe(data, section, payload))
+
+    # a sentinel file holds the label 0x01, but no other label with it
+    data = serialize(build_index(ten_state, with_sentinel=True))
+    dictionary = split_sections(data)[4]
+    assert dictionary == b"\x07\x01\x01\x01a\x02ba\x02ca\x01b\x02bb\x01c"
+    assert deserialize(reframe(data, 4, dictionary)).sentinel_mode
+    crafted = dictionary.replace(b"\x02ba", b"\x02\x01a")
+    with pytest.raises(IndexFormatError, match="reserved byte 0x01"):
+        deserialize(reframe(data, 4, crafted))
 
 
 def test_wide_integers_round_trip():
