@@ -17,23 +17,17 @@ from .generate import (
     generate_instance,
     sample_patterns,
 )
-from .index import LabelPostings, WheelerIndex, build_index
+from .index import WheelerIndex, build_index
 from .matcher import (
     MatchTrace,
     QueryResult,
     SentinelInPatternError,
-    StepRecord,
     accepts,
     match_interval,
     run_steps,
-    step_less,
-    step_lesseq,
 )
 from .model import (
     EPSILON,
-    EQ,
-    GT,
-    LT,
     SENTINEL,
     SENTINEL_BYTES,
     AutomatonSummary,
@@ -47,7 +41,6 @@ from .model import (
     escape_label,
     format_gnfa,
     incoming_strings,
-    is_suffix,
     parse_gnfa,
     parse_patterns,
     unescape_token,
@@ -65,9 +58,6 @@ from .serial import IndexFormatError, deserialize, payload_bits, serialize
 
 __all__ = [
     "EPSILON",
-    "EQ",
-    "GT",
-    "LT",
     "SENTINEL",
     "SENTINEL_BYTES",
     "AutomatonSummary",
@@ -78,7 +68,6 @@ __all__ = [
     "GeneralizedAutomaton",
     "GnfaFormatError",
     "IndexFormatError",
-    "LabelPostings",
     "MarkerBits",
     "MatchTrace",
     "QueryResult",
@@ -86,7 +75,6 @@ __all__ = [
     "SentinelInLabelError",
     "SentinelInPatternError",
     "ShapeViolation",
-    "StepRecord",
     "ValidationReport",
     "WheelerIndex",
     "accepts",
@@ -108,7 +96,6 @@ __all__ = [
     "four_state_sample",
     "generate_instance",
     "incoming_strings",
-    "is_suffix",
     "match_interval",
     "parse_gnfa",
     "parse_patterns",
@@ -116,8 +103,6 @@ __all__ = [
     "run_steps",
     "sample_patterns",
     "serialize",
-    "step_less",
-    "step_lesseq",
     "ten_state_sample",
     "unescape_token",
     "validate",

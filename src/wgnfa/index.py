@@ -17,19 +17,20 @@ All label comparisons only ever touch the last r bytes of the query
 prefix (r = longest label), which keeps a matching step independent of
 how much of the pattern has already been consumed.
 
-The structures behind these are deliberately plain: per-label sorted
-source and target arrays searched with bisect, per-length rows sorted
-by reversed label with a suffix-minimum array, one global edge table
-sorted the same way with a sparse table for range-maximum, and
-rank/select bitvectors for finals and closure markers.
+The structures behind these are deliberately plain.  Besides the label
+dictionary and its postings (per-label ascending source and target
+tuples, searched with bisect) there are rank/select bitvectors for the
+finals and the two closure markers the epsilon edges add, and two
+derived tables with one row per dictionary label, never one per edge:
+per label length, the reversed labels with a suffix minimum over each
+label's smallest target; and all reversed labels in dictionary order
+with a range-maximum sparse table over each label's largest target.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from .bitvec import RankSelectBits
 from .closure import build_closure_arrays, build_marker_bits
@@ -42,63 +43,19 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class LabelPostings:
-    sources: tuple[int, ...]  # ascending, one entry per edge
-    targets: tuple[int, ...]
-
-
-class _LengthTable:
-    """Rows (reversed label, target) for labels of one fixed length,
-    sorted lexicographically by reversed label, then target."""
-
-    def __init__(self, rev_labels: list[bytes], targets: list[int]):
-        self.rev_labels = rev_labels
-        self.targets = targets
-        # suffix_min[i] = smallest target among rows i.., 0 when empty
-        suffix = [0] * (len(targets) + 1)
-        for i in range(len(targets) - 1, -1, -1):
-            t = targets[i]
-            nxt = suffix[i + 1]
-            suffix[i] = t if nxt == 0 or t < nxt else nxt
-        self.suffix_min = suffix
-
-
-class _ColexTable:
-    """All labeled edges sorted by (reversed label, target), with a
-    sparse table answering range-maximum over the targets."""
-
-    def __init__(self, rev_labels: list[bytes], targets: list[int]):
-        self.rev_labels = rev_labels
-        self.targets = targets
-        levels = []
-        if targets:
-            cur = np.asarray(targets, dtype=np.int64)
-            levels.append(cur)
-            span = 1
-            while 2 * span <= len(targets):
-                cur = np.maximum(cur[: len(cur) - span], cur[span:])
-                levels.append(cur)
-                span *= 2
-        self._levels = levels
-
-    def range_max(self, lo: int, hi: int) -> int:
-        """Maximum target among rows lo..hi-1 (0-based, hi exclusive)."""
-        if lo >= hi:
-            return 0
-        k = (hi - lo).bit_length() - 1
-        lvl = self._levels[k]
-        return int(max(lvl[lo], lvl[hi - (1 << k)]))
-
-
 class WheelerIndex:
     """Built via build_index() or deserialize(); states are 1..n.
 
     Both pass the same inputs: the state and epsilon-edge counts, the
     finals and marker bits, the dictionary (non-empty labels strictly
-    increasing in co-lex order) and its postings (at least one edge per
-    label, ascending sources and targets).  The summary and the length
-    and co-lex edge tables are derived here and nowhere else.
+    increasing in co-lex order) and its postings (label -> (sources,
+    targets), at least one edge per label, both tuples ascending).
+
+    Every other table holds one row per dictionary label, never one per
+    edge.  Because the targets ascend, a label's smallest and largest
+    target are targets[0] and targets[-1]; a minimum or maximum over a
+    block of labels is then the same as over all their edges.  The
+    summary and these rows are derived here and nowhere else.
     """
 
     def __init__(
@@ -110,7 +67,7 @@ class WheelerIndex:
         b_max: RankSelectBits,
         b_min: RankSelectBits,
         labels: tuple[bytes, ...],
-        postings: dict[bytes, LabelPostings],
+        postings: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]],
     ):
         self.sentinel_mode = sentinel_mode
         self.finals = finals
@@ -119,30 +76,38 @@ class WheelerIndex:
         self.labels = labels
         self.postings = postings
 
-        # co-lex order is the order of reversed labels, so walking the
-        # dictionary emits rows already sorted by (reversed label, target)
+        # co-lex order is the order of reversed labels, so the dictionary
+        # already lists the rows sorted
+        self._rev = [rho[::-1] for rho in labels]
         by_len: dict[int, tuple[list[bytes], list[int]]] = {}
-        all_rev: list[bytes] = []
-        all_targets: list[int] = []
-        symbols: set[int] = set()
-        symbol_total = 0
-        for rho in labels:
-            targets = postings[rho].targets
-            rows = [rho[::-1]] * len(targets)  # one shared reversed label
-            revs, tgts = by_len.setdefault(len(rho), ([], []))
-            revs += rows
-            tgts += targets
-            all_rev += rows
-            all_targets += targets
-            symbols.update(rho)
+        edge_count = symbol_total = 0
+        for rho, rev in zip(labels, self._rev):
+            targets = postings[rho][1]
+            revs, firsts = by_len.setdefault(len(rho), ([], []))
+            revs.append(rev)
+            firsts.append(targets[0])
+            edge_count += len(targets)
             symbol_total += len(rho) * len(targets)
-        self._by_len = {k: _LengthTable(*cols) for k, cols in by_len.items()}
-        self._colex = _ColexTable(all_rev, all_targets)
+        # per length: reversed labels and, from each row on, the smallest
+        # target of that row or any later one (None past the end)
+        self._by_len = {
+            k: (revs, list(accumulate(reversed(firsts), min))[::-1] + [None])
+            for k, (revs, firsts) in by_len.items()
+        }
+        # sparse table: level i holds the largest target over the 2^i
+        # rows starting at each row
+        level = [postings[rho][1][-1] for rho in labels]
+        self._max_levels = [level]
+        span = 1
+        while 2 * span <= len(labels):
+            level = list(map(max, level, level[span:]))
+            self._max_levels.append(level)
+            span *= 2
         self.summary = AutomatonSummary(
             state_count=state_count,
-            edge_count=len(all_targets) + epsilon_edge_count,
+            edge_count=edge_count + epsilon_edge_count,
             label_symbol_total=symbol_total,
-            alphabet_size=len(symbols),
+            alphabet_size=len(set(b"".join(labels))),
             max_label_len=max(by_len, default=0),
             epsilon_edge_count=epsilon_edge_count,
         )
@@ -162,14 +127,14 @@ class WheelerIndex:
         p = self.postings.get(label)
         if p is None:
             return 0
-        return bisect_right(p.sources, j)
+        return bisect_right(p[0], j)
 
     def in_count(self, label: bytes, j: int) -> int:
         """Edges labeled `label` entering states 1..j."""
         p = self.postings.get(label)
         if p is None:
             return 0
-        return bisect_right(p.targets, j)
+        return bisect_right(p[1], j)
 
     # -- boundaries --------------------------------------------------------
 
@@ -178,16 +143,16 @@ class WheelerIndex:
         if f < 0:
             raise ValueError("count bound must be nonnegative")
         p = self.postings.get(label)
-        if p is None or f >= len(p.targets):
+        if p is None or f >= len(p[1]):
             return self.n_states
-        return p.targets[f] - 1
+        return p[1][f] - 1
 
     def min_prefix_with_in_at_least(self, label: bytes, g: int) -> int:
         """Smallest j with in_count(label, j) >= g, for 1 <= g <= mult."""
         p = self.postings.get(label)
-        if p is None or not 1 <= g <= len(p.targets):
+        if p is None or not 1 <= g <= len(p[1]):
             raise ValueError(f"no prefix receives {g} edges labeled {label!r}")
-        return p.targets[g - 1]
+        return p[1][g - 1]
 
     def min_state_with_len_k_label_ge(self, k: int, alpha: bytes) -> int | None:
         """Smallest state entered by a length-k edge whose label is
@@ -198,15 +163,13 @@ class WheelerIndex:
         tail exactly when it is a proper suffix of alpha, and a proper
         suffix sorts strictly below, so the comparison becomes strict.
         """
-        tab = self._by_len.get(k)
-        if tab is None:
+        row = self._by_len.get(k)
+        if row is None:
             return None
+        revs, suffix_min = row
         if len(alpha) > k:
-            i = bisect_right(tab.rev_labels, alpha[-k:][::-1])
-        else:
-            i = bisect_left(tab.rev_labels, alpha[::-1])
-        hit = tab.suffix_min[i]
-        return hit if hit else None
+            return suffix_min[bisect_right(revs, alpha[-k:][::-1])]
+        return suffix_min[bisect_left(revs, alpha[::-1])]
 
     def max_state_with_suffix_label(self, alpha: bytes) -> int:
         """Largest state entered by an edge whose label has alpha as a
@@ -214,11 +177,14 @@ class WheelerIndex:
         if len(alpha) > self.r:
             return 0
         rev = alpha[::-1]
-        ct = self._colex
-        lo = bisect_left(ct.rev_labels, rev)
+        lo = bisect_left(self._rev, rev)
         upper = suffix_range_upper(rev)
-        hi = len(ct.rev_labels) if upper is None else bisect_left(ct.rev_labels, upper)
-        return ct.range_max(lo, hi)
+        hi = len(self._rev) if upper is None else bisect_left(self._rev, upper)
+        if lo >= hi:
+            return 0
+        k = (hi - lo).bit_length() - 1
+        level = self._max_levels[k]
+        return max(level[lo], level[hi - (1 << k)])
 
     # -- markers and finals ------------------------------------------------
 
@@ -264,11 +230,11 @@ def build_index(
 
     labels = tuple(sorted(per_label, key=colex_key))
     postings = {
-        rho: LabelPostings(tuple(sorted(srcs)), tuple(sorted(tgts)))
+        rho: (tuple(sorted(srcs)), tuple(sorted(tgts)))
         for rho, (srcs, tgts) in per_label.items()
     }
 
-    finals_bits = np.zeros(n, dtype=np.uint8)
+    finals_bits = bytearray(n)
     for q in a.finals:
         finals_bits[q - 1] = 1
 

@@ -59,11 +59,6 @@ def colex_key(x: bytes) -> bytes:
     return x[::-1]
 
 
-def is_suffix(x: bytes, y: bytes) -> bool:
-    """True iff x is a (not necessarily proper) suffix of y."""
-    return y.endswith(x)
-
-
 @dataclass(frozen=True)
 class AutomatonSummary:
     state_count: int

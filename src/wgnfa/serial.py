@@ -24,17 +24,20 @@ round-trips.
 
 Only what the index cannot derive is stored.  The edge count, total
 label bytes, alphabet size and longest label are recomputed from the
-dictionary and postings, and the per-length and co-lex edge tables are
-rebuilt by WheelerIndex, so none of them can disagree with the rest of
-the file.
+dictionary and postings, and WheelerIndex derives its per-label query
+rows from them, so none of these can disagree with the rest of the
+file.
 
 Besides magic, version, flags, framing and digest, loading checks that
-the bit sections are ceil(n/8) bytes, that dictionary labels are
-non-empty, strictly increasing in co-lex order and free of the reserved
-bytes 0x00 and 0x01 (a sentinel file may hold the single label 0x01),
-and that every postings entry holds at least one edge with ascending
-sources and targets in 1..n.  Version 1 files, which also stored the
-derived tables, are rejected; rebuild them from their .gnfa source.
+the bit sections are ceil(n/8) bytes, that the marker bits b_max[n] and
+b_min[1] are set and neither marker section has more zero bits than
+the epsilon-edge count (as for any closure), that dictionary labels
+are non-empty, strictly increasing in co-lex order and free of the
+reserved bytes 0x00 and 0x01 (a sentinel file may hold the single label
+0x01), and that every postings entry holds at least one edge with
+ascending sources and targets in 1..n.  Version 1 files, which also
+stored derived tables, are rejected; rebuild them from their .gnfa
+source.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import hashlib
 import numpy as np
 
 from .bitvec import RankSelectBits
-from .index import LabelPostings, WheelerIndex
+from .index import WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
@@ -98,7 +101,7 @@ def serialize(ix: WheelerIndex) -> bytes:
             eps,
             len(labels),
             ix.r,
-            max((len(p.sources) for p in ix.postings.values()), default=0),
+            max((len(sources) for sources, _ in ix.postings.values()), default=0),
         )
     )
 
@@ -117,10 +120,10 @@ def serialize(ix: WheelerIndex) -> bytes:
 
     wr = _Writer(w)
     for rho in labels:
-        p = ix.postings[rho]
-        wr.u(len(p.sources))
-        wr.ints(p.sources)
-        wr.ints(p.targets)
+        sources, targets = ix.postings[rho]
+        wr.u(len(sources))
+        wr.ints(sources)
+        wr.ints(targets)
     sec_postings = wr.payload()
 
     body = bytearray()
@@ -230,6 +233,13 @@ def deserialize(data: bytes) -> WheelerIndex:
             bits.append(RankSelectBits.from_bytes(payload, n))
         except ValueError:
             raise IndexFormatError(f"{what} bit section has the wrong length") from None
+    finals, b_max, b_min = bits
+    # any closure has a_max[n] = n and a_min[1] = 1, and a state that is
+    # not its own closure extremum has an incoming epsilon edge of its own
+    if n < 1 or not b_max[n] or not b_min[1]:
+        raise IndexFormatError("closure marker bits b_max[n] and b_min[1] must be set")
+    if n - min(b_max.ones, b_min.ones) > eps:
+        raise IndexFormatError("more unmarked states than epsilon edges")
 
     sentinel_mode = bool(flags & FLAG_SENTINEL)
     rd = _Reader(sections[4], w)
@@ -264,16 +274,16 @@ def deserialize(data: bytes) -> WheelerIndex:
             if side[0] < 1 or side[-1] > n:
                 raise IndexFormatError("postings state out of range 1..n")
             sides.append(side)
-        postings[rho] = LabelPostings(*sides)
+        postings[rho] = tuple(sides)
     rd.finish("postings")
 
     return WheelerIndex(
         state_count=n,
         epsilon_edge_count=eps,
         sentinel_mode=sentinel_mode,
-        finals=bits[0],
-        b_max=bits[1],
-        b_min=bits[2],
+        finals=finals,
+        b_max=b_max,
+        b_min=b_min,
         labels=tuple(labels),
         postings=postings,
     )

@@ -3,15 +3,25 @@ ops checked against direct scans of the edge list on corpus instances."""
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wgnfa import augment_with_sentinel, build_index, colex_compare, colex_key, is_suffix
+from wgnfa import (
+    GeneralizedAutomaton,
+    augment_with_sentinel,
+    build_index,
+    colex_compare,
+    colex_key,
+    deserialize,
+    serialize,
+)
+from wgnfa.model import LT
 
 from conftest import corpus_names, load_index, load_instance
-
-LT = -1
 
 
 def test_out_count_ten(ten_state_index):
@@ -156,7 +166,7 @@ def _scan_checks(a, ix):
             ]
             want = min(hits) if hits else None
             assert ix.min_state_with_len_k_label_ge(k, alpha) == want
-        suff = [v for _, v, r2 in led if is_suffix(alpha, r2)]
+        suff = [v for _, v, r2 in led if r2.endswith(alpha)]
         assert ix.max_state_with_suffix_label(alpha) == max(suff, default=0)
 
 
@@ -168,3 +178,42 @@ def test_ops_match_scans_on_samples(ten_state, four_state):
 @pytest.mark.parametrize("name", corpus_names()[::9] or ["ten-state"])
 def test_ops_match_scans_on_corpus(name):
     _scan_checks(load_instance(name), load_index(name))
+
+
+# -- ops versus direct scans on arbitrary edge multisets ------------------
+
+# every label over a, b and 0xff of length 1..3: many share suffixes, and
+# all-0xff labels have no co-lex upper bound for their suffix block
+_LABELS = [bytes(t) for k in (1, 2, 3) for t in itertools.product(b"ab\xff", repeat=k)]
+
+
+@st.composite
+def _edge_multisets(draw):
+    """Labeled edges that need not be Wheeler, with parallel edges and
+    acyclic epsilon edges; every drawn label has at least one edge."""
+    n = draw(st.integers(1, 12))
+    state = st.integers(1, n)
+    pool = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=40, unique=True))
+    edges = [(draw(state), draw(state), rho) for rho in pool]
+    edges += draw(st.lists(st.tuples(state, state, st.sampled_from(pool)), max_size=40))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=10))  # parallel edges
+    pairs = draw(st.lists(st.tuples(state, state), max_size=6))
+    edges += [(min(u, v), max(u, v), b"") for u, v in pairs if u != v]
+    finals = draw(st.frozensets(state, max_size=n))
+    return GeneralizedAutomaton(state_count=n, edges=tuple(edges), finals=finals)
+
+
+# all 39 labels reach the range-maximum level 5 (a block of 32 labels)
+@example(
+    GeneralizedAutomaton(
+        state_count=9,
+        edges=tuple((i % 9 + 1, (7 * i) % 9 + 1, rho) for i, rho in enumerate(_LABELS * 2)),
+        finals=frozenset({3}),
+    )
+)
+@settings(max_examples=200, deadline=None)
+@given(_edge_multisets())
+def test_ops_match_scans_on_edge_multisets(a):
+    ix = build_index(a)
+    _scan_checks(a, ix)
+    _scan_checks(a, deserialize(serialize(ix)))

@@ -219,10 +219,22 @@ def test_load_checks(ten_state, ten_state_index):
         (5, bytes([3, 0]) + postings[2:], "out of range"),
         (5, postings[:6] + b"\x0b" + postings[7:], "out of range"),
         (5, postings + b"\x00", "oversized postings"),
+        # marker bits: b_max = 1100111111 and b_min all ones, 2 epsilon edges
+        (2, b"\xcf\x80", "must be set"),  # b_max[10] cleared
+        (3, b"\x7f\xc0", "must be set"),  # b_min[1] cleared
+        (2, b"\xc7\xc0", "more unmarked"),  # b_max[5] cleared as well
+        (3, b"\xf8\xc0", "more unmarked"),  # three zeros in b_min
+        (0, b"\x01\x0a\x01", "more unmarked"),  # one epsilon edge
     ]
     for section, payload, message in cases:
         with pytest.raises(IndexFormatError, match=message):
             deserialize(reframe(data, section, payload))
+    assert deserialize(reframe(data, 3, b"\xfc\xc0"))  # two zeros in b_min
+    empty = data
+    for section, payload in enumerate((b"\x01\x00\x00", b"", b"", b"", b"\x00", b"")):
+        empty = reframe(empty, section, payload)
+    with pytest.raises(IndexFormatError, match="must be set"):
+        deserialize(empty)  # no states, so no marker bits
 
     # a sentinel file holds the label 0x01, but no other label with it
     data = serialize(build_index(ten_state, with_sentinel=True))
