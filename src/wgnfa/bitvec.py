@@ -3,16 +3,25 @@
 Positions are 1-based to match the state numbering used everywhere
 else.  rank1(i) counts set bits in positions 1..i and select1(k) finds
 the position of the k-th set bit.  A cumulative-sum directory and the
-positions of the set bits are precomputed, so both queries are O(1)
-lookups; the O(n) words of directory are irrelevant at the scales this
-library targets.
+positions of the set bits are precomputed as int64 arrays, so both
+queries are O(1) lookups; the O(n) words of directory are irrelevant
+at the scales this library targets.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
+
+
+def _int64_array(values: np.ndarray) -> array:
+    """values in an array('q') of exactly their length (filling an empty
+    one would over-allocate it by a sixteenth)."""
+    out = array("q", [0]) * len(values)
+    np.frombuffer(out, dtype=np.int64)[:] = values
+    return out
 
 
 class RankSelectBits:
@@ -22,9 +31,11 @@ class RankSelectBits:
             raise ValueError("bits must be one-dimensional")
         self._bits = (arr != 0).astype(np.uint8)
         self.n = int(self._bits.shape[0])
-        self._cum = np.cumsum(self._bits, dtype=np.int64)
-        self._positions = (np.flatnonzero(self._bits) + 1).astype(np.int64)
-        self.ones = int(self._positions.shape[0])
+        # rank and select index these once per matched symbol; an array
+        # hands back Python ints where a numpy array would box a scalar
+        self._cum = _int64_array(np.cumsum(self._bits, dtype=np.int64))
+        self._positions = _int64_array(np.flatnonzero(self._bits) + 1)
+        self.ones = len(self._positions)
 
     def __len__(self) -> int:
         return self.n
@@ -40,13 +51,13 @@ class RankSelectBits:
             raise IndexError(f"rank position {i} out of range 0..{self.n}")
         if i == 0:
             return 0
-        return int(self._cum[i - 1])
+        return self._cum[i - 1]
 
     def select1(self, k: int) -> int:
         """Position of the k-th set bit, 1 <= k <= ones."""
         if not 1 <= k <= self.ones:
             raise IndexError(f"select argument {k} out of range 1..{self.ones}")
-        return int(self._positions[k - 1])
+        return self._positions[k - 1]
 
     def to_bytes(self) -> bytes:
         return np.packbits(self._bits).tobytes()

@@ -14,12 +14,13 @@ import sys
 import time
 import zlib
 from pathlib import Path
+from typing import Callable
 
 from .closure import EpsilonCycleError, build_closure_arrays, build_marker_bits
 from .crosscheck import crosscheck_instance
 from .generate import sample_patterns
 from .index import build_index
-from .matcher import SentinelInPatternError, match_interval
+from .matcher import SentinelInPatternError, match_interval, run_steps
 from .model import (
     GeneralizedAutomaton,
     GnfaFormatError,
@@ -81,16 +82,54 @@ def cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _state_offset(q: int) -> int:
+    """Where state q starts in the text "1,2,...,n,".
+
+    The q-1 states before it take a comma each and w digits each, w the
+    digit count of q, less one digit for each of them below 10, 100,
+    ..., 10**(w-1): (10**w - 10) // 9 - (w - 1) digits in all.
+    """
+    width = len(str(q))
+    return (width + 1) * (q - 1) - (10**width - 10) // 9 + width - 1
+
+
+def state_column(n: int) -> Callable[[int, int], str]:
+    """The comma-joined states lo..hi of 1..n, as slices of one text.
+
+    The text is built once, a block of states at a time so that no list
+    of n strings is ever held, and a row then costs time in proportion
+    to the bytes it prints.  An empty interval (lo > hi) gives "", and a
+    non-empty one outside 1..n raises ValueError.
+    """
+    block = 4096
+    text = "".join(
+        ",".join(map(str, range(start, min(start + block, n + 1)))) + ","
+        for start in range(1, n + 1, block)
+    )
+
+    def states(lo: int, hi: int) -> str:
+        if lo > hi:
+            return ""
+        if lo < 1 or hi > n:
+            raise ValueError(f"state interval {lo}..{hi} outside 1..{n}")
+        return text[_state_offset(lo) : _state_offset(hi + 1) - 1]
+
+    return states
+
+
 def cmd_query(args: argparse.Namespace) -> int:
     ix = deserialize(_read_bytes(args.index))
     patterns = parse_patterns(_read_bytes(args.patterns))
+    states = state_column(ix.n_states - (1 if ix.sentinel_mode else 0))
     for p in patterns:
         res = match_interval(ix, p)
-        if args.trace and res.trace.steps:
-            print(res.trace.dump_tsv())
-        states = ",".join(str(q) for q in res.states())
+        if args.trace and p:
+            print(run_steps(ix, p).dump_tsv())
         acc = "-" if res.accepted is None else ("1" if res.accepted else "0")
-        print(f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}\t{states}\t{acc}")
+        print(
+            f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}"
+            f"\t{states(res.lo, res.hi)}\t{acc}"
+        )
     return 0
 
 

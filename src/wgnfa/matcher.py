@@ -9,15 +9,17 @@ by two counters per pattern prefix,
   d[l] = c[l] plus the size of the suffixed block, i.e. the states
          with at least one incoming string ending in the prefix.
 
-c and d are advanced one pattern symbol at a time.  The lower bound
-step combines, for each chunk length k up to r, a cap on how many
-length-k edges may enter the candidate block (counted out of the
-interval already known for the l-k prefix) with a co-lexicographic cap
-on the labels themselves, then rounds down to a closure marker.  The
-upper bound step pushes the boundary up past forced edge targets and
-suffix-labeled edges; when nothing forces it past c[l] the suffixed
+c and d are advanced one pattern symbol at a time, both in one loop
+(run_steps).  The lower bound combines, for each chunk length k up to
+r, a cap on how many length-k edges may enter the candidate block
+(counted out of the interval already known for the l-k prefix) with a
+co-lexicographic cap on the labels themselves, then rounds down to a
+closure marker.  The upper bound is pushed up past forced edge targets
+and suffix-labeled edges; when nothing forces it past c[l] the suffixed
 block is empty and d[l] = c[l], otherwise the boundary rounds up to the
-next closure marker.
+next closure marker.  The loop keeps a per-symbol StepRecord of these
+internals only when asked to trace; interval and membership queries
+run it without, and `wgnfa query --trace` runs it again with them.
 
 Indexes built with the sentinel carry one extra lead state, so reported
 intervals are shifted back down; membership (accepts) runs the same
@@ -27,7 +29,7 @@ without translating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .index import WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES, escape_label
@@ -40,14 +42,14 @@ class SentinelInPatternError(ValueError):
 @dataclass
 class StepRecord:
     ell: int
-    f: dict[int, int] = field(default_factory=dict)
-    g: dict[int, int] = field(default_factory=dict)
-    j_star: int = 0
-    i_star: int = 0
-    h_star: int = 0
-    t_star: int = 0
-    c: int = 0
-    d: int = 0
+    f: dict[int, int]
+    g: dict[int, int]
+    j_star: int
+    i_star: int
+    h_star: int
+    t_star: int
+    c: int
+    d: int
 
 
 @dataclass
@@ -56,8 +58,8 @@ class MatchTrace:
     r: int
     c: list[int]
     d: list[int]
-    steps: list[StepRecord] = field(default_factory=list)
-    ops: int = 0  # index operations issued
+    steps: list[StepRecord]  # empty unless run with trace
+    ops: int  # index operations issued
 
     def dump_tsv(self) -> str:
         """One row per consumed symbol: l, prefix, f_1..f_r, g_1..g_r,
@@ -91,93 +93,79 @@ class QueryResult:
         return range(self.lo, self.hi + 1)
 
 
-def step_less(ix: WheelerIndex, trace: MatchTrace, ell: int) -> int:
-    """Advance the strictly-below boundary to c[ell].
+def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrace:
+    """The raw recursion, in index numbering and with no translation.
 
-    Candidate j must not receive more length-k edges than leave the
-    already-known strictly-below prefix for the l-k cut (that count is
-    f_k), and no state up to j may receive a length-k edge whose label
-    sorts at or above the current prefix.  The tightest j is then
-    rounded down to a closure marker.
+    Each symbol advances both boundaries.  For every chunk length k up
+    to min(r, l-1), f_k counts the chunk's edges leaving the strict
+    interval for the l-k cut and g_k those leaving the wider one.  The
+    strictly-below boundary c[l] is the tightest j that receives no
+    more than f_k chunk edges and no length-k edge whose label sorts at
+    or above the current prefix, rounded down to a closure marker.  The
+    at-or-suffixed boundary d[l] must reach the g_k-th smallest chunk
+    target wherever g_k > f_k, and any edge whose whole label ends with
+    the prefix; if neither pushes it past c[l] the suffixed block is
+    empty and d[l] = c[l], otherwise it rounds up to the next marker.
+
+    Only with `trace` is a StepRecord kept per symbol; the counters and
+    the `ops` total are the same either way.
     """
-    alpha = trace.pattern
-    rec = StepRecord(ell=ell)
-    j = ix.n_states
-    for k in range(1, min(ix.r, ell - 1) + 1):
-        chunk = alpha[ell - k : ell]
-        fk = ix.out_count(chunk, trace.c[ell - k])
-        trace.ops += 1
-        rec.f[k] = fk
-        bound = ix.max_prefix_with_in_at_most(chunk, fk)
-        trace.ops += 1
-        if bound < j:
-            j = bound
-    # every label comparison looks at most r bytes back, and one extra
-    # byte keeps the longer-than-k strictness decisions identical, so a
-    # bounded tail stands in for the whole prefix at O(r) per step
-    prefix = alpha[max(0, ell - ix.r - 1) : ell]
-    for k in range(1, ix.r + 1):
-        hit = ix.min_state_with_len_k_label_ge(k, prefix)
-        trace.ops += 1
-        if hit is not None and hit - 1 < j:
-            j = hit - 1
-    rec.j_star = j
-    t = ix.marker_floor(j)
-    trace.ops += 1
-    rec.t_star = t
-    rec.c = t
-    trace.steps.append(rec)
-    return t
-
-
-def step_lesseq(ix: WheelerIndex, trace: MatchTrace, ell: int, c_ell: int) -> int:
-    """Advance the at-or-suffixed boundary to d[ell], given c[ell].
-
-    Wherever the wider interval for an l-k cut emits more length-k
-    chunk edges than the strict one (g_k > f_k), the boundary must reach
-    the g_k-th smallest target of that chunk; it must also reach any
-    edge whose whole label ends with the current prefix.  If neither
-    pushes past c[ell] the suffixed block is empty; otherwise round up
-    to the next closure marker.
-    """
-    alpha = trace.pattern
-    rec = trace.steps[ell - 1]
-    forced = 0
-    for k in range(1, min(ix.r, ell - 1) + 1):
-        chunk = alpha[ell - k : ell]
-        gk = ix.out_count(chunk, trace.d[ell - k])
-        trace.ops += 1
-        rec.g[k] = gk
-        if gk > rec.f[k]:
-            pos = ix.min_prefix_with_in_at_least(chunk, gk)
-            trace.ops += 1
-            if pos > forced:
-                forced = pos
-    # same bounded tail as in step_less: a prefix longer than r can
-    # never be a label suffix, and shorter ones are passed whole
-    i_star = ix.max_state_with_suffix_label(alpha[max(0, ell - ix.r - 1) : ell])
-    trace.ops += 1
-    rec.i_star = i_star
-    h = max(c_ell, i_star, forced)
-    rec.h_star = h
-    if h == c_ell:
-        d = h
-    else:
-        d = ix.marker_ceiling(h)
-        trace.ops += 1
-    rec.d = d
-    return d
-
-
-def run_steps(ix: WheelerIndex, pattern: bytes) -> MatchTrace:
-    """The raw recursion, in index numbering and with no translation."""
-    trace = MatchTrace(pattern=pattern, r=ix.r, c=[0], d=[ix.n_states])
+    out_count = ix.out_count
+    max_prefix_with_in_at_most = ix.max_prefix_with_in_at_most
+    min_prefix_with_in_at_least = ix.min_prefix_with_in_at_least
+    min_state_with_len_k_label_ge = ix.min_state_with_len_k_label_ge
+    max_state_with_suffix_label = ix.max_state_with_suffix_label
+    marker_floor = ix.marker_floor
+    marker_ceiling = ix.marker_ceiling
+    n, r = ix.n_states, ix.r
+    c, d = [0], [n]
+    steps: list[StepRecord] = []
+    ops = 0
     for ell in range(1, len(pattern) + 1):
-        c = step_less(ix, trace, ell)
-        trace.c.append(c)
-        d = step_lesseq(ix, trace, ell, c)
-        trace.d.append(d)
-    return trace
+        j = n
+        forced = 0
+        if trace:
+            f: dict[int, int] = {}
+            g: dict[int, int] = {}
+        for k in range(1, min(r, ell - 1) + 1):
+            chunk = pattern[ell - k : ell]
+            fk = out_count(chunk, c[ell - k])
+            bound = max_prefix_with_in_at_most(chunk, fk)
+            if bound < j:
+                j = bound
+            gk = out_count(chunk, d[ell - k])
+            ops += 3
+            if gk > fk:
+                pos = min_prefix_with_in_at_least(chunk, gk)
+                ops += 1
+                if pos > forced:
+                    forced = pos
+            if trace:
+                f[k] = fk
+                g[k] = gk
+        # every label comparison looks at most r bytes back, and one extra
+        # byte keeps the longer-than-k strictness decisions identical, so a
+        # bounded tail stands in for the whole prefix at O(r) per step; a
+        # tail longer than r can never be a label suffix
+        prefix = pattern[max(0, ell - r - 1) : ell]
+        for k in range(1, r + 1):
+            hit = min_state_with_len_k_label_ge(k, prefix)
+            if hit is not None and hit - 1 < j:
+                j = hit - 1
+        t = marker_floor(j)
+        i_star = max_state_with_suffix_label(prefix)
+        ops += r + 2
+        h = max(t, i_star, forced)
+        if h == t:
+            top = t
+        else:
+            top = marker_ceiling(h)
+            ops += 1
+        c.append(t)
+        d.append(top)
+        if trace:
+            steps.append(StepRecord(ell, f, g, j, i_star, h, t, c=t, d=top))
+    return MatchTrace(pattern=pattern, r=r, c=c, d=d, steps=steps, ops=ops)
 
 
 def match_interval(ix: WheelerIndex, pattern: bytes) -> QueryResult:
@@ -185,20 +173,14 @@ def match_interval(ix: WheelerIndex, pattern: bytes) -> QueryResult:
 
     On a sentinel index the reported interval is translated back to the
     original numbering and `accepted` reports exact membership; on a
-    plain index `accepted` is None.  The empty pattern answers (1, n)
-    directly without touching the index.
+    plain index `accepted` is None.  The empty pattern consumes no
+    symbol, so it answers (1, n) without touching the index.
     """
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
-    shift = 1 if ix.sentinel_mode else 0
-    if not pattern:
-        n = ix.n_states - shift
-        trace = MatchTrace(pattern=pattern, r=ix.r, c=[0], d=[ix.n_states])
-        accepted = accepts(ix, pattern) if ix.sentinel_mode else None
-        return QueryResult(lo=1, hi=n, count=n, accepted=accepted, trace=trace)
-    trace = run_steps(ix, pattern)
+    trace = run_steps(ix, pattern, trace=False)
     lo, hi = trace.c[-1] + 1, trace.d[-1]
-    if shift:
+    if ix.sentinel_mode:
         lo, hi = max(lo - 1, 1), hi - 1
     count = max(0, hi - lo + 1)
     accepted = accepts(ix, pattern) if ix.sentinel_mode else None
@@ -217,5 +199,5 @@ def accepts(ix: WheelerIndex, pattern: bytes) -> bool:
         raise ValueError("membership needs an index built with the sentinel")
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
-    trace = run_steps(ix, SENTINEL_BYTES + pattern)
+    trace = run_steps(ix, SENTINEL_BYTES + pattern, trace=False)
     return ix.finals_in(trace.c[-1] + 1, trace.d[-1])

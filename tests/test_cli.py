@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
-from wgnfa import format_gnfa
-from wgnfa.cli import main
+from wgnfa import (
+    build_index,
+    build_piece_trie,
+    escape_label,
+    format_gnfa,
+    match_interval,
+    parse_patterns,
+)
+from wgnfa.cli import main, state_column
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -217,3 +225,59 @@ def test_query_stdin(tmp_path, index_file, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", type("S", (), {"buffer": io.BytesIO(b"a\n")})())
     assert main(["query", str(index_file)]) == 0
     assert capsys.readouterr().out == "a\t2\t5\t4\t2,3,4,5\t-\n"
+
+
+def test_state_column_slices():
+    # every interval with both ends near a digit-width boundary, on an n
+    # past the 4-to-5-digit one; then every interval of the small n
+    near = [q for b in (10, 100, 1000, 10_000) for q in range(b - 4, b + 4)]
+    n = 10_003
+    states = state_column(n)
+    for lo in near + [1]:
+        for hi in near + [1, n]:
+            assert states(lo, hi) == ",".join(map(str, range(lo, hi + 1))), (lo, hi)
+    assert states(1, n) == ",".join(map(str, range(1, n + 1)))
+    assert states(5000, 4999) == ""
+    for n in range(13):
+        states = state_column(n)
+        for lo in range(1, n + 2):
+            for hi in range(lo - 2, n + 1):
+                assert states(lo, hi) == ",".join(map(str, range(lo, hi + 1))), (n, lo, hi)
+
+
+def test_state_column_rejects_outside_interval():
+    states = state_column(10_003)
+    for lo, hi in ((0, 5), (-3, 2), (1, 10_004), (10_004, 10_004), (9_999, 10_010)):
+        with pytest.raises(ValueError, match="outside"):
+            states(lo, hi)
+    with pytest.raises(ValueError):
+        state_column(0)(1, 1)
+
+
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_query_rows_on_10k_trie(tmp_path, capsys, sentinel):
+    # the criterion-09 trie: every row's state list must read as the
+    # states lo..hi joined one by one
+    rng = random.Random(271828)
+    a = build_piece_trie(
+        rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd"
+    )
+    gnfa, wgx, pats = tmp_path / "t.gnfa", tmp_path / "t.wgx", tmp_path / "p.txt"
+    gnfa.write_text(format_gnfa(a))
+    flags = ["--sentinel"] if sentinel else []
+    assert main(["build", str(gnfa), "-o", str(wgx)] + flags) == 0
+    lines = ["", "a", "b", "cd", "dddddddddddd"]
+    lines += ["".join(rng.choice("abcd") for _ in range(rng.randint(1, 6))) for _ in range(200)]
+    pats.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert main(["query", str(wgx), "--patterns", str(pats)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    ix = build_index(a, with_sentinel=sentinel)
+    patterns = parse_patterns(pats.read_bytes())
+    assert len(rows) == len(patterns)
+    for row, p in zip(rows, patterns):
+        res = match_interval(ix, p)
+        states = ",".join(str(q) for q in res.states())
+        acc = "-" if res.accepted is None else ("1" if res.accepted else "0")
+        assert row == f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}\t{states}\t{acc}"
+    assert rows[0].split("\t")[3] == str(a.state_count)

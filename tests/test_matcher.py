@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,9 @@ from wgnfa import (
     match_interval,
     run_steps,
 )
+from wgnfa.model import SENTINEL_BYTES
+
+from conftest import load_index, load_instance, load_sidecar_patterns
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -148,3 +152,34 @@ def test_ops_counter_bounded(ten_state_index):
     for pat in (b"a", b"ba", b"cba", b"aaaa", b"abcabc"):
         tr = run_steps(ten_state_index, pat)
         assert tr.ops <= (4 * r + 4) * len(pat)
+
+
+def _sweep_patterns(name: str) -> list[bytes]:
+    """Criterion 06's inputs: every pattern of length 0..6 over two
+    symbols, on instances of at most 8 states."""
+    a = load_instance(name)
+    if a.state_count > 8:
+        return []
+    symbols = sorted({b for _, _, rho in a.edges for b in rho})
+    two = (symbols + [s for s in b"ab" if s not in symbols])[:2]
+    return [bytes(p) for ln in range(7) for p in itertools.product(two, repeat=ln)]
+
+
+def test_untraced_recursion_equals_traced(all_corpus_names):
+    # the sidecar patterns on plain and sentinel indexes (raw, as
+    # match_interval runs them, and sentinel-prefixed, as accepts does),
+    # plus the exhaustive short sweep
+    runs = 0
+    for name in all_corpus_names:
+        pats = list(load_sidecar_patterns(name)) + _sweep_patterns(name)
+        sent = load_index(name, with_sentinel=True)
+        cases = [(load_index(name), p) for p in pats]
+        cases += [(sent, p) for p in pats] + [(sent, SENTINEL_BYTES + p) for p in pats]
+        for ix, pat in cases:
+            full = run_steps(ix, pat, trace=True)
+            bare = run_steps(ix, pat, trace=False)
+            assert (bare.c, bare.d, bare.ops) == (full.c, full.d, full.ops), (name, pat)
+            assert bare.steps == []
+            assert len(full.steps) == len(pat)
+            runs += 1
+    assert runs > 60_000
