@@ -19,20 +19,22 @@ how much of the pattern has already been consumed.
 
 The structures behind these are deliberately plain.  Besides the label
 dictionary and its postings (per-label ascending source and target
-tuples, searched with bisect) there are rank/select bitvectors for the
-finals and the two closure markers the epsilon edges add, and two
-derived tables with one row per dictionary label, never one per edge:
-per label length, the reversed labels with a suffix minimum over each
-label's smallest target; and all reversed labels in dictionary order
-with a range-maximum sparse table over each label's largest target.
+arrays of narrow unsigned integers, searched with bisect) there are
+rank/select bitvectors for the finals and the two closure markers the
+epsilon edges add, and two derived tables with one row per dictionary
+label, never one per edge: per label length, the reversed labels with a
+suffix minimum over each label's smallest target; and all reversed
+labels in dictionary order with a range-maximum sparse table over each
+label's largest target.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .bitvec import RankSelectBits
+from .bitvec import UINT_TYPECODES, RankSelectBits, uint_width
 from .closure import build_closure_arrays, build_marker_bits
 from .model import (
     AutomatonSummary,
@@ -43,13 +45,19 @@ from .model import (
 )
 
 
+# the postings of a label the dictionary does not hold
+_NO_EDGES = ((), ())
+
+
 class WheelerIndex:
     """Built via build_index() or deserialize(); states are 1..n.
 
     Both pass the same inputs: the state and epsilon-edge counts, the
     finals and marker bits, the dictionary (non-empty labels strictly
     increasing in co-lex order) and its postings (label -> (sources,
-    targets), at least one edge per label, both tuples ascending).
+    targets), at least one edge per label, both ascending arrays of
+    unsigned integers).  No Python object is held per edge or per
+    state.
 
     Every other table holds one row per dictionary label, never one per
     edge.  Because the targets ascend, a label's smallest and largest
@@ -67,8 +75,9 @@ class WheelerIndex:
         b_max: RankSelectBits,
         b_min: RankSelectBits,
         labels: tuple[bytes, ...],
-        postings: dict[bytes, tuple[tuple[int, ...], tuple[int, ...]]],
+        postings: dict[bytes, tuple[array, array]],
     ):
+        self.n_states = state_count
         self.sentinel_mode = sentinel_mode
         self.finals = finals
         self.b_max = b_max
@@ -103,38 +112,25 @@ class WheelerIndex:
             level = list(map(max, level, level[span:]))
             self._max_levels.append(level)
             span *= 2
+        self.r = max(by_len, default=0)
         self.summary = AutomatonSummary(
             state_count=state_count,
             edge_count=edge_count + epsilon_edge_count,
             label_symbol_total=symbol_total,
             alphabet_size=len(set(b"".join(labels))),
-            max_label_len=max(by_len, default=0),
+            max_label_len=self.r,
             epsilon_edge_count=epsilon_edge_count,
         )
-
-    @property
-    def n_states(self) -> int:
-        return self.summary.state_count
-
-    @property
-    def r(self) -> int:
-        return self.summary.max_label_len
 
     # -- counting ----------------------------------------------------------
 
     def out_count(self, label: bytes, j: int) -> int:
         """Edges labeled `label` leaving states 1..j."""
-        p = self.postings.get(label)
-        if p is None:
-            return 0
-        return bisect_right(p[0], j)
+        return bisect_right(self.postings.get(label, _NO_EDGES)[0], j)
 
     def in_count(self, label: bytes, j: int) -> int:
         """Edges labeled `label` entering states 1..j."""
-        p = self.postings.get(label)
-        if p is None:
-            return 0
-        return bisect_right(p[1], j)
+        return bisect_right(self.postings.get(label, _NO_EDGES)[1], j)
 
     # -- boundaries --------------------------------------------------------
 
@@ -142,17 +138,15 @@ class WheelerIndex:
         """Largest j with in_count(label, j) <= f."""
         if f < 0:
             raise ValueError("count bound must be nonnegative")
-        p = self.postings.get(label)
-        if p is None or f >= len(p[1]):
-            return self.n_states
-        return p[1][f] - 1
+        targets = self.postings.get(label, _NO_EDGES)[1]
+        return targets[f] - 1 if f < len(targets) else self.n_states
 
     def min_prefix_with_in_at_least(self, label: bytes, g: int) -> int:
         """Smallest j with in_count(label, j) >= g, for 1 <= g <= mult."""
-        p = self.postings.get(label)
-        if p is None or not 1 <= g <= len(p[1]):
+        targets = self.postings.get(label, _NO_EDGES)[1]
+        if not 1 <= g <= len(targets):
             raise ValueError(f"no prefix receives {g} edges labeled {label!r}")
-        return p[1][g - 1]
+        return targets[g - 1]
 
     def min_state_with_len_k_label_ge(self, k: int, alpha: bytes) -> int | None:
         """Smallest state entered by a length-k edge whose label is
@@ -168,7 +162,7 @@ class WheelerIndex:
             return None
         revs, suffix_min = row
         if len(alpha) > k:
-            return suffix_min[bisect_right(revs, alpha[-k:][::-1])]
+            return suffix_min[bisect_right(revs, alpha[: -k - 1 : -1])]
         return suffix_min[bisect_left(revs, alpha[::-1])]
 
     def max_state_with_suffix_label(self, alpha: bytes) -> int:
@@ -229,8 +223,9 @@ def build_index(
         tgts.append(v)
 
     labels = tuple(sorted(per_label, key=colex_key))
+    typecode = UINT_TYPECODES[uint_width(n)]
     postings = {
-        rho: (tuple(sorted(srcs)), tuple(sorted(tgts)))
+        rho: (array(typecode, sorted(srcs)), array(typecode, sorted(tgts)))
         for rho, (srcs, tgts) in per_label.items()
     }
 

@@ -118,6 +118,7 @@ def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrac
     marker_floor = ix.marker_floor
     marker_ceiling = ix.marker_ceiling
     n, r = ix.n_states, ix.r
+    lengths = range(1, r + 1)
     c, d = [0], [n]
     steps: list[StepRecord] = []
     ops = 0
@@ -127,7 +128,7 @@ def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrac
         if trace:
             f: dict[int, int] = {}
             g: dict[int, int] = {}
-        for k in range(1, min(r, ell - 1) + 1):
+        for k in lengths if ell > r else range(1, ell):
             chunk = pattern[ell - k : ell]
             fk = out_count(chunk, c[ell - k])
             bound = max_prefix_with_in_at_most(chunk, fk)
@@ -147,17 +148,17 @@ def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrac
         # byte keeps the longer-than-k strictness decisions identical, so a
         # bounded tail stands in for the whole prefix at O(r) per step; a
         # tail longer than r can never be a label suffix
-        prefix = pattern[max(0, ell - r - 1) : ell]
-        for k in range(1, r + 1):
+        prefix = pattern[ell - r - 1 : ell] if ell > r else pattern[:ell]
+        for k in lengths:
             hit = min_state_with_len_k_label_ge(k, prefix)
             if hit is not None and hit - 1 < j:
                 j = hit - 1
         t = marker_floor(j)
         i_star = max_state_with_suffix_label(prefix)
         ops += r + 2
-        h = max(t, i_star, forced)
-        if h == t:
-            top = t
+        h = i_star if i_star > forced else forced
+        if h <= t:
+            h = top = t
         else:
             top = marker_ceiling(h)
             ops += 1

@@ -46,7 +46,7 @@ import hashlib
 
 import numpy as np
 
-from .bitvec import RankSelectBits
+from .bitvec import RankSelectBits, uint_array, uint_width
 from .index import WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES
 
@@ -64,13 +64,6 @@ class IndexFormatError(ValueError):
 
 def _digest(body: bytes) -> bytes:
     return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
-
-
-def _pick_width(vmax: int) -> int:
-    for w in (1, 2, 4):
-        if vmax < 1 << (8 * w):
-            return w
-    return 8
 
 
 class _Writer:
@@ -95,7 +88,7 @@ def serialize(ix: WheelerIndex) -> bytes:
     n = ix.n_states
     eps = ix.summary.epsilon_edge_count
     labels = ix.labels
-    w = _pick_width(
+    w = uint_width(
         max(
             n,
             eps,
@@ -205,9 +198,6 @@ class _Reader:
     def u(self) -> int:
         return int.from_bytes(self.take(self.width), "little")
 
-    def ints(self, k: int) -> np.ndarray:
-        return np.frombuffer(self.take(k * self.width), dtype=f"<u{self.width}")
-
     def finish(self, what: str) -> None:
         if self.pos != len(self.data):
             raise IndexFormatError(f"oversized {what} section")
@@ -267,13 +257,13 @@ def deserialize(data: bytes) -> WheelerIndex:
         if cnt < 1:
             raise IndexFormatError("postings entry without edges")
         sides = []
-        for arr in (rd.ints(cnt), rd.ints(cnt)):
+        for raw in (rd.take(cnt * w), rd.take(cnt * w)):
+            arr = np.frombuffer(raw, dtype=f"<u{w}")
             if np.any(arr[1:] < arr[:-1]):
                 raise IndexFormatError("postings not in ascending order")
-            side = tuple(arr.tolist())
-            if side[0] < 1 or side[-1] > n:
+            if arr[0] < 1 or arr[-1] > n:
                 raise IndexFormatError("postings state out of range 1..n")
-            sides.append(side)
+            sides.append(uint_array(w, raw))
         postings[rho] = tuple(sides)
     rd.finish("postings")
 

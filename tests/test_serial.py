@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from wgnfa import (
     payload_bits,
     serialize,
 )
+from wgnfa.cli import _default_battery
 
 
 def probe_ops(ix, rng, count=200):
@@ -48,6 +50,7 @@ def assert_round_trip(ix, probes=200):
     assert again.summary == ix.summary
     assert again.sentinel_mode == ix.sentinel_mode
     assert again.labels == ix.labels
+    assert again.postings == ix.postings
     assert probe_ops(again, random.Random(7)) == probe_ops(ix, random.Random(7))
     assert serialize(again) == data
 
@@ -258,3 +261,60 @@ def test_payload_bits_arithmetic(four_state_index):
     # sum the section lengths by hand
     total = sum(len(sec) for sec in split_sections(data))
     assert payload_bits(data) == 8 * total
+
+
+def at_width(data: bytes, w: int) -> bytes:
+    """data with every integer of the summary, dictionary and postings
+    sections rewritten w bytes wide, framed and digested anew."""
+    summary, _, _, _, dictionary, postings = split_sections(data)
+    w0 = summary[0]
+
+    def widen(ints: bytes) -> bytes:
+        return b"".join(
+            int.from_bytes(ints[i : i + w0], "little").to_bytes(w, "little")
+            for i in range(0, len(ints), w0)
+        )
+
+    # the dictionary interleaves integers (count, lengths) with label bytes
+    pos, wide_dict = w0, widen(dictionary[:w0])
+    while pos < len(dictionary):
+        ln = int.from_bytes(dictionary[pos : pos + w0], "little")
+        wide_dict += widen(dictionary[pos : pos + w0]) + dictionary[pos + w0 : pos + w0 + ln]
+        pos += w0 + ln
+    data = reframe(data, 0, bytes([w]) + widen(summary[1:]))
+    data = reframe(data, 4, wide_dict)
+    return reframe(data, 5, widen(postings))
+
+
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_every_integer_width(ten_state, sentinel):
+    """The file at any of the four widths loads, answers the oracle-check
+    battery alike and writes back at the smallest width."""
+    ix = build_index(ten_state, with_sentinel=sentinel)
+    data = serialize(ix)
+    battery = _default_battery(ten_state)
+    want = battery_answers(ix, battery)
+    for w in (1, 2, 4, 8):
+        wide = at_width(data, w)
+        assert (wide == data) == (w == 1)
+        again = deserialize(wide)
+        assert battery_answers(again, battery) == want
+        assert serialize(again) == data
+
+
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_loaded_index_heap_within_4x_file(sentinel):
+    """The criterion-09 10k trie loads into at most four heap bytes per
+    file byte, measured as the benchmark measures index_heap_mib."""
+    rng = random.Random(271828)
+    a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
+    blob = serialize(build_index(a, with_sentinel=sentinel))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = deserialize(blob)
+        heap = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ix.n_states == a.state_count + sentinel
+    assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
