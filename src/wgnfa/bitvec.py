@@ -6,26 +6,30 @@ else.  rank1(i) counts set bits in positions 1..i and select1(k) finds
 the position of the k-th set bit.  Both are one lookup into a
 precomputed directory: the running count of set bits (n+1 entries,
 starting from rank1(0) = 0) and the positions of the set bits (a
-leading 0, then one entry per set bit).  The bits themselves are not
-kept; bit i is rank1(i) - rank1(i-1).  Each directory entry takes the
-smallest of 1, 2, 4 or 8 bytes that holds n, so a bitvector over n
-positions with m set bits takes n + m + 2 entries of that width.  That
-is the largest part of a loaded index: on an 85,000-state index, 4
-bytes an entry and 0.68 MB for a marker bitvector with every bit set,
-and the three bitvectors hold about 70% of the index heap.
+leading 0, then one entry per set bit).  Bit i is rank1(i) - rank1(i-1);
+the bits are kept only packed, eight to a byte, as the container holds
+them.  Each directory entry takes the smallest of 1, 2, 4 or 8 bytes
+that holds n, so a bitvector over n positions with m set bits takes
+n + m + 2 entries of that width and n/8 bytes.  That is the largest
+part of a loaded index: on an 85,000-state index, 4 bytes an entry and
+0.69 MB for a marker bitvector with every bit set, and the three
+bitvectors hold about 70% of the index heap.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import accumulate, compress, count
+from typing import Iterable
 
 # the unsigned array typecode of each item width in bytes, read off the
 # platform: which of 'I' and 'L' is 4 bytes wide varies between platforms
 UINT_TYPECODES = {array(c).itemsize: c for c in "BHILQ"}
+
+# bytes.translate tables between 0/1 bytes and base-2 ASCII digits
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def uint_width(vmax: int) -> int:
@@ -48,24 +52,28 @@ def uint_array(width: int, data: bytes) -> array:
 
 
 class RankSelectBits:
-    __slots__ = ("n", "ones", "_cum", "_positions")
+    __slots__ = ("n", "ones", "_cum", "_positions", "_packed")
 
-    def __init__(self, bits: Sequence[int] | np.ndarray | Iterable[int]):
-        arr = np.asarray(list(bits) if not isinstance(bits, np.ndarray) else bits)
-        if arr.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        arr = arr != 0
-        self.n = len(arr)
-        # rank and select index these once per matched symbol; an array
-        # hands back Python ints where a numpy array would box a scalar
-        dtype = f"<u{uint_width(self.n)}"
-        cum = np.zeros(self.n + 1, dtype=dtype)
-        np.cumsum(arr, dtype=dtype, out=cum[1:])
-        positions = np.zeros(int(cum[-1]) + 1, dtype=dtype)
-        positions[1:] = np.flatnonzero(arr) + 1
-        self._cum = uint_array(cum.itemsize, cum.tobytes())
-        self._positions = uint_array(cum.itemsize, positions.tobytes())
+    def __init__(self, bits: bytes | Iterable[int], *, packed: bytes | None = None):
+        # packed, if given, is to_bytes() of these bits (from_bytes has it);
+        # a list first, so that a buffer such as a wide array is read by value
+        bits = bits if isinstance(bits, bytes) else bytes(list(bits))
+        if bits.translate(None, b"\x00\x01"):
+            raise ValueError("bits must be 0 or 1")
+        self.n = len(bits)
+        # an array grown from an iterator over-allocates; its [:] copy is
+        # sized exactly, and needs no list holding an int per entry
+        typecode = UINT_TYPECODES[uint_width(self.n)]
+        self._cum = array(typecode, accumulate(bits, initial=0))[:]
+        positions = array(typecode, [0])
+        positions.extend(compress(count(1), bits))
+        self._positions = positions[:]
         self.ones = len(positions) - 1
+        if packed is None:
+            size = (self.n + 7) // 8
+            value = int(b"0" + bits.translate(_TO_ASCII), 2) << (8 * size - self.n)
+            packed = value.to_bytes(size, "big")
+        self._packed = packed
 
     def __len__(self) -> int:
         return self.n
@@ -88,12 +96,17 @@ class RankSelectBits:
         return self._positions[k]
 
     def to_bytes(self) -> bytes:
-        cum = np.frombuffer(self._cum, dtype=self._cum.typecode)
-        return np.packbits(np.diff(cum).astype(np.uint8)).tobytes()
+        """Eight bits to a byte, the first one highest, zero-padded."""
+        return self._packed
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "RankSelectBits":
-        if len(data) != (n + 7) // 8:
-            raise ValueError("packed bit payload has the wrong length")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
-        return cls(bits)
+        """The inverse of to_bytes: ValueError on a bad length or padding."""
+        size = (n + 7) // 8
+        if len(data) != size:
+            raise ValueError("packed bits have the wrong length")
+        value = int.from_bytes(data, "big")
+        if value & ((1 << (8 * size - n)) - 1):
+            raise ValueError("packed bits have a padding bit set")
+        bits = format(value, f"0{8 * size}b")[:n].encode().translate(_FROM_ASCII)
+        return cls(bits, packed=bytes(data))

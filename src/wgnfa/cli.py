@@ -18,7 +18,6 @@ from typing import Callable
 
 from .closure import EpsilonCycleError, build_closure_arrays, build_marker_bits
 from .crosscheck import crosscheck_instance
-from .generate import sample_patterns
 from .index import build_index
 from .matcher import SentinelInPatternError, match_interval, run_steps
 from .model import (
@@ -77,7 +76,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     for i in range(1, a.state_count + 1):
         print(
             f"{i}\t{arrays.a_max[i]}\t{arrays.a_min[i]}"
-            f"\t{int(markers.b_max[i])}\t{int(markers.b_min[i])}"
+            f"\t{markers.b_max[i]}\t{markers.b_min[i]}"
         )
     return 0
 

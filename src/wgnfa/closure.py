@@ -20,8 +20,8 @@ such markers, which is how the matcher rounds candidate boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate, count, islice
+from operator import eq
 
 from .model import EPSILON, GeneralizedAutomaton
 
@@ -46,8 +46,8 @@ class EpsilonClosureArrays:
 
 @dataclass(frozen=True)
 class MarkerBits:
-    b_max: np.ndarray  # uint8, length n+1, entry 0 unused
-    b_min: np.ndarray
+    b_max: bytes  # one 0/1 byte per state, length n+1, entry 0 unused
+    b_min: bytes
 
 
 def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
@@ -65,17 +65,18 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
             srcs.append(u)
             tgts.append(v)
 
-    # group predecessor lists by target in one flat array
-    if srcs:
-        src_arr = np.asarray(srcs, dtype=np.int64)
-        tgt_arr = np.asarray(tgts, dtype=np.int64)
-        order = np.argsort(tgt_arr, kind="stable")
-        flat = src_arr[order].tolist()
-        counts = np.bincount(tgt_arr, minlength=n + 2)
-        offs = np.concatenate(([0], np.cumsum(counts))).tolist()
-    else:
-        flat = []
-        offs = [0] * (n + 2)
+    # group predecessor lists by target in one flat array with a counting
+    # sort; it is stable, so the sweep meets each state's predecessors in
+    # input order and reports the same cycle for the same input
+    offs = [0] * (n + 2)
+    for v in tgts:
+        offs[v + 1] += 1
+    offs = list(accumulate(offs))
+    fill = offs[:]
+    flat = [0] * len(srcs)
+    for u, v in zip(srcs, tgts):
+        flat[fill[v]] = u
+        fill[v] += 1
 
     a_max = list(range(n + 1))
     a_min = list(range(n + 1))
@@ -129,10 +130,8 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
 
 def build_marker_bits(closure: EpsilonClosureArrays) -> MarkerBits:
     """Bit i set iff state i is its own closure extremum."""
-    n = len(closure.a_max) - 1
-    idx = np.arange(n + 1)
-    b_max = (np.asarray(closure.a_max) == idx).astype(np.uint8)
-    b_min = (np.asarray(closure.a_min) == idx).astype(np.uint8)
-    b_max[0] = 0
-    b_min[0] = 0
-    return MarkerBits(b_max=b_max, b_min=b_min)
+
+    def fixpoints(a: list[int]) -> bytes:
+        return b"\x00" + bytes(map(eq, islice(a, 1, None), count(1)))
+
+    return MarkerBits(b_max=fixpoints(closure.a_max), b_min=fixpoints(closure.a_min))

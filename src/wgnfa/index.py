@@ -128,21 +128,17 @@ class WheelerIndex:
         """Edges labeled `label` leaving states 1..j."""
         return bisect_right(self.postings.get(label, _NO_EDGES)[0], j)
 
-    def in_count(self, label: bytes, j: int) -> int:
-        """Edges labeled `label` entering states 1..j."""
-        return bisect_right(self.postings.get(label, _NO_EDGES)[1], j)
-
     # -- boundaries --------------------------------------------------------
 
     def max_prefix_with_in_at_most(self, label: bytes, f: int) -> int:
-        """Largest j with in_count(label, j) <= f."""
+        """Largest j with at most f edges labeled `label` into states 1..j."""
         if f < 0:
             raise ValueError("count bound must be nonnegative")
         targets = self.postings.get(label, _NO_EDGES)[1]
         return targets[f] - 1 if f < len(targets) else self.n_states
 
     def min_prefix_with_in_at_least(self, label: bytes, g: int) -> int:
-        """Smallest j with in_count(label, j) >= g, for 1 <= g <= mult."""
+        """Smallest j with at least g `label` edges into 1..j, 1 <= g <= mult."""
         targets = self.postings.get(label, _NO_EDGES)[1]
         if not 1 <= g <= len(targets):
             raise ValueError(f"no prefix receives {g} edges labeled {label!r}")
@@ -237,7 +233,7 @@ def build_index(
         state_count=n,
         epsilon_edge_count=len(a.epsilon_edges),
         sentinel_mode=with_sentinel,
-        finals=RankSelectBits(finals_bits),
+        finals=RankSelectBits(bytes(finals_bits)),
         b_max=RankSelectBits(markers.b_max[1:]),
         b_min=RankSelectBits(markers.b_min[1:]),
         labels=labels,

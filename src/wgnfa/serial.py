@@ -29,24 +29,25 @@ rows from them, so none of these can disagree with the rest of the
 file.
 
 Besides magic, version, flags, framing and digest, loading checks that
-the bit sections are ceil(n/8) bytes, that the marker bits b_max[n] and
-b_min[1] are set and neither marker section has more zero bits than
-the epsilon-edge count (as for any closure), that dictionary labels
-are non-empty, strictly increasing in co-lex order and free of the
-reserved bytes 0x00 and 0x01 (a sentinel file may hold the single label
-0x01), and that every postings entry holds at least one edge with
-ascending sources and targets in 1..n.  Version 1 files, which also
-stored derived tables, are rejected; rebuild them from their .gnfa
-source.
+the bit sections are ceil(n/8) bytes with clear padding bits (so a
+loaded index writes back the bytes it was read from), that the marker
+bits b_max[n] and b_min[1] are set and neither marker section has more
+zero bits than the epsilon-edge count (as for any closure), that
+dictionary labels are non-empty, strictly increasing in co-lex order
+and free of the reserved bytes 0x00 and 0x01 (a sentinel file may hold
+the single label 0x01), and that every postings entry holds at least
+one edge with ascending sources and targets in 1..n.  Version 1 files,
+which also stored derived tables, are rejected; rebuild them from
+their .gnfa source.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 
-import numpy as np
-
-from .bitvec import RankSelectBits, uint_array, uint_width
+from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_width
 from .index import WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES
 
@@ -75,7 +76,10 @@ class _Writer:
         self.parts.append(int(value).to_bytes(self.width, "little"))
 
     def ints(self, values) -> None:
-        self.parts.append(np.asarray(values, dtype=f"<u{self.width}").tobytes())
+        arr = array(UINT_TYPECODES[self.width], values)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        self.parts.append(arr.tobytes())
 
     def raw(self, data: bytes) -> None:
         self.parts.append(data)
@@ -219,10 +223,12 @@ def deserialize(data: bytes) -> WheelerIndex:
 
     bits = []
     for what, payload in zip(("finals", "b_max", "b_min"), sections[1:4]):
+        if len(payload) != (n + 7) // 8:
+            raise IndexFormatError(f"{what} bit section has the wrong length")
         try:
             bits.append(RankSelectBits.from_bytes(payload, n))
         except ValueError:
-            raise IndexFormatError(f"{what} bit section has the wrong length") from None
+            raise IndexFormatError(f"{what} bit section has a padding bit set") from None
     finals, b_max, b_min = bits
     # any closure has a_max[n] = n and a_min[1] = 1, and a state that is
     # not its own closure extremum has an incoming epsilon edge of its own
@@ -258,12 +264,12 @@ def deserialize(data: bytes) -> WheelerIndex:
             raise IndexFormatError("postings entry without edges")
         sides = []
         for raw in (rd.take(cnt * w), rd.take(cnt * w)):
-            arr = np.frombuffer(raw, dtype=f"<u{w}")
-            if np.any(arr[1:] < arr[:-1]):
+            arr = uint_array(w, raw)
+            if (values := arr.tolist()) != sorted(values):
                 raise IndexFormatError("postings not in ascending order")
-            if arr[0] < 1 or arr[-1] > n:
+            if values[0] < 1 or values[-1] > n:
                 raise IndexFormatError("postings state out of range 1..n")
-            sides.append(uint_array(w, raw))
+            sides.append(arr)
         postings[rho] = tuple(sides)
     rd.finish("postings")
 

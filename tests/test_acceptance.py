@@ -242,7 +242,6 @@ def _probe_transcript(ix, seed: int, probes: int = 1000) -> list:
         rho = rng.choice(labels)
         j = rng.randrange(0, n + 1)
         out.append(ix.out_count(rho, j))
-        out.append(ix.in_count(rho, j))
         out.append(ix.max_prefix_with_in_at_most(rho, rng.randrange(0, 4)))
         k = rng.randrange(1, ix.r + 1)
         out.append(ix.min_state_with_len_k_label_ge(k, rho * 2))

@@ -64,6 +64,45 @@ def test_from_bytes_length_check():
         RankSelectBits.from_bytes(b"\x00", 9)
 
 
+def test_bits_must_be_zero_or_one():
+    with pytest.raises(ValueError, match="0 or 1"):
+        RankSelectBits([0, 2])
+
+
+def test_from_bytes_padding_check():
+    assert RankSelectBits.from_bytes(b"\xff\x80", 9).ones == 9
+    with pytest.raises(ValueError, match="padding"):
+        RankSelectBits.from_bytes(b"\xff\x81", 9)
+
+
+def _packing_matches_numpy(bits: np.ndarray) -> None:
+    n = len(bits)
+    packed = RankSelectBits(bits).to_bytes()
+    assert packed == np.packbits(bits).tobytes()
+    again = RankSelectBits.from_bytes(packed, n)
+    assert again.to_bytes() == packed
+    unpacked = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n)
+    assert [again[i] for i in range(1, n + 1)] == unpacked.tolist()
+
+
+def test_packing_against_numpy_small():
+    rng = np.random.default_rng(1717)
+    for n in range(1, 18):
+        _packing_matches_numpy(np.zeros(n, dtype=np.uint8))
+        _packing_matches_numpy(np.ones(n, dtype=np.uint8))
+        _packing_matches_numpy(rng.integers(0, 2, size=n, dtype=np.uint8))
+
+
+def test_packing_against_numpy_large():
+    _packing_matches_numpy(np.random.default_rng(17).integers(0, 2, size=100_003, dtype=np.uint8))
+
+
+def test_empty_bitvector():
+    bv = RankSelectBits(b"")
+    assert (len(bv), bv.ones, bv.rank1(0), bv.to_bytes()) == (0, 0, 0, b"")
+    assert RankSelectBits.from_bytes(b"", 0).to_bytes() == b""
+
+
 def test_large_random_against_numpy():
     rng = np.random.default_rng(4242)
     bits = rng.integers(0, 2, size=1_000_000, dtype=np.uint8)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +21,7 @@ from wgnfa import (
 from wgnfa.cli import main, state_column
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -281,3 +285,13 @@ def test_query_rows_on_10k_trie(tmp_path, capsys, sentinel):
         acc = "-" if res.accepted is None else ("1" if res.accepted else "0")
         assert row == f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}\t{states}\t{acc}"
     assert rows[0].split("\t")[3] == str(a.state_count)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Every command starts by importing wgnfa.cli, in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, wgnfa.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

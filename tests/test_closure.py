@@ -50,6 +50,21 @@ def test_epsilon_two_cycle_raises():
     assert {exc.value.u, exc.value.v} == {2, 3}
 
 
+@pytest.mark.parametrize(
+    "eps_edges, witness",
+    [
+        ([(4, 2), (3, 2), (2, 3), (2, 4)], (2, 4)),
+        ([(3, 2), (4, 2), (2, 3), (2, 4)], (2, 3)),
+    ],
+)
+def test_epsilon_cycle_witness_follows_edge_order(eps_edges, witness):
+    """State 2 lies on two cycles; the sweep reports the one whose
+    epsilon edge into 2 comes first in the input."""
+    with pytest.raises(EpsilonCycleError) as exc:
+        build_closure_arrays(_eps_only(5, eps_edges))
+    assert (exc.value.u, exc.value.v) == witness
+
+
 def test_epsilon_long_cycle_raises():
     a = _eps_only(5, [(2, 3), (3, 4), (4, 5), (5, 2)])
     with pytest.raises(EpsilonCycleError):

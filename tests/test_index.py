@@ -35,16 +35,6 @@ def test_out_count_ten(ten_state_index):
     assert ix.out_count(b"zz", 10) == 0
 
 
-def test_in_count_ten(ten_state_index):
-    ix = ten_state_index
-    assert ix.in_count(b"a", 5) == 3
-    assert ix.in_count(b"a", 10) == 3
-    assert ix.in_count(b"ba", 10) == 2
-    assert ix.in_count(b"ba", 3) == 1
-    assert ix.in_count(b"ba", 2) == 0
-    assert ix.in_count(b"zz", 10) == 0
-
-
 def test_prefix_bounds_ten(ten_state_index):
     ix = ten_state_index
     assert ix.max_prefix_with_in_at_most(b"a", 0) == 1
@@ -111,7 +101,6 @@ def test_finals_ten(ten_state_index):
 def test_four_state_ops(four_state_index):
     ix = four_state_index
     assert [ix.out_count(b"b", j) for j in range(5)] == [0, 1, 1, 1, 1]
-    assert [ix.in_count(b"c", j) for j in range(5)] == [0, 0, 0, 0, 1]
     assert ix.max_prefix_with_in_at_most(b"b", 0) == 2
     assert ix.max_prefix_with_in_at_most(b"b", 1) == 4
     assert ix.min_state_with_len_k_label_ge(1, b"b") == 3
@@ -150,7 +139,6 @@ def _scan_checks(a, ix):
         ins = sorted(v for _, v, r2 in led if r2 == rho)
         for j in (0, 1, n // 2, n):
             assert ix.out_count(rho, j) == bisect_right(outs, j)
-            assert ix.in_count(rho, j) == bisect_right(ins, j)
         for f in (0, 1, len(ins)):
             want = max(j for j in range(n + 1) if bisect_right(ins, j) <= f)
             assert ix.max_prefix_with_in_at_most(rho, f) == want

@@ -31,7 +31,6 @@ def probe_ops(ix, rng, count=200):
         rho = rng.choice(labels)
         j = rng.randrange(0, n + 1)
         out.append(ix.out_count(rho, j))
-        out.append(ix.in_count(rho, j))
         out.append(ix.max_prefix_with_in_at_most(rho, rng.randrange(0, 3)))
         k = rng.randrange(1, ix.r + 1) if ix.r else 1
         tail = rho[-1:] if rho else b"a"
@@ -212,6 +211,8 @@ def test_load_checks(ten_state, ten_state_index):
         (0, b"\x03" + summary[1:], "width"),
         (0, summary + b"\x00", "oversized summary"),
         (1, finals[:-1], "finals bit section has the wrong length"),
+        # ten states leave six padding bits in the last byte of each section
+        (1, finals[:-1] + bytes([finals[-1] | 0x01]), "finals bit section has a padding bit set"),
         (4, b"\x06\x01a\x02ca\x02ba\x01b\x02bb\x01c", "co-lex"),
         (4, b"\x07\x00" + dictionary[1:], "non-empty"),
         (4, b"\x06\x01\x00" + dictionary[3:], "reserved byte 0x00"),
@@ -317,4 +318,24 @@ def test_loaded_index_heap_within_4x_file(sentinel):
     finally:
         tracemalloc.stop()
     assert ix.n_states == a.state_count + sentinel
+    assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
+
+
+def test_long_label_heap_within_4x_file():
+    """A single 10,000-byte label loads into at most four heap bytes per
+    file byte: the derived tables grow with the label bytes, not with
+    the number of its suffixes."""
+    rng = random.Random(7)
+    label = bytes(rng.choice(b"abcd") for _ in range(10_000))
+    a = GeneralizedAutomaton(state_count=2, edges=((1, 2, label),), finals=frozenset({2}))
+    blob = serialize(build_index(a))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = deserialize(blob)
+        heap = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ix.max_state_with_suffix_label(label[-5000:]) == 2
+    assert ix.max_state_with_suffix_label(b"e" + label) == 0
     assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
