@@ -35,7 +35,6 @@ from .model import (
     GnfaFormatError,
     SentinelInLabelError,
     ValidationReport,
-    augment_with_sentinel,
     colex_compare,
     colex_key,
     escape_label,
@@ -78,7 +77,6 @@ __all__ = [
     "ValidationReport",
     "WheelerIndex",
     "accepts",
-    "augment_with_sentinel",
     "brute_accepts",
     "brute_below_count",
     "brute_closure",

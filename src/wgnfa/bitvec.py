@@ -21,7 +21,6 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate, compress, count
-from typing import Iterable
 
 # the unsigned array typecode of each item width in bytes, read off the
 # platform: which of 'I' and 'L' is 4 bytes wide varies between platforms
@@ -54,10 +53,9 @@ def uint_array(width: int, data: bytes) -> array:
 class RankSelectBits:
     __slots__ = ("n", "ones", "_cum", "_positions", "_packed")
 
-    def __init__(self, bits: bytes | Iterable[int], *, packed: bytes | None = None):
-        # packed, if given, is to_bytes() of these bits (from_bytes has it);
-        # a list first, so that a buffer such as a wide array is read by value
-        bits = bits if isinstance(bits, bytes) else bytes(list(bits))
+    def __init__(self, bits: bytes, *, packed: bytes | None = None):
+        # bits holds one 0/1 byte per position; packed, if given, is
+        # to_bytes() of these bits (from_bytes has it)
         if bits.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
         self.n = len(bits)
@@ -74,9 +72,6 @@ class RankSelectBits:
             value = int(b"0" + bits.translate(_TO_ASCII), 2) << (8 * size - self.n)
             packed = value.to_bytes(size, "big")
         self._packed = packed
-
-    def __len__(self) -> int:
-        return self.n
 
     def __getitem__(self, i: int) -> int:
         if not 1 <= i <= self.n:

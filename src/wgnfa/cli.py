@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 import zlib
 from pathlib import Path
 from typing import Callable
@@ -164,35 +163,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     a = _load_gnfa(args.gnfa)
-    ix = build_index(a)
-    blob = serialize(ix)
-    s = ix.summary
+    blob = serialize(build_index(a))
+    s = a.summary()
     bound = 64 * (s.label_symbol_total + s.edge_count + s.state_count)
     bits = payload_bits(blob)
     print(f"space.payload_bits\t{bits}")
     print(f"space.bound_bits\t{bound}")
     print(f"space.within_bound\t{1 if bits <= bound else 0}")
     print(f"space.file_bytes\t{len(blob)}")
-
-    if args.pattern_lengths:
-        lengths = [int(tok) for tok in args.pattern_lengths.split(",") if tok]
-        symbols = sorted({b for _, _, rho in a.edges for b in rho})
-        if not symbols:
-            print("query\tskipped\tno labeled edges", file=sys.stderr)
-            return 0
-        rng = random.Random(1729)
-        for length in lengths:
-            pattern = bytes(rng.choice(symbols) for _ in range(length))
-            best = None
-            ops = 0
-            for _ in range(3):
-                t0 = time.perf_counter()
-                res = match_interval(ix, pattern)
-                dt = time.perf_counter() - t0
-                ops = res.trace.ops
-                best = dt if best is None else min(best, dt)
-            denom = max(1, ix.r * length)
-            print(f"query\t{length}\t{best:.6f}\t{ops}\t{ops / denom:.3f}")
     return 0
 
 
@@ -230,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--patterns")
     o.set_defaults(func=cmd_oracle_check)
 
-    be = sub.add_parser("bench", help="report index size and query timings")
+    be = sub.add_parser("bench", help="report the index size against its space bound")
     be.add_argument("gnfa")
-    be.add_argument("--pattern-lengths", help="comma-separated pattern lengths")
     be.set_defaults(func=cmd_bench)
 
     return p

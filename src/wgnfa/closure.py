@@ -84,7 +84,9 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
     visits = 0
 
     for start in range(1, n + 1):
-        if color[start]:
+        # a state without epsilon predecessors is its own extremum, and a
+        # sweep that meets it as a predecessor pushes, pops and folds it
+        if color[start] or offs[start] == offs[start + 1]:
             continue
         color[start] = 1
         nodes = [start]

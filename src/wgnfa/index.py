@@ -37,9 +37,10 @@ from itertools import accumulate
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_width
 from .closure import build_closure_arrays, build_marker_bits
 from .model import (
-    AutomatonSummary,
+    SENTINEL,
+    SENTINEL_BYTES,
     GeneralizedAutomaton,
-    augment_with_sentinel,
+    SentinelInLabelError,
     colex_key,
     suffix_range_upper,
 )
@@ -62,8 +63,8 @@ class WheelerIndex:
     Every other table holds one row per dictionary label, never one per
     edge.  Because the targets ascend, a label's smallest and largest
     target are targets[0] and targets[-1]; a minimum or maximum over a
-    block of labels is then the same as over all their edges.  The
-    summary and these rows are derived here and nowhere else.
+    block of labels is then the same as over all their edges.  These
+    rows and r, the longest label, are derived here and nowhere else.
     """
 
     def __init__(
@@ -78,6 +79,7 @@ class WheelerIndex:
         postings: dict[bytes, tuple[array, array]],
     ):
         self.n_states = state_count
+        self.epsilon_edge_count = epsilon_edge_count
         self.sentinel_mode = sentinel_mode
         self.finals = finals
         self.b_max = b_max
@@ -89,14 +91,10 @@ class WheelerIndex:
         # already lists the rows sorted
         self._rev = [rho[::-1] for rho in labels]
         by_len: dict[int, tuple[list[bytes], list[int]]] = {}
-        edge_count = symbol_total = 0
         for rho, rev in zip(labels, self._rev):
-            targets = postings[rho][1]
             revs, firsts = by_len.setdefault(len(rho), ([], []))
             revs.append(rev)
-            firsts.append(targets[0])
-            edge_count += len(targets)
-            symbol_total += len(rho) * len(targets)
+            firsts.append(postings[rho][1][0])
         # per length: reversed labels and, from each row on, the smallest
         # target of that row or any later one (None past the end)
         self._by_len = {
@@ -113,14 +111,6 @@ class WheelerIndex:
             self._max_levels.append(level)
             span *= 2
         self.r = max(by_len, default=0)
-        self.summary = AutomatonSummary(
-            state_count=state_count,
-            edge_count=edge_count + epsilon_edge_count,
-            label_symbol_total=symbol_total,
-            alphabet_size=len(set(b"".join(labels))),
-            max_label_len=self.r,
-            epsilon_edge_count=epsilon_edge_count,
-        )
 
     # -- counting ----------------------------------------------------------
 
@@ -202,21 +192,34 @@ def build_index(
 ) -> WheelerIndex:
     """Build the index, trusting the state numbering to be Wheeler.
 
-    with_sentinel first augments the automaton with a fresh initial
-    state and a sentinel edge, which is what membership queries need.
-    Raises EpsilonCycleError if the epsilon edges are cyclic.
+    with_sentinel indexes the automaton with a fresh initial state
+    prepended, joined by a sentinel-labeled edge, which is what
+    membership queries need: every state i becomes i+1, the new state 1
+    is initial, and the single new edge (1, 2, 0x01) feeds the old
+    initial state.  Since the sentinel byte sorts below every allowed
+    label byte and never occurs elsewhere, the shifted numbering is
+    still a Wheeler order, and every nonempty query interval is the old
+    interval shifted up by one.  The new state has no epsilon edges, so
+    it is its own closure extremum and both its marker bits are set.
+
+    Raises SentinelInLabelError if with_sentinel is given and a label
+    holds the sentinel byte, and EpsilonCycleError if the epsilon edges
+    are cyclic.
     """
-    if with_sentinel:
-        a = augment_with_sentinel(a)
-    n = a.state_count
-    closure = build_closure_arrays(a)
-    markers = build_marker_bits(closure)
+    lead = 1 if with_sentinel else 0
+    n = lead + a.state_count
 
     per_label: dict[bytes, tuple[list[int], list[int]]] = {}
     for u, v, rho in a.labeled_edges:
         srcs, tgts = per_label.setdefault(rho, ([], []))
-        srcs.append(u)
-        tgts.append(v)
+        srcs.append(u + lead)
+        tgts.append(v + lead)
+    if with_sentinel:
+        if any(SENTINEL in rho for rho in per_label):
+            raise SentinelInLabelError("sentinel byte already present in a label")
+        per_label[SENTINEL_BYTES] = ([1], [2])
+
+    markers = build_marker_bits(build_closure_arrays(a))
 
     labels = tuple(sorted(per_label, key=colex_key))
     typecode = UINT_TYPECODES[uint_width(n)]
@@ -227,15 +230,15 @@ def build_index(
 
     finals_bits = bytearray(n)
     for q in a.finals:
-        finals_bits[q - 1] = 1
+        finals_bits[lead + q - 1] = 1
 
     return WheelerIndex(
         state_count=n,
         epsilon_edge_count=len(a.epsilon_edges),
         sentinel_mode=with_sentinel,
         finals=RankSelectBits(bytes(finals_bits)),
-        b_max=RankSelectBits(markers.b_max[1:]),
-        b_min=RankSelectBits(markers.b_min[1:]),
+        b_max=RankSelectBits(b"\x01" * lead + markers.b_max[1:]),
+        b_min=RankSelectBits(b"\x01" * lead + markers.b_min[1:]),
         labels=labels,
         postings=postings,
     )

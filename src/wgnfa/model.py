@@ -546,26 +546,3 @@ def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport
         axiom1_depth=axiom1_depth if axiom1_depth > 0 else 0,
         axiom1_witness=axiom1_witness,
     )
-
-
-def augment_with_sentinel(a: GeneralizedAutomaton) -> GeneralizedAutomaton:
-    """Prepend a fresh initial state joined by a sentinel-labeled edge.
-
-    Every old state i becomes i+1, the new state 1 is initial, and the
-    single new edge (1, 2, 0x01) feeds the old initial state.  Since the
-    sentinel byte sorts below every allowed label byte and never occurs
-    elsewhere, the shifted numbering is still a Wheeler order, and every
-    nonempty query interval on the result is the old interval shifted up
-    by one.
-    """
-    for _, _, rho in a.edges:
-        if SENTINEL in rho:
-            raise SentinelInLabelError("sentinel byte already present in a label")
-    edges = [(1, 2, SENTINEL_BYTES)]
-    edges.extend((u + 1, v + 1, rho) for u, v, rho in a.edges)
-    return GeneralizedAutomaton(
-        state_count=a.state_count + 1,
-        edges=tuple(edges),
-        finals=frozenset(q + 1 for q in a.finals),
-        initial=1,
-    )

@@ -22,11 +22,9 @@ smallest of 1/2/4/8 bytes that fits every integer in the file, so small
 automata serialize compactly while anything up to 2^64 still
 round-trips.
 
-Only what the index cannot derive is stored.  The edge count, total
-label bytes, alphabet size and longest label are recomputed from the
-dictionary and postings, and WheelerIndex derives its per-label query
-rows from them, so none of these can disagree with the rest of the
-file.
+Only what the index cannot derive is stored.  WheelerIndex derives the
+longest label and its per-label query rows from the dictionary and
+postings, so none of these can disagree with the rest of the file.
 
 Besides magic, version, flags, framing and digest, loading checks that
 the bit sections are ceil(n/8) bytes with clear padding bits (so a
@@ -90,7 +88,7 @@ class _Writer:
 
 def serialize(ix: WheelerIndex) -> bytes:
     n = ix.n_states
-    eps = ix.summary.epsilon_edge_count
+    eps = ix.epsilon_edge_count
     labels = ix.labels
     w = uint_width(
         max(

@@ -13,8 +13,8 @@ bitlists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=
 
 
 def test_small_example():
-    bv = RankSelectBits([1, 0, 1, 1, 0])
-    assert len(bv) == 5
+    bv = RankSelectBits(bytes([1, 0, 1, 1, 0]))
+    assert bv.n == 5
     assert [bv[i] for i in range(1, 6)] == [1, 0, 1, 1, 0]
     assert [bv.rank1(i) for i in range(6)] == [0, 1, 1, 2, 3, 3]
     assert bv.select1(1) == 1
@@ -24,7 +24,7 @@ def test_small_example():
 
 
 def test_bounds():
-    bv = RankSelectBits([0, 1])
+    bv = RankSelectBits(bytes([0, 1]))
     with pytest.raises(IndexError):
         bv.rank1(3)
     with pytest.raises(IndexError):
@@ -37,14 +37,14 @@ def test_bounds():
 
 @given(bitlists)
 def test_rank_counts_prefix(bits):
-    bv = RankSelectBits(bits)
+    bv = RankSelectBits(bytes(bits))
     for i in range(len(bits) + 1):
         assert bv.rank1(i) == sum(bits[:i])
 
 
 @given(bitlists)
 def test_select_rank_inverse(bits):
-    bv = RankSelectBits(bits)
+    bv = RankSelectBits(bytes(bits))
     for k in range(1, bv.ones + 1):
         p = bv.select1(k)
         assert bits[p - 1] == 1
@@ -54,7 +54,7 @@ def test_select_rank_inverse(bits):
 
 @given(bitlists)
 def test_bytes_round_trip(bits):
-    bv = RankSelectBits(bits)
+    bv = RankSelectBits(bytes(bits))
     again = RankSelectBits.from_bytes(bv.to_bytes(), len(bits))
     assert [again[i] for i in range(1, len(bits) + 1)] == bits
 
@@ -66,7 +66,7 @@ def test_from_bytes_length_check():
 
 def test_bits_must_be_zero_or_one():
     with pytest.raises(ValueError, match="0 or 1"):
-        RankSelectBits([0, 2])
+        RankSelectBits(bytes([0, 2]))
 
 
 def test_from_bytes_padding_check():
@@ -77,7 +77,7 @@ def test_from_bytes_padding_check():
 
 def _packing_matches_numpy(bits: np.ndarray) -> None:
     n = len(bits)
-    packed = RankSelectBits(bits).to_bytes()
+    packed = RankSelectBits(bits.tobytes()).to_bytes()
     assert packed == np.packbits(bits).tobytes()
     again = RankSelectBits.from_bytes(packed, n)
     assert again.to_bytes() == packed
@@ -99,14 +99,14 @@ def test_packing_against_numpy_large():
 
 def test_empty_bitvector():
     bv = RankSelectBits(b"")
-    assert (len(bv), bv.ones, bv.rank1(0), bv.to_bytes()) == (0, 0, 0, b"")
+    assert (bv.n, bv.ones, bv.rank1(0), bv.to_bytes()) == (0, 0, 0, b"")
     assert RankSelectBits.from_bytes(b"", 0).to_bytes() == b""
 
 
 def test_large_random_against_numpy():
     rng = np.random.default_rng(4242)
     bits = rng.integers(0, 2, size=1_000_000, dtype=np.uint8)
-    bv = RankSelectBits(bits)
+    bv = RankSelectBits(bits.tobytes())
     cum = np.concatenate(([0], np.cumsum(bits)))
     for i in (0, 1, 999_999, 1_000_000, 500_000, 123_457):
         assert bv.rank1(i) == int(cum[i])

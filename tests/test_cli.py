@@ -160,17 +160,6 @@ def test_bench_space_lines(four_file, capsys):
     assert "space.file_bytes\t84" in out
 
 
-def test_bench_query_lines(gnfa_file, capsys):
-    assert main(["bench", str(gnfa_file), "--pattern-lengths", "4,8"]) == 0
-    rows = [l for l in capsys.readouterr().out.splitlines() if l.startswith("query\t")]
-    assert len(rows) == 2
-    for row, want_len in zip(rows, (4, 8)):
-        cols = row.split("\t")
-        assert cols[1] == str(want_len)
-        assert float(cols[2]) < 0.1
-        assert int(cols[3]) > 0
-
-
 def test_build_is_byte_stable(tmp_path, gnfa_file):
     out1 = tmp_path / "a.wgx"
     out2 = tmp_path / "b.wgx"

@@ -11,13 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgnfa import (
+    SENTINEL_BYTES,
     GeneralizedAutomaton,
-    augment_with_sentinel,
+    SentinelInLabelError,
     build_index,
     colex_compare,
     colex_key,
     deserialize,
     serialize,
+    validate,
 )
 from wgnfa.model import LT
 
@@ -117,14 +119,48 @@ def test_properties(ten_state_index, four_state_index):
 
 
 
-def test_summary_derived_from_postings(ten_state, four_state):
-    """The index derives its summary; it must equal the automaton's."""
-    for a in (ten_state, four_state):
-        assert build_index(a).summary == a.summary()
-        sentinel = build_index(a, with_sentinel=True)
-        assert sentinel.summary == augment_with_sentinel(a).summary()
+def test_summary_derived_from_postings():
+    """The index's epsilon count and longest label match the automaton's."""
     for name in corpus_names():
-        assert load_index(name).summary == load_instance(name).summary(), name
+        a = load_instance(name)
+        for ix in (load_index(name), deserialize(serialize(load_index(name)))):
+            assert ix.epsilon_edge_count == len(a.epsilon_edges), name
+            assert ix.r == a.max_label_len, name
+
+
+def _augment(a):
+    """Reference for the sentinel build: prepend the state and edge."""
+    edges = [(1, 2, SENTINEL_BYTES)]
+    edges.extend((u + 1, v + 1, rho) for u, v, rho in a.edges)
+    return GeneralizedAutomaton(
+        state_count=a.state_count + 1,
+        edges=tuple(edges),
+        finals=frozenset(q + 1 for q in a.finals),
+    )
+
+
+def test_sentinel_build_matches_augmented(ten_state, four_state):
+    """The sentinel build indexes the automaton with the sentinel state and
+    edge prepended, which keeps the numbering Wheeler."""
+    assert validate(_augment(ten_state), axiom1_depth=5).ok
+    instances = [ten_state, four_state] + [load_instance(name) for name in corpus_names()]
+    for a in instances:
+        got = build_index(a, with_sentinel=True)
+        want = build_index(_augment(a))
+        assert (got.n_states, got.labels, got.postings) == (
+            want.n_states,
+            want.labels,
+            want.postings,
+        )
+        for bits in ("finals", "b_max", "b_min"):
+            assert getattr(got, bits).to_bytes() == getattr(want, bits).to_bytes()
+
+
+def test_sentinel_build_rejects_sentinel_label():
+    a = GeneralizedAutomaton(state_count=2, edges=((1, 2, b"a\x01"),), finals=frozenset({2}))
+    with pytest.raises(SentinelInLabelError):
+        build_index(a, with_sentinel=True)
+
 
 # -- ops versus direct scans on real instances ----------------------------
 

@@ -15,7 +15,6 @@ from wgnfa import (
     GnfaFormatError,
     SentinelInLabelError,
     ValidationReport,
-    augment_with_sentinel,
     build_piece_trie,
     colex_compare,
     colex_key,
@@ -241,16 +240,6 @@ def test_incoming_strings_sample(ten_state):
 def test_incoming_strings_budget(ten_state):
     assert incoming_strings(ten_state, 6, budget=3) is None
     assert incoming_strings(ten_state, 6, budget=100) is not None
-
-
-def test_augment_with_sentinel(ten_state):
-    aug = augment_with_sentinel(ten_state)
-    assert aug.state_count == ten_state.state_count + 1
-    assert aug.edges[0] == (1, 2, b"\x01")
-    assert aug.finals == frozenset(q + 1 for q in ten_state.finals)
-    assert validate(aug, axiom1_depth=5).ok
-    with pytest.raises(SentinelInLabelError):
-        augment_with_sentinel(aug)
 
 
 def test_model_rejects_bad_shapes():
