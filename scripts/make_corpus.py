@@ -91,10 +91,10 @@ def main() -> int:
         (out / f"{name}.gnfa").write_text(format_gnfa(a))
         pats = sample_patterns(random.Random(pattern_seed), a, count=100, max_len=10)
         (out / f"{name}.patterns").write_text(pattern_lines(pats))
-        s = a.summary()
+        sigma = len({b for _, _, rho in a.edges for b in rho})
         rows.append(
-            f"{name}\t{s.state_count}\t{s.edge_count}\t{s.epsilon_edge_count}"
-            f"\t{s.max_label_len}\t{s.alphabet_size}\t{len(a.finals)}"
+            f"{name}\t{a.state_count}\t{len(a.edges)}\t{len(a.epsilon_edges)}"
+            f"\t{a.max_label_len}\t{sigma}\t{len(a.finals)}"
         )
 
     emit("ten-state", ten_state_sample(), 77001)

@@ -164,8 +164,8 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     a = _load_gnfa(args.gnfa)
     blob = serialize(build_index(a))
-    s = a.summary()
-    bound = 64 * (s.label_symbol_total + s.edge_count + s.state_count)
+    label_symbols = sum(len(rho) for _, _, rho in a.edges)
+    bound = 64 * (label_symbols + len(a.edges) + a.state_count)
     bits = payload_bits(blob)
     print(f"space.payload_bits\t{bits}")
     print(f"space.bound_bits\t{bound}")

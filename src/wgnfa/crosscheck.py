@@ -22,24 +22,19 @@ from .oracle import (
 )
 
 
-def crosscheck_instance(
-    a: GeneralizedAutomaton,
-    patterns: list[bytes],
-    check_closure: bool = True,
-) -> list[str]:
+def crosscheck_instance(a: GeneralizedAutomaton, patterns: list[bytes]) -> list[str]:
     """Returns divergence descriptions; an empty list means agreement."""
     problems: list[str] = []
     ix = build_index(a)
     ixs = build_index(a, with_sentinel=True)
     n = a.state_count
 
-    if check_closure:
-        arrays = build_closure_arrays(a)
-        ref_max, ref_min = brute_closure(a)
-        if arrays.a_max != ref_max:
-            problems.append("closure a_max disagrees with brute-force search")
-        if arrays.a_min != ref_min:
-            problems.append("closure a_min disagrees with brute-force search")
+    arrays = build_closure_arrays(a)
+    ref_max, ref_min = brute_closure(a)
+    if arrays.a_max != ref_max:
+        problems.append("closure a_max disagrees with brute-force search")
+    if arrays.a_min != ref_min:
+        problems.append("closure a_min disagrees with brute-force search")
 
     for p in patterns:
         tag = escape_label(p)

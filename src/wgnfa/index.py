@@ -202,9 +202,9 @@ def build_index(
     interval shifted up by one.  The new state has no epsilon edges, so
     it is its own closure extremum and both its marker bits are set.
 
-    Raises SentinelInLabelError if with_sentinel is given and a label
-    holds the sentinel byte, and EpsilonCycleError if the epsilon edges
-    are cyclic.
+    Raises SentinelInLabelError if a label holds one of the reserved
+    bytes 0x00 and 0x01, which no container could load, and
+    EpsilonCycleError if the epsilon edges are cyclic.
     """
     lead = 1 if with_sentinel else 0
     n = lead + a.state_count
@@ -214,9 +214,9 @@ def build_index(
         srcs, tgts = per_label.setdefault(rho, ([], []))
         srcs.append(u + lead)
         tgts.append(v + lead)
+    if any(0x00 in rho or SENTINEL in rho for rho in per_label):
+        raise SentinelInLabelError("reserved byte 0x00 or 0x01 in a label")
     if with_sentinel:
-        if any(SENTINEL in rho for rho in per_label):
-            raise SentinelInLabelError("sentinel byte already present in a label")
         per_label[SENTINEL_BYTES] = ([1], [2])
 
     markers = build_marker_bits(build_closure_arrays(a))

@@ -26,8 +26,6 @@ SENTINEL = 0x01
 SENTINEL_BYTES = bytes([SENTINEL])
 EPSILON = b""
 
-LT, EQ, GT = -1, 0, 1
-
 Edge = tuple[int, int, bytes]
 
 
@@ -39,34 +37,14 @@ class SentinelInLabelError(GnfaFormatError):
     """Raised when a label uses one of the reserved bytes 0x00 / 0x01."""
 
 
-def colex_compare(x: bytes, y: bytes) -> int:
-    """Compare two strings co-lexicographically; returns LT, EQ or GT.
+def colex_key(x: bytes) -> bytes:
+    """Sort key realizing the co-lexicographic order.
 
     Reading right to left, the first differing byte decides; if one
     string is exhausted first it is the smaller one.  Equivalently,
     compare the reversed strings lexicographically.
     """
-    rx, ry = x[::-1], y[::-1]
-    if rx < ry:
-        return LT
-    if rx > ry:
-        return GT
-    return EQ
-
-
-def colex_key(x: bytes) -> bytes:
-    """Sort key realizing the co-lexicographic order."""
     return x[::-1]
-
-
-@dataclass(frozen=True)
-class AutomatonSummary:
-    state_count: int
-    edge_count: int
-    label_symbol_total: int  # summed length of all edge labels
-    alphabet_size: int  # distinct bytes occurring in labels
-    max_label_len: int
-    epsilon_edge_count: int
 
 
 @dataclass(frozen=True)
@@ -107,19 +85,6 @@ class GeneralizedAutomaton:
     @cached_property
     def labeled_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e[2] != EPSILON)
-
-    def summary(self) -> AutomatonSummary:
-        symbols = set()
-        for _, _, rho in self.edges:
-            symbols.update(rho)
-        return AutomatonSummary(
-            state_count=self.state_count,
-            edge_count=len(self.edges),
-            label_symbol_total=sum(len(rho) for _, _, rho in self.edges),
-            alphabet_size=len(symbols),
-            max_label_len=self.max_label_len,
-            epsilon_edge_count=len(self.epsilon_edges),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -407,20 +372,20 @@ def axiom1_over_sets(
             Z = X & Y
             if not Z:
                 hi, lo = maxed[u], mined[v]
-                if colex_compare(hi, lo) != LT:  # type: ignore[arg-type]
+                if colex_key(hi) >= colex_key(lo):  # type: ignore[arg-type]
                     return "failed", (u, v, hi, lo)  # type: ignore[return-value]
                 continue
             XmZ = X - Z
             if XmZ:
                 hi = max(XmZ, key=colex_key)
                 lo = mined[v]
-                if colex_compare(hi, lo) != LT:  # type: ignore[arg-type]
+                if colex_key(hi) >= colex_key(lo):  # type: ignore[arg-type]
                     return "failed", (u, v, hi, lo)  # type: ignore[return-value]
             YmZ = Y - Z
             if YmZ:
                 hi = max(Z, key=colex_key)
                 lo = min(YmZ, key=colex_key)
-                if colex_compare(hi, lo) != LT:
+                if colex_key(hi) >= colex_key(lo):
                     return "failed", (u, v, hi, lo)
     return "passed-bounded", None
 

@@ -65,25 +65,12 @@ def _digest(body: bytes) -> bytes:
     return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
 
 
-class _Writer:
-    def __init__(self, width: int):
-        self.width = width
-        self.parts: list[bytes] = []
-
-    def u(self, value: int) -> None:
-        self.parts.append(int(value).to_bytes(self.width, "little"))
-
-    def ints(self, values) -> None:
-        arr = array(UINT_TYPECODES[self.width], values)
-        if sys.byteorder == "big":
-            arr.byteswap()
-        self.parts.append(arr.tobytes())
-
-    def raw(self, data: bytes) -> None:
-        self.parts.append(data)
-
-    def payload(self) -> bytes:
-        return b"".join(self.parts)
+def _uints(width: int, values) -> bytes:
+    """values as little-endian `width`-byte unsigned integers."""
+    arr = array(UINT_TYPECODES[width], values)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
 
 
 def serialize(ix: WheelerIndex) -> bytes:
@@ -100,26 +87,15 @@ def serialize(ix: WheelerIndex) -> bytes:
         )
     )
 
-    wr = _Writer(w)
-    wr.raw(bytes([w]))
-    wr.u(n)
-    wr.u(eps)
-    sec_summary = wr.payload()
-
-    wr = _Writer(w)
-    wr.u(len(labels))
-    for rho in labels:
-        wr.u(len(rho))
-        wr.raw(rho)
-    sec_dict = wr.payload()
-
-    wr = _Writer(w)
+    sec_summary = bytes([w]) + _uints(w, (n, eps))
+    sec_dict = _uints(w, [len(labels)]) + b"".join(
+        _uints(w, [len(rho)]) + rho for rho in labels
+    )
+    parts = []
     for rho in labels:
         sources, targets = ix.postings[rho]
-        wr.u(len(sources))
-        wr.ints(sources)
-        wr.ints(targets)
-    sec_postings = wr.payload()
+        parts += (_uints(w, [len(sources)]), _uints(w, sources), _uints(w, targets))
+    sec_postings = b"".join(parts)
 
     body = bytearray()
     body += MAGIC

@@ -7,15 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from wgnfa import (
-    GeneralizedAutomaton,
-    WheelerIndex,
-    build_index,
-    four_state_sample,
-    parse_gnfa,
-    parse_patterns,
-    ten_state_sample,
-)
+from wgnfa.index import WheelerIndex, build_index
+from wgnfa.model import GeneralizedAutomaton, parse_gnfa, parse_patterns
+from wgnfa.samples import four_state_sample, ten_state_sample
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 INVALID_DIR = CORPUS_DIR / "invalid"
@@ -56,6 +50,21 @@ def ten_state() -> GeneralizedAutomaton:
 @pytest.fixture(scope="session")
 def four_state() -> GeneralizedAutomaton:
     return four_state_sample()
+
+
+@pytest.fixture(scope="session")
+def scrambled_ten_state(ten_state: GeneralizedAutomaton) -> GeneralizedAutomaton:
+    """The ten-state sample with states 3 and 8 swapped, which breaks the
+    Wheeler order the index relies on."""
+
+    def sw(q):
+        return {3: 8, 8: 3}.get(q, q)
+
+    return GeneralizedAutomaton(
+        state_count=10,
+        edges=tuple((sw(u), sw(v), rho) for u, v, rho in ten_state.edges),
+        finals=frozenset(sw(q) for q in ten_state.finals),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,23 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from wgnfa import (
-    EpsilonCycleError,
-    GeneralizedAutomaton,
-    ShapeViolation,
-    brute_below_count,
-    brute_match,
-    build_closure_arrays,
-    build_index,
-    build_piece_trie,
-    deserialize,
-    match_interval,
-    parse_gnfa,
-    run_steps,
-    serialize,
-)
 from wgnfa.cli import main
+from wgnfa.closure import EpsilonCycleError, build_closure_arrays
 from wgnfa.crosscheck import crosscheck_instance
+from wgnfa.generate import build_piece_trie
+from wgnfa.index import build_index
+from wgnfa.matcher import match_interval, run_steps
+from wgnfa.model import GeneralizedAutomaton, parse_gnfa
+from wgnfa.oracle import ShapeViolation, brute_below_count, brute_match
+from wgnfa.serial import deserialize, serialize
 
 from conftest import (
     CORPUS_DIR,
@@ -124,7 +116,7 @@ def test_criterion_06_exhaustive_small(all_corpus_names):
             for p in itertools.product(two, repeat=ln)
         ]
         assert len(pats) == 127
-        problems = crosscheck_instance(a, pats, check_closure=False)
+        problems = crosscheck_instance(a, pats)
         assert problems == [], (name, problems[:3])
         swept += len(pats)
     _announce(6, "exhaustive len<=6 sweep", f"{len(small)} instances, {swept} patterns")

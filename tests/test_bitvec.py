@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgnfa import RankSelectBits
+from wgnfa.bitvec import RankSelectBits
 
 bitlists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
 

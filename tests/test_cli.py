@@ -10,15 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from wgnfa import (
-    build_index,
-    build_piece_trie,
-    escape_label,
-    format_gnfa,
-    match_interval,
-    parse_patterns,
-)
 from wgnfa.cli import main, state_column
+from wgnfa.generate import build_piece_trie
+from wgnfa.index import build_index
+from wgnfa.matcher import match_interval
+from wgnfa.model import escape_label, format_gnfa, parse_patterns
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -108,6 +104,21 @@ def test_validate_epsilon_cycle(tmp_path, capsys):
     assert "epsilon\tFAIL" in out
 
 
+def test_validate_axiom1_fail_row(tmp_path, capsys):
+    # state 3 is entered by baa, which sorts below state 2's ba
+    bad = tmp_path / "ax1.gnfa"
+    bad.write_text("gnfa 1\nstates 3\ninitial 1\nfinal 3\nedge 1 2 ba\nedge 2 3 a\n")
+    assert main(["validate", str(bad), "--axiom1-depth", "3"]) == 1
+    assert "axiom1\tFAIL\tstates 2<3\tba !< baa\n" in capsys.readouterr().out
+
+
+def test_validate_axiom3_fail_row(tmp_path, capsys):
+    bad = tmp_path / "ax3.gnfa"
+    bad.write_text("gnfa 1\nstates 3\ninitial 1\nfinal 2 3\nedge 1 2 b\nedge 1 3 a\n")
+    assert main(["validate", str(bad)]) == 1
+    assert "axiom3\tFAIL\t(1,2,b)\t(1,3,a)\n" in capsys.readouterr().out
+
+
 def test_build_rejects_invalid(tmp_path, capsys):
     bad = tmp_path / "bad.gnfa"
     bad.write_text("gnfa 1\nstates 2\ninitial 1\nfinal 2\nedge 2 1 a\n")
@@ -142,6 +153,14 @@ def test_oracle_check_ok(gnfa_file, capsys):
     assert main(["oracle-check", str(gnfa_file)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("ok\t")
+
+
+def test_oracle_check_divergence(tmp_path, scrambled_ten_state, capsys):
+    path = tmp_path / "scrambled.gnfa"
+    path.write_text(format_gnfa(scrambled_ten_state))
+    assert main(["oracle-check", str(path)]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows and all(row.startswith("divergence\t") for row in rows)
 
 
 def test_oracle_check_patterns_file(tmp_path, four_file, capsys):

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgnfa import (
-    EpsilonCycleError,
-    GeneralizedAutomaton,
-    brute_closure,
-    build_closure_arrays,
-    build_marker_bits,
-)
+from wgnfa.closure import EpsilonCycleError, build_closure_arrays, build_marker_bits
+from wgnfa.model import GeneralizedAutomaton
+from wgnfa.oracle import brute_closure
 
 
 def test_closure_ten_state(ten_state):

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wgnfa import (
-    GeneralizedAutomaton,
+from wgnfa.generate import (
     GenerationError,
     GenerationParams,
     build_piece_trie,
     generate_instance,
     sample_patterns,
-    validate,
+    wheeler_exact,
 )
-from wgnfa.generate import wheeler_exact
+from wgnfa.model import GeneralizedAutomaton, validate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_deterministic():
@@ -87,3 +92,18 @@ def test_sample_patterns():
     assert all(len(p) <= 10 for p in pats)
     labels = {b for _, _, rho in a.edges for b in rho}
     assert all(set(p) <= labels for p in pats)
+
+
+def test_corpus_regenerates(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_corpus.py"), "--out", str(tmp_path)],
+        env=env, capture_output=True, check=True,
+    )
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    got, want = files(tmp_path), files(ROOT / "corpus")
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []

@@ -7,15 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from wgnfa import (
-    SentinelInPatternError,
-    accepts,
-    brute_accepts,
-    build_index,
-    match_interval,
-    run_steps,
-)
+from wgnfa.index import build_index
+from wgnfa.matcher import SentinelInPatternError, accepts, match_interval, run_steps
 from wgnfa.model import SENTINEL_BYTES
+from wgnfa.oracle import brute_accepts
 
 from conftest import load_index, load_instance, load_sidecar_patterns
 

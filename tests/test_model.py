@@ -10,13 +10,12 @@ from conftest import load_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgnfa import (
+from wgnfa.generate import build_piece_trie
+from wgnfa.model import (
     GeneralizedAutomaton,
     GnfaFormatError,
     SentinelInLabelError,
     ValidationReport,
-    build_piece_trie,
-    colex_compare,
     colex_key,
     escape_label,
     format_gnfa,
@@ -26,44 +25,42 @@ from wgnfa import (
     unescape_token,
     validate,
 )
-from wgnfa.model import EQ, GT, LT
 
 labels = st.binary(min_size=0, max_size=6)
 
 
-def test_colex_compare_cases():
-    assert colex_compare(b"a", b"b") == LT
-    assert colex_compare(b"ba", b"ab") == LT  # rightmost byte decides
-    assert colex_compare(b"ab", b"ba") == GT
-    assert colex_compare(b"", b"a") == LT
-    assert colex_compare(b"b", b"ab") == LT  # proper suffix sorts first
-    assert colex_compare(b"ab", b"b") == GT
-    assert colex_compare(b"ca", b"ca") == EQ
-    assert colex_compare(b"a", b"ca") == LT
-    assert colex_compare(b"cb", b"ca") == GT
+def test_colex_key_cases():
+    assert colex_key(b"a") < colex_key(b"b")
+    assert colex_key(b"ba") < colex_key(b"ab")  # rightmost byte decides
+    assert colex_key(b"") < colex_key(b"a")
+    assert colex_key(b"b") < colex_key(b"ab")  # proper suffix sorts first
+    assert colex_key(b"a") < colex_key(b"ca")
+    assert colex_key(b"ca") < colex_key(b"cb")
+    words = [b"cb", b"ab", b"b", b"", b"ca", b"ba"]
+    assert sorted(words, key=colex_key) == [b"", b"ba", b"ca", b"b", b"ab", b"cb"]
 
 
 @given(labels, labels)
-def test_colex_compare_antisymmetric(x, y):
-    assert colex_compare(x, y) == -colex_compare(y, x)
-    assert (colex_compare(x, y) == EQ) == (x == y)
-
-
-@given(labels, labels)
-def test_colex_key_agrees_with_compare(x, y):
-    assert (colex_key(x) < colex_key(y)) == (colex_compare(x, y) == LT)
+def test_colex_rightmost_byte_decides(x, y):
+    k = 0  # length of the common suffix
+    while k < min(len(x), len(y)) and x[-1 - k] == y[-1 - k]:
+        k += 1
+    if k == min(len(x), len(y)):  # one string is a suffix of the other
+        assert (colex_key(x) < colex_key(y)) == (len(x) < len(y))
+    else:
+        assert (colex_key(x) < colex_key(y)) == (x[-1 - k] < y[-1 - k])
 
 
 @given(labels, labels, labels)
 def test_colex_transitive(x, y, z):
-    if colex_compare(x, y) != GT and colex_compare(y, z) != GT:
-        assert colex_compare(x, z) != GT
+    if colex_key(x) <= colex_key(y) and colex_key(y) <= colex_key(z):
+        assert colex_key(x) <= colex_key(z)
 
 
 @given(labels, labels)
 def test_proper_suffix_sorts_below(x, y):
     if y.endswith(x) and x != y:
-        assert colex_compare(x, y) == LT
+        assert colex_key(x) < colex_key(y)
 
 
 def test_escape_round_trip():
@@ -141,19 +138,6 @@ def test_parse_gnfa_errors():
         parse_gnfa("gnfa 1\nstates 2\ninitial 1\nedge 1 2 \\x01\n")
     with pytest.raises(SentinelInLabelError):
         parse_gnfa("gnfa 1\nstates 2\ninitial 1\nedge 1 2 a\\x00b\n")
-
-
-def test_summaries(ten_state, four_state):
-    s = ten_state.summary()
-    assert (s.state_count, s.edge_count) == (10, 14)
-    assert s.label_symbol_total == 18
-    assert s.alphabet_size == 3
-    assert s.max_label_len == 2
-    assert s.epsilon_edge_count == 2
-    s = four_state.summary()
-    assert (s.state_count, s.edge_count) == (4, 4)
-    assert (s.label_symbol_total, s.alphabet_size) == (3, 3)
-    assert (s.max_label_len, s.epsilon_edge_count) == (1, 1)
 
 
 def test_validate_samples(ten_state, four_state):
@@ -269,7 +253,7 @@ def _reference_pair_breaks(e1, e2):
     rho, rho2 = e1[2], e2[2]
     if rho2 != rho and rho.endswith(rho2):
         return 0  # strict suffix, exempt from the label comparison
-    if colex_compare(rho, rho2) == GT:
+    if colex_key(rho) > colex_key(rho2):
         return 3
     if rho == rho2 and e1[0] > e2[0]:
         return 4

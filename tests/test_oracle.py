@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from wgnfa import (
-    GeneralizedAutomaton,
+from wgnfa.model import GeneralizedAutomaton
+from wgnfa.oracle import (
     ShapeViolation,
     brute_accepts,
     brute_below_count,

@@ -9,17 +9,12 @@ import tracemalloc
 
 import pytest
 
-from wgnfa import (
-    GeneralizedAutomaton,
-    IndexFormatError,
-    build_index,
-    build_piece_trie,
-    deserialize,
-    match_interval,
-    payload_bits,
-    serialize,
-)
 from wgnfa.cli import _default_battery
+from wgnfa.generate import build_piece_trie
+from wgnfa.index import build_index
+from wgnfa.matcher import match_interval
+from wgnfa.model import GeneralizedAutomaton
+from wgnfa.serial import IndexFormatError, deserialize, payload_bits, serialize
 
 
 def probe_ops(ix, rng, count=200):
