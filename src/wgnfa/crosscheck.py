@@ -1,17 +1,19 @@
 """Agreement checks between the index path and the brute-force path.
 
-Every pattern is pushed through both; besides raw equality this also
-asserts the structural facts the whole design rests on, namely that
-the matching states always form one contiguous block placed directly
-after the strictly-below block, and that intervals on a sentinel index
-are the plain intervals shifted by the extra lead state.
+Every pattern is pushed through both, the index path as `wgnfa query`
+runs it (match_patterns, a sorted walk that resumes shared prefixes);
+besides raw equality this also asserts the structural facts the whole
+design rests on, namely that the matching states always form one
+contiguous block placed directly after the strictly-below block, and
+that intervals on a sentinel index are the plain intervals shifted by
+the extra lead state.
 """
 
 from __future__ import annotations
 
 from .closure import build_closure_arrays
 from .index import build_index
-from .matcher import match_interval
+from .matcher import match_patterns
 from .model import GeneralizedAutomaton, escape_label
 from .oracle import (
     ShapeViolation,
@@ -36,11 +38,11 @@ def crosscheck_instance(a: GeneralizedAutomaton, patterns: list[bytes]) -> list[
     if arrays.a_min != ref_min:
         problems.append("closure a_min disagrees with brute-force search")
 
-    for p in patterns:
+    answers = zip(patterns, match_patterns(ix, patterns), match_patterns(ixs, patterns))
+    for p, (lo, hi, _, _), (lo_s, hi_s, _, accepted) in answers:
         tag = escape_label(p)
-        res = match_interval(ix, p)
-        if p == b"" and (res.lo, res.hi) != (1, n):
-            problems.append(f"{tag}: empty pattern gave {res.lo}..{res.hi}, not 1..{n}")
+        if p == b"" and (lo, hi) != (1, n):
+            problems.append(f"{tag}: empty pattern gave {lo}..{hi}, not 1..{n}")
             continue
 
         expected = brute_match(a, p)
@@ -57,20 +59,16 @@ def crosscheck_instance(a: GeneralizedAutomaton, patterns: list[bytes]) -> list[
                 f"{below + 1}..{below + len(expected)}"
             )
             continue
-        if list(res.states()) != block:
+        if list(range(lo, hi + 1)) != block:
             problems.append(
-                f"{tag}: interval {res.lo}..{res.hi} but oracle block "
+                f"{tag}: interval {lo}..{hi} but oracle block "
                 f"{below + 1}..{below + len(expected)}"
             )
 
-        res_s = match_interval(ixs, p)
-        if (res_s.lo, res_s.hi) != (res.lo, res.hi):
+        if (lo_s, hi_s) != (lo, hi):
             problems.append(
-                f"{tag}: sentinel interval {res_s.lo}..{res_s.hi} "
-                f"differs from plain {res.lo}..{res.hi}"
+                f"{tag}: sentinel interval {lo_s}..{hi_s} differs from plain {lo}..{hi}"
             )
-        if res_s.accepted != brute_accepts(a, p):
-            problems.append(
-                f"{tag}: membership {res_s.accepted} vs brute {not res_s.accepted}"
-            )
+        if accepted != brute_accepts(a, p):
+            problems.append(f"{tag}: membership {accepted} vs brute {not accepted}")
     return problems

@@ -25,6 +25,12 @@ Indexes built with the sentinel carry one extra lead state, so reported
 intervals are shifted back down; membership (accepts) runs the same
 recursion on sentinel-prefixed input and checks for final states,
 without translating.
+
+Since c[l] and d[l] depend only on the first l pattern symbols (the
+closure markers only round them), a batch of patterns is matched as
+one walk (match_patterns): sorted, each pattern resuming from its
+predecessor's counter lists cut back to their longest common prefix,
+so only the symbols past it run the recursion.
 """
 
 from __future__ import annotations
@@ -89,11 +95,10 @@ class QueryResult:
     accepted: bool | None
     trace: MatchTrace
 
-    def states(self) -> range:
-        return range(self.lo, self.hi + 1)
 
-
-def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrace:
+def run_steps(
+    ix: WheelerIndex, pattern: bytes, trace: bool = True, resume: MatchTrace | None = None
+) -> MatchTrace:
     """The raw recursion, in index numbering and with no translation.
 
     Each symbol advances both boundaries.  For every chunk length k up
@@ -109,6 +114,12 @@ def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrac
 
     Only with `trace` is a StepRecord kept per symbol; the counters and
     the `ops` total are the same either way.
+
+    c[l] and d[l] depend only on the first l symbols, so an untraced run
+    may `resume` the untraced trace of an earlier pattern: its lists are
+    cut back to the prefix the two patterns share, only the symbols past
+    it are run, and `resume` itself is returned, updated in place, with
+    `ops` counting the steps actually run.  A traced run starts fresh.
     """
     out_count = ix.out_count
     max_prefix_with_in_at_most = ix.max_prefix_with_in_at_most
@@ -119,10 +130,18 @@ def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrac
     marker_ceiling = ix.marker_ceiling
     n, r = ix.n_states, ix.r
     lengths = range(1, r + 1)
-    c, d = [0], [n]
-    steps: list[StepRecord] = []
+    keep = 0
+    if resume is None or trace:
+        out = MatchTrace(pattern=pattern, r=r, c=[0], d=[n], steps=[], ops=0)
+    else:
+        out = resume
+        last = min(len(out.pattern), len(pattern))
+        while keep < last and out.pattern[keep] == pattern[keep]:
+            keep += 1
+        del out.c[keep + 1 :], out.d[keep + 1 :]
+    c, d, steps = out.c, out.d, out.steps
     ops = 0
-    for ell in range(1, len(pattern) + 1):
+    for ell in range(keep + 1, len(pattern) + 1):
         j = n
         forced = 0
         if trace:
@@ -166,39 +185,63 @@ def run_steps(ix: WheelerIndex, pattern: bytes, trace: bool = True) -> MatchTrac
         d.append(top)
         if trace:
             steps.append(StepRecord(ell, f, g, j, i_star, h, t, c=t, d=top))
-    return MatchTrace(pattern=pattern, r=r, c=c, d=d, steps=steps, ops=ops)
+    out.pattern, out.ops = pattern, ops
+    return out
 
 
-def match_interval(ix: WheelerIndex, pattern: bytes) -> QueryResult:
+def match_interval(
+    ix: WheelerIndex, pattern: bytes, resume: tuple[MatchTrace, MatchTrace] | None = None
+) -> QueryResult:
     """States reachable by some string ending in `pattern`.
 
     On a sentinel index the reported interval is translated back to the
     original numbering and `accepted` reports exact membership; on a
     plain index `accepted` is None.  The empty pattern consumes no
-    symbol, so it answers (1, n) without touching the index.
+    symbol, so it answers (1, n) without touching the index.  `resume`
+    holds the untraced traces of an earlier pattern, one for the
+    interval and one for membership, which run_steps then continues.
     """
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
-    trace = run_steps(ix, pattern, trace=False)
+    walk, sentinel_walk = resume or (None, None)
+    trace = run_steps(ix, pattern, trace=False, resume=walk)
     lo, hi = trace.c[-1] + 1, trace.d[-1]
     if ix.sentinel_mode:
         lo, hi = max(lo - 1, 1), hi - 1
     count = max(0, hi - lo + 1)
-    accepted = accepts(ix, pattern) if ix.sentinel_mode else None
+    accepted = accepts(ix, pattern, sentinel_walk) if ix.sentinel_mode else None
     return QueryResult(lo=lo, hi=hi, count=count, accepted=accepted, trace=trace)
 
 
-def accepts(ix: WheelerIndex, pattern: bytes) -> bool:
+def match_patterns(
+    ix: WheelerIndex, patterns: list[bytes]
+) -> list[tuple[int, int, int, bool | None]]:
+    """(lo, hi, count, accepted) of match_interval for each pattern, in
+    input order, as plain tuples: the walk reuses its counter lists.
+
+    The patterns are matched in sorted order, each resuming from the
+    one before, so a prefix shared by neighbours is run once.
+    """
+    walk = (run_steps(ix, b"", trace=False), run_steps(ix, b"", trace=False))
+    answers: list = [None] * len(patterns)
+    for i in sorted(range(len(patterns)), key=patterns.__getitem__):
+        res = match_interval(ix, patterns[i], walk)
+        answers[i] = (res.lo, res.hi, res.count, res.accepted)
+    return answers
+
+
+def accepts(ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None) -> bool:
     """Exact membership of `pattern` in the automaton's language.
 
     Requires a sentinel index: the recursion runs on the pattern with
     the sentinel prepended, whose suffixed block is exactly the set of
     states whose incoming strings equal the pattern, and acceptance is
-    a final-state check on that block.
+    a final-state check on that block.  `resume` is an untraced trace
+    of an earlier sentinel-prefixed pattern, continued as in run_steps.
     """
     if not ix.sentinel_mode:
         raise ValueError("membership needs an index built with the sentinel")
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
-    trace = run_steps(ix, SENTINEL_BYTES + pattern, trace=False)
+    trace = run_steps(ix, SENTINEL_BYTES + pattern, trace=False, resume=resume)
     return ix.finals_in(trace.c[-1] + 1, trace.d[-1])

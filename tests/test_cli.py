@@ -13,7 +13,7 @@ import pytest
 from wgnfa.cli import main, state_column
 from wgnfa.generate import build_piece_trie
 from wgnfa.index import build_index
-from wgnfa.matcher import match_interval
+from wgnfa.matcher import match_interval, run_steps
 from wgnfa.model import escape_label, format_gnfa, parse_patterns
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -222,6 +222,46 @@ def test_exit_code_sentinel_pattern(tmp_path, index_file, capsys):
     assert main(["query", str(index_file), "--patterns", str(pats)]) == 3
 
 
+def test_sentinel_pattern_refused_before_any_row(tmp_path, index_file, capsys):
+    pats = tmp_path / "p.txt"
+    pats.write_text("a\nb\\x01\ncba\n")
+    capsys.readouterr()
+    assert main(["query", str(index_file), "--patterns", str(pats)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0x01" in captured.err
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_query_rows_out_of_sorted_order(tmp_path, gnfa_file, ten_state, capsys, sentinel, trace):
+    # duplicates, the empty pattern, prefixes of later patterns and
+    # patterns without a match, none of it sorted: rows come back in
+    # input order, each as a lone match_interval call would give it
+    wgx, pats = tmp_path / "t.wgx", tmp_path / "p.txt"
+    flags = ["--sentinel"] if sentinel else []
+    assert main(["build", str(gnfa_file), "-o", str(wgx)] + flags) == 0
+    lines = ["cba", "ba", "", "bba", "b", "cba", "zz", "a", "bb", "", "ca", "c"]
+    pats.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    argv = ["query", str(wgx), "--patterns", str(pats)] + (["--trace"] if trace else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    ix = build_index(ten_state, with_sentinel=sentinel)
+    want = []
+    for p in parse_patterns(pats.read_bytes()):
+        res = match_interval(ix, p)
+        if trace and p:
+            want.append(run_steps(ix, p).dump_tsv() + "\n")
+        states = ",".join(map(str, range(res.lo, res.hi + 1)))
+        acc = "-" if res.accepted is None else ("1" if res.accepted else "0")
+        want.append(f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}\t{states}\t{acc}\n")
+    assert out == "".join(want)
+    if trace and not sentinel:
+        golden = (GOLDEN / "ten_state_cba.trace.tsv").read_text()
+        assert out.startswith(golden + "cba\t3\t2\t0\t\t-\n")
+
+
 def test_exit_code_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -289,7 +329,7 @@ def test_query_rows_on_10k_trie(tmp_path, capsys, sentinel):
     assert len(rows) == len(patterns)
     for row, p in zip(rows, patterns):
         res = match_interval(ix, p)
-        states = ",".join(str(q) for q in res.states())
+        states = ",".join(map(str, range(res.lo, res.hi + 1)))
         acc = "-" if res.accepted is None else ("1" if res.accepted else "0")
         assert row == f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}\t{states}\t{acc}"
     assert rows[0].split("\t")[3] == str(a.state_count)

@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import itertools
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgnfa.index import build_index
-from wgnfa.matcher import SentinelInPatternError, accepts, match_interval, run_steps
+from wgnfa.matcher import (
+    SentinelInPatternError,
+    accepts,
+    match_interval,
+    match_patterns,
+    run_steps,
+)
 from wgnfa.model import SENTINEL_BYTES
 from wgnfa.oracle import brute_accepts
 
-from conftest import load_index, load_instance, load_sidecar_patterns
+from conftest import corpus_names, load_index, load_instance, load_sidecar_patterns
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -89,7 +98,6 @@ def test_match_interval_values(ten_state_index):
         res = match_interval(ten_state_index, pat)
         assert (res.lo, res.hi, res.count) == (lo, hi, count)
         assert res.accepted is None
-        assert list(res.states()) == list(range(lo, hi + 1))
 
 
 def test_empty_pattern_short_circuits(ten_state_index):
@@ -178,3 +186,42 @@ def test_untraced_recursion_equals_traced(all_corpus_names):
             assert len(full.steps) == len(pat)
             runs += 1
     assert runs > 60_000
+
+
+@pytest.mark.skipif(not corpus_names(), reason="corpus not generated")
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_resumed_walk_equals_fresh_runs(data):
+    # a batch run in sorted order, each pattern resuming from the one
+    # before, on plain and sentinel indexes with raw and sentinel-prefixed
+    # patterns: every pattern gets a fresh run's counters, running only
+    # the steps past the prefix it shares with the one before, and a
+    # traced run ignores the walk
+    name = data.draw(st.sampled_from(corpus_names()))
+    sentinel = data.draw(st.booleans())
+    lead = SENTINEL_BYTES if sentinel and data.draw(st.booleans()) else b""
+    ix = load_index(name, with_sentinel=sentinel)
+    symbols = sorted({b for _, _, rho in load_instance(name).edges for b in rho} | {ord("z")})
+    word = st.lists(st.sampled_from(symbols), max_size=8).map(bytes)
+    patterns = data.draw(st.lists(word, min_size=1, max_size=12))
+
+    walk = run_steps(ix, b"", trace=False)
+    for pat in sorted(lead + p for p in patterns):
+        fresh = run_steps(ix, pat, trace=False)
+        before = (walk.pattern, list(walk.c), list(walk.d))
+        traced = run_steps(ix, pat, trace=True, resume=walk)
+        assert traced is not walk and len(traced.steps) == len(pat)
+        assert (traced.c, traced.d, traced.ops) == (fresh.c, fresh.d, fresh.ops)
+        assert (walk.pattern, walk.c, walk.d) == before
+        resumed = run_steps(ix, pat, trace=False, resume=walk)
+        assert resumed is walk and resumed.pattern == pat and resumed.steps == []
+        assert (resumed.c, resumed.d) == (fresh.c, fresh.d), (name, pat)
+        shared = os.path.commonprefix([before[0], pat])
+        assert resumed.ops == fresh.ops - run_steps(ix, shared, trace=False).ops
+        assert resumed.ops <= fresh.ops
+
+    if not lead:
+        want = [match_interval(ix, p) for p in patterns]
+        assert match_patterns(ix, patterns) == [
+            (res.lo, res.hi, res.count, res.accepted) for res in want
+        ]
