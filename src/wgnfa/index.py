@@ -21,11 +21,12 @@ The structures behind these are deliberately plain.  Besides the label
 dictionary and its postings (per-label ascending source and target
 arrays of narrow unsigned integers, searched with bisect) there are
 rank/select bitvectors for the finals and the two closure markers the
-epsilon edges add, and two derived tables with one row per dictionary
-label, never one per edge: per label length, the reversed labels with a
-suffix minimum over each label's smallest target; and all reversed
-labels in dictionary order with a range-maximum sparse table over each
-label's largest target.
+epsilon edges add, each holding its packed bits and the positions of
+its rarer bit (none for a marker of an epsilon-free automaton), and two
+derived tables with one row per dictionary label, never one per edge:
+per label length, the reversed labels with a suffix minimum over each
+label's smallest target; and all reversed labels in dictionary order
+with a range-maximum sparse table over each label's largest target.
 """
 
 from __future__ import annotations

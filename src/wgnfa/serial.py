@@ -25,6 +25,9 @@ round-trips.
 Only what the index cannot derive is stored.  WheelerIndex derives the
 longest label and its per-label query rows from the dictionary and
 postings, so none of these can disagree with the rest of the file.
+Each bit section loads as a RankSelectBits that keeps the section's
+bytes and the positions of its rarer bit, so the marker sections of an
+epsilon-free file, every bit set, load to nothing more than their bytes.
 
 Besides magic, version, flags, framing and digest, loading checks that
 the bit sections are ceil(n/8) bytes with clear padding bits (so a

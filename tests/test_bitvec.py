@@ -4,12 +4,50 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wgnfa.bitvec import RankSelectBits
 
 bitlists = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64)
+
+
+@st.composite
+def skewed_bitlists(draw):
+    """Up to 300 bits, mostly one value with at most as many of the
+    other, so either bit may be the rarer one."""
+    n = draw(st.integers(0, 300))
+    common = draw(st.integers(0, 1))
+    flips = draw(st.sets(st.integers(0, n - 1), max_size=n // 2)) if n else set()
+    return [common ^ (i in flips) for i in range(n)]
+
+
+@st.composite
+def tied_bitlists(draw):
+    """As many ones as zeros, in any order."""
+    k = draw(st.integers(0, 150))
+    return draw(st.permutations([1] * k + [0] * k))
+
+
+def _check_against_prefix_sums(bits: list[int], bv: RankSelectBits) -> None:
+    n = len(bits)
+    cum = [0]
+    for b in bits:
+        cum.append(cum[-1] + b)
+    positions = [i for i in range(1, n + 1) if bits[i - 1]]
+    assert (bv.n, bv.ones) == (n, cum[-1])
+    assert [bv[i] for i in range(1, n + 1)] == bits
+    assert [bv.rank1(i) for i in range(n + 1)] == cum
+    assert [bv.select1(k) for k in range(1, bv.ones + 1)] == positions
+    for bad in (0, n + 1):
+        with pytest.raises(IndexError):
+            bv[bad]
+    for bad in (-1, n + 1):
+        with pytest.raises(IndexError):
+            bv.rank1(bad)
+    for bad in (0, bv.ones + 1):
+        with pytest.raises(IndexError):
+            bv.select1(bad)
 
 
 def test_small_example():
@@ -57,6 +95,37 @@ def test_bytes_round_trip(bits):
     bv = RankSelectBits(bytes(bits))
     again = RankSelectBits.from_bytes(bv.to_bytes(), len(bits))
     assert [again[i] for i in range(1, len(bits) + 1)] == bits
+
+
+@example([])
+@example([1] * 300)
+@example([0] * 300)
+@example([1, 0] * 150)
+@example([0] * 150 + [1] * 150)
+@given(skewed_bitlists())
+def test_skewed_against_prefix_sums(bits):
+    bv = RankSelectBits(bytes(bits))
+    _check_against_prefix_sums(bits, bv)
+    _check_against_prefix_sums(bits, RankSelectBits.from_bytes(bv.to_bytes(), len(bits)))
+
+
+@given(tied_bitlists())
+def test_tie_against_prefix_sums(bits):
+    bv = RankSelectBits(bytes(bits))
+    _check_against_prefix_sums(bits, bv)
+    _check_against_prefix_sums(bits, RankSelectBits.from_bytes(bv.to_bytes(), len(bits)))
+
+
+def test_all_ones_and_all_zeros():
+    for n in (1, 7, 8, 9, 300):
+        for bit in (0, 1):
+            bits = [bit] * n
+            bv = RankSelectBits.from_bytes(RankSelectBits(bytes(bits)).to_bytes(), n)
+            _check_against_prefix_sums(bits, bv)
+
+
+def test_from_bytes_empty():
+    _check_against_prefix_sums([], RankSelectBits.from_bytes(b"", 0))
 
 
 def test_from_bytes_length_check():

@@ -343,3 +343,17 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_generate_unloaded():
+    """The package root resolves build_piece_trie only when asked for it,
+    so no command pays for importing the generator up front."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = (
+        "import sys, wgnfa.cli; print('wgnfa.generate' in sys.modules); "
+        "from wgnfa import build_piece_trie; print(build_piece_trie.__module__)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "wgnfa.generate"]

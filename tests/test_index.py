@@ -208,6 +208,36 @@ def test_ops_match_scans_on_corpus(name):
     _scan_checks(load_instance(name), load_index(name))
 
 
+def _bits(bv):
+    """The bits of bv as a list, read off its packed bytes alone."""
+    return [int(c) for c in "".join(f"{byte:08b}" for byte in bv.to_bytes())[: bv.n]]
+
+
+def test_markers_and_finals_match_scans_on_corpus():
+    """marker_floor, marker_ceiling and finals_in agree with linear scans
+    of the index's own bits on every corpus instance, plain and sentinel,
+    built and loaded back; the corpus's epsilon instances give the only
+    marker bits that are not all set."""
+    zeros = 0
+    for name in corpus_names():
+        for sentinel in (False, True):
+            built = load_index(name, sentinel)
+            for ix in (built, deserialize(serialize(built))):
+                n = ix.n_states
+                b_max, b_min, fin = (_bits(ix.b_max), _bits(ix.b_min), _bits(ix.finals))
+                zeros += b_max.count(0) + b_min.count(0)
+                for j in range(n + 1):
+                    want = max((t for t in range(1, j + 1) if b_max[t - 1]), default=0)
+                    assert ix.marker_floor(j) == want, (name, sentinel, j)
+                for h in range(n + 1):
+                    want = min(t for t in range(h, n + 1) if t == n or b_min[t])
+                    assert ix.marker_ceiling(h) == want, (name, sentinel, h)
+                for lo in range(1, n + 2):
+                    for hi in range(lo - 1, n + 1):
+                        assert ix.finals_in(lo, hi) == any(fin[lo - 1 : hi]), (name, lo, hi)
+    assert zeros > 0
+
+
 # -- ops versus direct scans on arbitrary edge multisets ------------------
 
 # every label over a, b and 0xff of length 1..3: many share suffixes, and

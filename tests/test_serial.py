@@ -316,6 +316,26 @@ def test_loaded_index_heap_within_4x_file(sentinel):
     assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
 
 
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_loaded_index_heap_within_1_5x_file(sentinel):
+    """The criterion-09 10k trie loads into at most 1.5 heap bytes per
+    file byte: each bitvector keeps only the positions of its rarer bit,
+    so the all-ones marker bits of this epsilon-free trie cost their
+    packed bytes alone."""
+    rng = random.Random(271828)
+    a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
+    blob = serialize(build_index(a, with_sentinel=sentinel))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = deserialize(blob)
+        heap = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ix.b_max.ones == ix.b_min.ones == ix.n_states
+    assert heap <= 1.5 * len(blob), (heap, len(blob), heap / len(blob))
+
+
 def test_long_label_heap_within_4x_file():
     """A single 10,000-byte label loads into at most four heap bytes per
     file byte: the derived tables grow with the label bytes, not with
