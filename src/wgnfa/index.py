@@ -43,7 +43,7 @@ from .model import (
     GeneralizedAutomaton,
     SentinelInLabelError,
     colex_key,
-    suffix_range_upper,
+    suffix_block_end,
 )
 
 
@@ -159,8 +159,7 @@ class WheelerIndex:
             return 0
         rev = alpha[::-1]
         lo = bisect_left(self._rev, rev)
-        upper = suffix_range_upper(rev)
-        hi = len(self._rev) if upper is None else bisect_left(self._rev, upper)
+        hi = bisect_right(self._rev, suffix_block_end(rev, self.r), lo)
         if lo >= hi:
             return 0
         k = (hi - lo).bit_length() - 1

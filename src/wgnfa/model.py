@@ -15,11 +15,10 @@ the serialized index and is likewise rejected.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable
 
 SENTINEL = 0x01
@@ -98,7 +97,10 @@ class GeneralizedAutomaton:
 #
 # '#' starts a comment line, blank lines are skipped, '@e' denotes the
 # empty label, and arbitrary bytes can be written as \xNN escapes
-# (write a literal backslash as \x5c).
+# (write a literal backslash as \x5c).  Lines end at LF and fields are
+# split at ASCII whitespace alone (space, tab, CR, VT, FF, as
+# bytes.split() does), so CRLF files parse like LF ones and every other
+# raw byte, 0x85 and 0xa0 included, is token content.
 
 _ESCAPE_RE = re.compile(r"\\x([0-9a-fA-F]{2})|\\(.?)")
 
@@ -163,12 +165,15 @@ def _check_label_bytes(label: bytes, lineno: int) -> None:
 def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
     """Parse the line-oriented text format into an automaton.
 
-    Raises GnfaFormatError with a line number for malformed input,
-    out-of-range states, reserved bytes in labels, or an initial state
-    other than 1.
+    A str is read as latin-1 bytes.  Raises GnfaFormatError with a line
+    number for malformed input, out-of-range states, reserved bytes in
+    labels, or an initial state other than 1.
     """
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
+    if isinstance(text, str):
+        try:
+            text = text.encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise GnfaFormatError(f"non byte character {exc.object[exc.start]!r}") from None
 
     state_count: int | None = None
     initial: int | None = None
@@ -176,37 +181,38 @@ def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
     edges: list[Edge] = []
     saw_header = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, raw in enumerate(text.split(b"\n"), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith(b"#"):
             continue
-        fields = line.split()
         if not saw_header:
-            if fields != ["gnfa", "1"]:
+            if fields != [b"gnfa", b"1"]:
                 raise GnfaFormatError(f"line {lineno}: expected header 'gnfa 1'")
             saw_header = True
             continue
         kind = fields[0]
         try:
-            if kind == "states":
+            if kind == b"states":
                 (state_count,) = map(int, fields[1:])
-            elif kind == "initial":
+            elif kind == b"initial":
                 (initial,) = map(int, fields[1:])
-            elif kind == "final":
+            elif kind == b"final":
                 finals.update(map(int, fields[1:]))
-            elif kind == "edge":
+            elif kind == b"edge":
                 if len(fields) != 4:
                     raise ValueError
                 u, v = int(fields[1]), int(fields[2])
-                rho = unescape_token(fields[3])
+                rho = unescape_token(fields[3].decode("latin-1"))
                 _check_label_bytes(rho, lineno)
                 edges.append((u, v, rho))
             else:
-                raise GnfaFormatError(f"line {lineno}: unknown directive {kind!r}")
+                name = kind.decode("latin-1")
+                raise GnfaFormatError(f"line {lineno}: unknown directive {name!r}")
         except GnfaFormatError:
             raise
         except ValueError:
-            raise GnfaFormatError(f"line {lineno}: malformed {kind!r} line") from None
+            name = kind.decode("latin-1")
+            raise GnfaFormatError(f"line {lineno}: malformed {name!r} line") from None
 
     if not saw_header:
         raise GnfaFormatError("missing 'gnfa 1' header")
@@ -390,18 +396,10 @@ def axiom1_over_sets(
     return "passed-bounded", None
 
 
-def suffix_range_upper(rev: bytes) -> bytes | None:
-    """Smallest string above every string that starts with rev.
-
-    In reversed-label order the labels ending in a given string form
-    one contiguous block; this is where that block ends.  Returns None
-    when the block extends to the end of the order (rev is empty or all
-    0xff).
-    """
-    trimmed = rev.rstrip(b"\xff")
-    if not trimmed:
-        return None
-    return trimmed[:-1] + bytes([trimmed[-1] + 1])
+def suffix_block_end(rev: bytes, r: int) -> bytes:
+    """End of the block of reversed labels of at most r bytes that start
+    with rev: such a label starts with rev iff rev <= it <= this end."""
+    return rev + b"\xff" * r
 
 
 def _first_axiom34_violation(
@@ -411,53 +409,54 @@ def _first_axiom34_violation(
     target i < target j that breaks axiom 3 or 4, as (axiom, pair);
     (0, None) when no pair does.
 
-    Edge i breaks axiom 3 against j iff rev(label i) is at least
-    suffix_range_upper(rev(label j)): label i is co-lex above label j
-    and does not end with it.  It breaks axiom 4 iff the labels are
-    equal and i has the larger source.  The prefix maximum of reversed
-    labels and, per label, the running maximum source are monotone, so
-    bisecting them below j's target group gives every j its smallest
-    partner i.  A scan from the smallest of those finds its first j.
+    Edge i breaks axiom 3 against j iff rev(label i) is above
+    suffix_block_end(rev(label j), r), r the longest label: label i is
+    co-lex above label j and does not end with it.  (Strictly above: r
+    0xff bytes end with the empty label and equal its block end.)  It
+    breaks axiom 4 iff the labels are equal and i has the larger source.
+    So i breaks one of them against some edge into a larger target iff
+    it does against the least block end over those edges, or against
+    the least source among those of its label.  One right-to-left walk
+    keeps both, folding each target group in once it is passed; the last
+    edge found to break them is the smallest i, and a forward scan from
+    it finds its first j.
     """
-    by_target = sorted(edges, key=lambda e: e[1])
+    by_target = sorted(edges, key=itemgetter(1))
     m = len(by_target)
-    targets = [v for _, v, _ in by_target]
-    revs = [rho[::-1] for _, _, rho in by_target]
-    uppers = [suffix_range_upper(rev) for rev in revs]
-    prefix_max = list(accumulate(revs, max))
-    positions: dict[bytes, list[int]] = {}
-    for j, (_, _, rho) in enumerate(by_target):
-        positions.setdefault(rho, []).append(j)
-    max_source = {
-        rho: list(accumulate((by_target[j][0] for j in pos), max))
-        for rho, pos in positions.items()
-    }
-
-    first = m  # smallest i of any violating pair so far
-    for j, (src, v, rho) in enumerate(by_target):
-        hi = min(first, bisect_left(targets, v))  # candidates i < hi
-        if uppers[j] is not None:
-            i = bisect_left(prefix_max, uppers[j], 0, hi)
-            if i < hi:
-                first = hi = i
-        pos = positions[rho]
-        below = bisect_left(pos, hi)
-        k = bisect_right(max_source[rho], src, 0, below)
-        if k < below:
-            first = pos[k]
+    labels = {rho for _, _, rho in by_target}
+    r = max(map(len, labels), default=0)
+    keys = {rho: (rho[::-1], suffix_block_end(rho[::-1], r)) for rho in labels}
+    least_end = b"\xff" * (r + 1)  # above every block end
+    least_src: dict[bytes, int] = {}
+    first = m
+    group_target, hi = None, m  # of the group walked last, not yet folded in
+    for i in range(m - 1, -1, -1):
+        src, v, rho = by_target[i]
+        if v != group_target:
+            for k in range(i + 1, hi):
+                src_k, _, rho_k = by_target[k]
+                end = keys[rho_k][1]
+                if end < least_end:
+                    least_end = end
+                if src_k < least_src.get(rho_k, src_k + 1):
+                    least_src[rho_k] = src_k
+            group_target, hi = v, i + 1
+        if keys[rho][0] > least_end or src > least_src.get(rho, src):
+            first = i
 
     if first == m:
         return 0, None
     e1 = by_target[first]
+    rev = keys[e1[2]][0]
     for j in range(first + 1, m):
         e2 = by_target[j]
         if e2[1] == e1[1]:
             continue
-        if uppers[j] is not None and revs[first] >= uppers[j]:
+        if rev > keys[e2[2]][1]:
             return 3, (e1, e2)
         if e2[2] == e1[2] and e1[0] > e2[0]:
             return 4, (e1, e2)
-    raise AssertionError("bisection found a pair the scan does not")
+    raise AssertionError("the walk found an edge the scan does not")
 
 
 def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport:
@@ -468,14 +467,14 @@ def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport
     string length `axiom1_depth`; depth 0 skips it.  A bounded pass is
     reported as "passed-bounded", a failure is definitive.
 
-    Axioms 3 and 4 take one pass over the E edges sorted by target:
-    O(E log E) comparisons of labels of at most r bytes plus O(E·r)
-    byte work, on every input, failing ones included.  At most one
-    witness pair is reported.  Ordering the edges stably by target,
-    it is the pair (i, j) with the smallest i, then the smallest j,
-    among pairs with target i < target j that break axiom 3 or 4;
-    only the axiom that pair breaks is marked failed.  Reachability
-    is linear, and the axiom-1 probe costs what its depth allows.
+    Axioms 3 and 4 take one stable sort of the E edges by target, then
+    O(E) comparisons of strings of at most 2r bytes, on every input,
+    failing ones included.  At most one witness pair is reported:
+    ordering the edges stably by target, the pair (i, j) with the
+    smallest i, then the smallest j, among pairs with target i <
+    target j that break axiom 3 or 4; only the axiom that pair breaks
+    is marked failed.  Reachability is linear, and the axiom-1 probe
+    costs what its depth allows.
     """
     n = a.state_count
     fwd: list[list[int]] = [[] for _ in range(n + 1)]

@@ -85,6 +85,22 @@ def test_query_accepted_column(tmp_path, gnfa_file, capsys):
     assert lines[2].startswith("@e\t1\t10\t10\t") and lines[2].endswith("\t0")
 
 
+def test_query_label_ending_in_next_line_byte(tmp_path, capsys):
+    """A raw 0x85 at the end of a label is label content, not a line break."""
+    src = tmp_path / "nel.gnfa"
+    src.write_bytes(b"gnfa 1\nstates 2\ninitial 1\nfinal 2\nedge 1 2 a\x85\n")
+    out = tmp_path / "nel.wgx"
+    assert main(["build", str(src), "-o", str(out), "--sentinel"]) == 0
+    pats = tmp_path / "p.txt"
+    pats.write_bytes(b"a\x85\na\n")
+    capsys.readouterr()
+    assert main(["query", str(out), "--patterns", str(pats)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a\\x85\t2\t2\t1\t2\t1",
+        "a\t2\t1\t0\t\t0",
+    ]
+
+
 def test_validate_ok(gnfa_file, capsys):
     assert main(["validate", str(gnfa_file), "--axiom1-depth", "5"]) == 0
     out = capsys.readouterr().out

@@ -173,7 +173,12 @@ def _scan_checks(a, ix):
     n = a.state_count
     led = a.labeled_edges
     label_set = sorted({rho for _, _, rho in led}, key=colex_key)
-    probes = label_set + [b"", b"\xfe", label_set[0] + label_set[-1]]
+    # every suffix of every label, so that suffix blocks whose end is not
+    # itself a label are probed too, and one string longer than r
+    suffixes = sorted({rho[k:] for rho in label_set for k in range(1, len(rho))})
+    longest = max(label_set, key=len)
+    probes = label_set + suffixes + [b"", b"\xfe", label_set[0] + label_set[-1]]
+    probes.append(b"\xfe" + longest)
     for rho in probes:
         outs = sorted(u for u, _, r2 in led if r2 == rho)
         ins = sorted(v for _, v, r2 in led if r2 == rho)
@@ -241,7 +246,7 @@ def test_markers_and_finals_match_scans_on_corpus():
 # -- ops versus direct scans on arbitrary edge multisets ------------------
 
 # every label over a, b and 0xff of length 1..3: many share suffixes, and
-# all-0xff labels have no co-lex upper bound for their suffix block
+# an all-0xff label of length r equals the end of the empty suffix's block
 _LABELS = [bytes(t) for k in (1, 2, 3) for t in itertools.product(b"ab\xff", repeat=k)]
 
 

@@ -6,7 +6,7 @@ import random
 from collections import deque
 
 import pytest
-from conftest import load_instance
+from conftest import CORPUS_DIR, load_instance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,6 +138,28 @@ def test_parse_gnfa_errors():
         parse_gnfa("gnfa 1\nstates 2\ninitial 1\nedge 1 2 \\x01\n")
     with pytest.raises(SentinelInLabelError):
         parse_gnfa("gnfa 1\nstates 2\ninitial 1\nedge 1 2 a\\x00b\n")
+
+
+@pytest.mark.parametrize("byte", [0x85, 0xA0, 0x1C, 0x1D, 0x1E, 0x1F])
+def test_parse_gnfa_keeps_non_ascii_space_bytes(byte):
+    """Only ASCII whitespace separates fields and only LF ends a line, so
+    bytes that Unicode counts as space or line break stay in the label."""
+    raw = bytes([byte])
+    for label in (b"a" + raw, b"a" + raw + b"b", raw):
+        a = parse_gnfa(b"gnfa 1\nstates 2\ninitial 1\nfinal 2\nedge 1 2 " + label + b"\n")
+        assert a.edges == ((1, 2, label),)
+
+
+def test_parse_gnfa_crlf_equals_lf(all_corpus_names):
+    for name in all_corpus_names:
+        data = (CORPUS_DIR / f"{name}.gnfa").read_bytes()
+        assert b"\r" not in data
+        assert parse_gnfa(data.replace(b"\n", b"\r\n")) == parse_gnfa(data), name
+
+
+def test_parse_gnfa_bare_cr_is_one_line():
+    with pytest.raises(GnfaFormatError, match="header"):
+        parse_gnfa(b"gnfa 1\rstates 1\rinitial 1\r")
 
 
 def test_validate_samples(ten_state, four_state):
