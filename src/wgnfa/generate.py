@@ -32,6 +32,11 @@ from .model import (
 from .oracle import ShapeViolation, brute_below_count
 
 ALPHABET_POOL = b"abcd"
+# chances of the roughening steps, and the tries drawn per instance
+EXTRA_FINAL_PROB = 0.25
+MERGE_LEAF_PROB = 0.5
+DUPLICATE_EDGE_PROB = 0.2
+MAX_RETRIES = 40
 
 
 class GenerationError(RuntimeError):
@@ -71,13 +76,9 @@ class GenerationParams:
     max_string_len: int = 9
     max_piece_len: int = 2
     alphabet_size: int = 3
-    extra_final_prob: float = 0.25
-    merge_leaf_prob: float = 0.5
-    duplicate_edge_prob: float = 0.2
     epsilon_attempts: int = 8
     min_states: int = 3
     max_states: int = 30
-    max_retries: int = 40
 
 
 def build_piece_trie(
@@ -162,7 +163,7 @@ def generate_instance(
     size window cannot be hit within the retry budget."""
     rng = random.Random(seed)
     alphabet = ALPHABET_POOL[: params.alphabet_size]
-    for _ in range(params.max_retries):
+    for _ in range(MAX_RETRIES):
         a = build_piece_trie(
             rng,
             params.n_strings,
@@ -173,14 +174,14 @@ def generate_instance(
         if not params.min_states <= a.state_count <= params.max_states:
             continue
 
-        if rng.random() < params.merge_leaf_prob:
+        if rng.random() < MERGE_LEAF_PROB:
             merged = _merge_sink_run(a, rng)
             if merged is not None and wheeler_exact(merged):
                 a = merged
 
         finals = set(a.finals)
         for q in range(1, a.state_count + 1):
-            if q not in finals and rng.random() < params.extra_final_prob:
+            if q not in finals and rng.random() < EXTRA_FINAL_PROB:
                 finals.add(q)
         a = GeneralizedAutomaton(
             state_count=a.state_count,
@@ -189,7 +190,7 @@ def generate_instance(
             initial=1,
         )
 
-        if a.edges and rng.random() < params.duplicate_edge_prob:
+        if a.edges and rng.random() < DUPLICATE_EDGE_PROB:
             dup = rng.choice(a.edges)
             a = GeneralizedAutomaton(
                 state_count=a.state_count,
@@ -245,7 +246,7 @@ def sample_patterns(
     symbols = sorted({b for _, _, rho in a.edges for b in rho})
     if not symbols:
         return [b""] * count
-    spelled = _spell_some_strings(rng, a, limit=40)
+    spelled = _spell_some_strings(a, limit=40)
     out: list[bytes] = [b""]
     while len(out) < count:
         roll = rng.random()
@@ -261,9 +262,7 @@ def sample_patterns(
     return out[:count]
 
 
-def _spell_some_strings(
-    rng: random.Random, a: GeneralizedAutomaton, limit: int
-) -> list[bytes]:
+def _spell_some_strings(a: GeneralizedAutomaton, limit: int) -> list[bytes]:
     adj: list[list[tuple[int, bytes]]] = [[] for _ in range(a.state_count + 1)]
     for u, v, rho in a.edges:
         adj[u].append((v, rho))

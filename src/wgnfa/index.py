@@ -65,14 +65,15 @@ class WheelerIndex:
     edge.  Because the targets ascend, a label's smallest and largest
     target are targets[0] and targets[-1]; a minimum or maximum over a
     block of labels is then the same as over all their edges.  These
-    rows and r, the longest label, are derived here and nowhere else.
+    rows, r (the longest label) and sentinel_mode (whether the
+    dictionary holds the sentinel label) are derived here and nowhere
+    else.
     """
 
     def __init__(
         self,
         state_count: int,
         epsilon_edge_count: int,
-        sentinel_mode: bool,
         finals: RankSelectBits,
         b_max: RankSelectBits,
         b_min: RankSelectBits,
@@ -81,7 +82,8 @@ class WheelerIndex:
     ):
         self.n_states = state_count
         self.epsilon_edge_count = epsilon_edge_count
-        self.sentinel_mode = sentinel_mode
+        # the sentinel byte sorts below every other label byte
+        self.sentinel_mode = labels[:1] == (SENTINEL_BYTES,)
         self.finals = finals
         self.b_max = b_max
         self.b_min = b_min
@@ -235,7 +237,6 @@ def build_index(
     return WheelerIndex(
         state_count=n,
         epsilon_edge_count=len(a.epsilon_edges),
-        sentinel_mode=with_sentinel,
         finals=RankSelectBits(bytes(finals_bits)),
         b_max=RankSelectBits(b"\x01" * lead + markers.b_max[1:]),
         b_min=RankSelectBits(b"\x01" * lead + markers.b_min[1:]),

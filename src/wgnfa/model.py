@@ -95,64 +95,52 @@ class GeneralizedAutomaton:
 #   final <q> [<q> ...]
 #   edge <src> <dst> <label>
 #
-# '#' starts a comment line, blank lines are skipped, '@e' denotes the
-# empty label, and arbitrary bytes can be written as \xNN escapes
-# (write a literal backslash as \x5c).  Lines end at LF and fields are
-# split at ASCII whitespace alone (space, tab, CR, VT, FF, as
-# bytes.split() does), so CRLF files parse like LF ones and every other
-# raw byte, 0x85 and 0xa0 included, is token content.
+# '#' starts a comment line and blank lines are skipped.  A label token
+# is its own bytes but for '@e', the empty label, and \xNN, the byte NN;
+# any other backslash is an error.  Labels are written with bytes
+# 0x21-0x7e but the backslash as themselves, every other byte as \xNN,
+# and the label '@e' as \x40e.  Lines end at LF and fields are split at
+# ASCII whitespace alone (space, tab, CR, VT, FF, as bytes.split()
+# does), so CRLF files parse like LF ones and every other raw byte, 0x85
+# and 0xa0 included, is token content.
 
-_ESCAPE_RE = re.compile(r"\\x([0-9a-fA-F]{2})|\\(.?)")
-
-
-def _unescape(token: str) -> bytes:
-    out = bytearray()
-    pos = 0
-    while pos < len(token):
-        ch = token[pos]
-        if ch == "\\":
-            m = _ESCAPE_RE.match(token, pos)
-            if m is None or m.group(1) is None:
-                raise GnfaFormatError(f"bad escape in {token!r}")
-            out.append(int(m.group(1), 16))
-            pos = m.end()
-        else:
-            b = ord(ch)
-            if b > 0xFF:
-                raise GnfaFormatError(f"non byte character in {token!r}")
-            out.append(b)
-            pos += 1
-    return bytes(out)
+_ESCAPE_RE = re.compile(rb"\\(?:x([0-9a-fA-F]{2}))?")
+_UNPRINTED_RE = re.compile(rb"[^\x21-\x5b\x5d-\x7e]")
+# the labels spelled other than byte by byte
+_SPELLED = {EPSILON: "@e", b"@e": r"\x40e"}
 
 
-def unescape_token(token: str) -> bytes:
+def _escaped_byte(m: re.Match) -> bytes:
+    if m[1] is None:
+        raise GnfaFormatError(f"bad escape in {m.string!r}")
+    return bytes((int(m[1], 16),))
+
+
+def _unescape(text: bytes) -> bytes:
+    return _ESCAPE_RE.sub(_escaped_byte, text) if b"\\" in text else text
+
+
+def unescape_token(token: bytes) -> bytes:
     """Decode one whitespace-free label token into raw bytes."""
-    if token == "@e":
-        return EPSILON
-    return _unescape(token)
+    return EPSILON if token == b"@e" else _unescape(token)
 
 
 def parse_patterns(data: bytes) -> list[bytes]:
     """Pattern files: one pattern per LF-terminated line, \\xNN escapes
     allowed, an empty line is the empty pattern."""
-    text = data.decode("latin-1")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
         lines.pop()
     return [_unescape(line) for line in lines]
 
 
 def escape_label(label: bytes) -> str:
-    """Inverse of unescape_token; printable bytes pass through."""
-    if label == EPSILON:
-        return "@e"
-    parts = []
-    for b in label:
-        if 0x21 <= b <= 0x7E and b != 0x5C:
-            parts.append(chr(b))
-        else:
-            parts.append(f"\\x{b:02x}")
-    return "".join(parts)
+    """Inverse of unescape_token, in the text format's spelling."""
+    if label.isalnum():
+        return label.decode("ascii")
+    if label in _SPELLED:
+        return _SPELLED[label]
+    return _UNPRINTED_RE.sub(lambda m: b"\\x%02x" % ord(m[0]), label).decode("ascii")
 
 
 def _check_label_bytes(label: bytes, lineno: int) -> None:
@@ -202,7 +190,7 @@ def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
                 if len(fields) != 4:
                     raise ValueError
                 u, v = int(fields[1]), int(fields[2])
-                rho = unescape_token(fields[3].decode("latin-1"))
+                rho = unescape_token(fields[3])
                 _check_label_bytes(rho, lineno)
                 edges.append((u, v, rho))
             else:

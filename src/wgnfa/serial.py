@@ -35,11 +35,13 @@ loaded index writes back the bytes it was read from), that the marker
 bits b_max[n] and b_min[1] are set and neither marker section has more
 zero bits than the epsilon-edge count (as for any closure), that
 dictionary labels are non-empty, strictly increasing in co-lex order
-and free of the reserved bytes 0x00 and 0x01 (a sentinel file may hold
-the single label 0x01), and that every postings entry holds at least
-one edge with ascending sources and targets in 1..n.  Version 1 files,
-which also stored derived tables, are rejected; rebuild them from
-their .gnfa source.
+and free of the reserved bytes 0x00 and 0x01 but for the single label
+0x01, and that every postings entry holds at least one edge with
+ascending sources and targets in 1..n.  The index is a sentinel index
+iff its dictionary holds the label 0x01; the flag bit must agree, and
+the edge 1 -> 2 that the sentinel build adds under that label must be
+the only edge at state 1.  Version 1 files, which also stored derived
+tables, are rejected; rebuild them from their .gnfa source.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ VERSION = 2
 FLAG_SENTINEL = 0x01
 SECTION_COUNT = 6
 DIGEST_SIZE = 8
+# the sentinel build adds state 1 and the edge 1 -> 2 and shifts every
+# other state up by one, so no other edge starts or ends at state 1
+_SENTINEL_EDGE = (array("B", [1]), array("B", [2]))
 
 
 class IndexFormatError(ValueError):
@@ -214,7 +219,6 @@ def deserialize(data: bytes) -> WheelerIndex:
     if n - min(b_max.ones, b_min.ones) > eps:
         raise IndexFormatError("more unmarked states than epsilon edges")
 
-    sentinel_mode = bool(flags & FLAG_SENTINEL)
     rd = _Reader(sections[4], w)
     labels: list[bytes] = []
     prev_rev = b""
@@ -227,7 +231,7 @@ def deserialize(data: bytes) -> WheelerIndex:
             )
         if 0x00 in rho:
             raise IndexFormatError("reserved byte 0x00 in a dictionary label")
-        if SENTINEL in rho and not (sentinel_mode and rho == SENTINEL_BYTES):
+        if SENTINEL in rho and rho != SENTINEL_BYTES:
             raise IndexFormatError("reserved byte 0x01 outside the sentinel label")
         labels.append(rho)
         prev_rev = rev
@@ -250,13 +254,20 @@ def deserialize(data: bytes) -> WheelerIndex:
         postings[rho] = tuple(sides)
     rd.finish("postings")
 
-    return WheelerIndex(
+    ix = WheelerIndex(
         state_count=n,
         epsilon_edge_count=eps,
-        sentinel_mode=sentinel_mode,
         finals=finals,
         b_max=b_max,
         b_min=b_min,
         labels=tuple(labels),
         postings=postings,
     )
+    if ix.sentinel_mode != bool(flags & FLAG_SENTINEL):
+        raise IndexFormatError("the sentinel flag and the reserved byte 0x01 label disagree")
+    if ix.sentinel_mode and (
+        postings[SENTINEL_BYTES] != _SENTINEL_EDGE
+        or any(1 in (postings[rho][0][0], postings[rho][1][0]) for rho in labels[1:])
+    ):
+        raise IndexFormatError("state 1 needs the sentinel edge 1->2 and no other edge")
+    return ix

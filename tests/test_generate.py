@@ -75,9 +75,7 @@ def test_wheeler_exact_budget(ten_state):
 
 
 def test_generation_error_when_window_unreachable():
-    params = GenerationParams(
-        n_strings=1, max_string_len=2, min_states=25, max_states=30, max_retries=5
-    )
+    params = GenerationParams(n_strings=1, max_string_len=2, min_states=25, max_states=30)
     with pytest.raises(GenerationError):
         generate_instance(1, params)
 

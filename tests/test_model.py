@@ -7,7 +7,7 @@ from collections import deque
 
 import pytest
 from conftest import CORPUS_DIR, load_instance
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgnfa.generate import build_piece_trie
@@ -64,25 +64,42 @@ def test_proper_suffix_sorts_below(x, y):
 
 
 def test_escape_round_trip():
-    assert unescape_token("@e") == b""
-    assert unescape_token("ab") == b"ab"
-    assert unescape_token(r"\x00\x01\xff") == b"\x00\x01\xff"
+    assert unescape_token(b"@e") == b""
+    assert unescape_token(b"ab") == b"ab"
+    assert unescape_token(rb"\x00\x01\xff") == b"\x00\x01\xff"
     assert escape_label(b"") == "@e"
     assert escape_label(b"ab") == "ab"
     assert escape_label(b"\x00a\\") == r"\x00a\x5c"
-    assert unescape_token(escape_label(b"\x02\x7f~ ")) == b"\x02\x7f~ "
+    assert escape_label(b"@e") == r"\x40e"
+    assert escape_label(b"@ef") == "@ef"
+    assert unescape_token(escape_label(b"\x02\x7f~ ").encode()) == b"\x02\x7f~ "
 
 
 @given(labels)
+@example(b"@e")
 def test_escape_label_inverts(label):
-    assert unescape_token(escape_label(label)) == label
+    assert unescape_token(escape_label(label).encode()) == label
 
 
 def test_unescape_rejects_bad_escape():
     with pytest.raises(GnfaFormatError):
-        unescape_token(r"\q")
+        unescape_token(rb"\q")
     with pytest.raises(GnfaFormatError):
-        unescape_token("a\\")
+        unescape_token(b"a\\")
+
+
+def test_escape_label_byte_table():
+    """Bytes 0x21-0x7e but the backslash are written as themselves,
+    every other byte as \\xNN; a bare or malformed escape is an error
+    in a label and in a pattern file alike."""
+    for b in range(256):
+        printed = 0x21 <= b <= 0x7E and b != 0x5C
+        assert escape_label(bytes([b])) == (chr(b) if printed else f"\\x{b:02x}")
+    for bad in (rb"\q", b"a\\", rb"\x4", rb"\xg0"):
+        with pytest.raises(GnfaFormatError, match="bad escape"):
+            parse_gnfa(b"gnfa 1\nstates 2\ninitial 1\nedge 1 2 " + bad + b"\n")
+        with pytest.raises(GnfaFormatError, match="bad escape"):
+            parse_patterns(b"ab\n" + bad + b"\n")
 
 
 def test_parse_patterns():
@@ -93,7 +110,11 @@ def test_parse_patterns():
 
 
 def test_format_parse_round_trip(ten_state, four_state):
-    for a in (ten_state, four_state):
+    # the label '@e' is written \x40e: '@e' itself reads back as epsilon
+    at_e = GeneralizedAutomaton(
+        state_count=3, edges=((1, 2, b"@e"), (2, 3, b"")), finals=frozenset({3})
+    )
+    for a in (ten_state, four_state, at_e):
         b = parse_gnfa(format_gnfa(a))
         assert b.state_count == a.state_count
         assert sorted(b.edges) == sorted(a.edges)

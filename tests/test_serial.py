@@ -245,6 +245,42 @@ def test_load_checks(ten_state, ten_state_index):
         deserialize(reframe(data, 4, crafted))
 
 
+def test_sentinel_flag_must_agree_with_dictionary(ten_state, ten_state_index):
+    """The flag bit alone does not make a sentinel index: set on a plain
+    file it would shift every interval down by one ('a' would answer
+    1..4, not 2..5), so the file is refused."""
+    res = match_interval(ten_state_index, b"a")
+    assert (res.lo, res.hi) == (2, 5)
+    data = serialize(ten_state_index)
+    flagged = data[:5] + b"\x01" + data[6:]
+    with pytest.raises(IndexFormatError, match="sentinel flag"):
+        deserialize(reframe(flagged, 4, split_sections(data)[4]))
+    data = serialize(build_index(ten_state, with_sentinel=True))
+    cleared = data[:5] + b"\x00" + data[6:]
+    with pytest.raises(IndexFormatError, match="reserved byte 0x01"):
+        deserialize(reframe(cleared, 4, split_sections(data)[4]))
+
+
+def test_sentinel_edge_is_the_only_edge_at_state_1(ten_state):
+    """A sentinel edge 1 -> 3 would make membership start at state 2
+    ('ca' accepted, 'bba' and 'aca' refused), and another edge at state 1
+    has no edge of the automaton to stand for, so the file is refused."""
+    data = serialize(build_index(ten_state, with_sentinel=True))
+    postings = split_sections(data)[5]
+    # label 0x01: edge 1 -> 2; label a: sources 2, 9, 10 and targets 3, 4, 5
+    assert postings[:10] == bytes([1, 1, 2, 3, 2, 9, 10, 3, 4, 5])
+    for edges in (
+        [1, 1, 3, 3, 2, 9, 10, 3, 4, 5],
+        [1, 2, 2, 3, 2, 9, 10, 3, 4, 5],
+        [2, 1, 1, 2, 2, 3, 2, 9, 10, 3, 4, 5],
+        [1, 1, 2, 3, 1, 9, 10, 3, 4, 5],
+        [1, 1, 2, 3, 2, 9, 10, 1, 4, 5],
+    ):
+        crafted = bytes(edges) + postings[10:]
+        with pytest.raises(IndexFormatError, match="sentinel edge"):
+            deserialize(reframe(data, 5, crafted))
+
+
 def test_wide_integers_round_trip():
     rng = random.Random(99)
     a = build_piece_trie(rng, n_strings=80, max_string_len=16, max_piece_len=2, alphabet=b"abcd")
