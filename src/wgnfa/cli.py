@@ -173,6 +173,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _depth(text: str) -> int:
+    depth = int(text)
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"depth must be 0 or more, not {depth}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wgnfa",
@@ -184,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("gnfa")
     b.add_argument("-o", "--output", required=True)
     b.add_argument("--sentinel", action="store_true", help="support membership queries")
-    b.add_argument("--axiom1-depth", type=int, default=0)
+    b.add_argument("--axiom1-depth", type=_depth, default=0)
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("validate", help="check structure and the order axioms")
     v.add_argument("gnfa")
-    v.add_argument("--axiom1-depth", type=int, default=0)
+    v.add_argument("--axiom1-depth", type=_depth, default=0)
     v.set_defaults(func=cmd_validate)
 
     q = sub.add_parser("query", help="run patterns against a serialized index")

@@ -65,7 +65,7 @@ class MatchTrace:
     c: list[int]
     d: list[int]
     steps: list[StepRecord]  # empty unless run with trace
-    ops: int  # index operations issued
+    ops: int  # the recursion's index queries, a g_k taken from f_k included
 
     def dump_tsv(self) -> str:
         """One row per consumed symbol: l, prefix, f_1..f_r, g_1..g_r,
@@ -112,6 +112,11 @@ def run_steps(
     the prefix; if neither pushes it past c[l] the suffixed block is
     empty and d[l] = c[l], otherwise it rounds up to the next marker.
 
+    When the l-k cuts coincide the block between them is empty and g_k
+    is f_k, so out_count is asked once for that chunk.  `ops` counts
+    the recursion's index queries all the same, a g_k taken from f_k
+    included, so it stays a function of the pattern and the index.
+
     Only with `trace` is a StepRecord kept per symbol; the counters and
     the `ops` total are the same either way.
 
@@ -149,11 +154,12 @@ def run_steps(
             g: dict[int, int] = {}
         for k in lengths if ell > r else range(1, ell):
             chunk = pattern[ell - k : ell]
-            fk = out_count(chunk, c[ell - k])
+            cut, wide = c[ell - k], d[ell - k]
+            fk = out_count(chunk, cut)
             bound = max_prefix_with_in_at_most(chunk, fk)
             if bound < j:
                 j = bound
-            gk = out_count(chunk, d[ell - k])
+            gk = fk if wide == cut else out_count(chunk, wide)
             ops += 3
             if gk > fk:
                 pos = min_prefix_with_in_at_least(chunk, gk)

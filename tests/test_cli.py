@@ -135,6 +135,19 @@ def test_validate_axiom3_fail_row(tmp_path, capsys):
     assert "axiom3\tFAIL\t(1,2,b)\t(1,3,a)\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_negative_axiom1_depth_is_usage_error(tmp_path, gnfa_file, capsys, command):
+    out = tmp_path / "x.wgx"
+    argv = [command, str(gnfa_file), "--axiom1-depth", "-1"]
+    if command == "build":
+        argv += ["-o", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "depth must be 0 or more" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_rejects_invalid(tmp_path, capsys):
     bad = tmp_path / "bad.gnfa"
     bad.write_text("gnfa 1\nstates 2\ninitial 1\nfinal 2\nedge 2 1 a\n")

@@ -26,7 +26,15 @@ from conftest import corpus_names, load_index, load_instance, load_sidecar_patte
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def test_trace_cba(ten_state_index):
+def test_trace_cba(ten_state_index, monkeypatch):
+    calls = []
+    out_count = ten_state_index.out_count
+
+    def counted(chunk, j):
+        calls.append((chunk, j))
+        return out_count(chunk, j)
+
+    monkeypatch.setattr(ten_state_index, "out_count", counted)
     tr = run_steps(ten_state_index, b"cba")
     assert tr.c == [0, 9, 9, 2]
     assert tr.d == [10, 10, 9, 2]
@@ -38,6 +46,9 @@ def test_trace_cba(ten_state_index):
     assert s3.g == {1: 3, 2: 2}
     assert (s3.j_star, s3.i_star, s3.h_star, s3.t_star) == (4, 0, 2, 2)
     assert (s3.c, s3.d) == (2, 2)
+    # at step 3, k=1 the cuts c[2] = d[2] = 9 coincide, so g_1 is f_1 and
+    # that chunk asks out_count once; ops still counts both
+    assert calls == [(b"b", 9), (b"b", 10), (b"a", 9), (b"ba", 9), (b"ba", 10)]
     assert tr.ops == 22
 
 
