@@ -3,14 +3,17 @@
 For each state i (in Wheeler numbering), a_max[i] is the largest state
 from which i can be reached by a possibly empty chain of epsilon edges,
 and a_min[i] the smallest.  Both satisfy a one-step recurrence over the
-direct epsilon predecessors, so a single depth-first sweep that follows
-epsilon edges backwards computes them in one pass over the edges.
+direct epsilon predecessors, so folding them along the epsilon edges in
+topological order (Kahn's algorithm) computes them in one pass over the
+edges.
 
 In a valid Wheeler numbering the epsilon edges cannot form a cycle
 through two or more distinct states, which is what makes the recurrence
-well founded.  The sweep detects any such cycle (a gray state re-entered
-through a non-self-loop epsilon edge) and raises EpsilonCycleError.
-Epsilon self-loops are harmless and are ignored.
+well founded: the largest state m on such a cycle has a predecessor
+x < m and a successor w < m on it, so the epsilon edges x -> m and
+m -> w break axiom 4.  States the fold never releases lie on such a
+cycle or are reached from one, and EpsilonCycleError names one.  Epsilon
+self-loops are harmless and are ignored.
 
 The marker bitvectors b_max / b_min flag the fixpoints a_max[i] == i
 resp. a_min[i] == i; interval endpoints of query prefixes always sit on
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from itertools import accumulate, count, islice
 from operator import eq
 
-from .model import EPSILON, GeneralizedAutomaton
+from .model import GeneralizedAutomaton
 
 
 class EpsilonCycleError(ValueError):
@@ -41,7 +44,7 @@ class EpsilonClosureArrays:
 
     a_max: list[int]
     a_min: list[int]
-    edge_visits: int  # epsilon edges examined during the sweep
+    edge_visits: int  # non-self-loop epsilon edges folded, each once
 
 
 @dataclass(frozen=True)
@@ -51,81 +54,65 @@ class MarkerBits:
 
 
 def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
-    """One backward DFS over the epsilon edges, folding max and min.
+    """One topological fold over the epsilon edges, carrying max and min.
 
-    States are started in increasing order but the result does not
-    depend on that; each epsilon edge is examined exactly once, so the
-    sweep is linear in the number of edges.
+    A state is released once all its epsilon predecessors are, and then
+    passes its extrema along each of its out-edges, so every epsilon edge
+    is examined exactly once and the pass is linear in the edges.
+
+    If states remain unreleased, raises EpsilonCycleError(u, v) for the
+    first repeat on the walk that starts at the smallest unreleased state
+    and steps to each state's first unreleased predecessor in input
+    order.  validate() already rejects such an automaton, as it breaks
+    axiom 4; this check serves callers that skip validation.
     """
     n = a.state_count
-    srcs = []
-    tgts = []
-    for u, v, rho in a.edges:
-        if rho == EPSILON and u != v:
-            srcs.append(u)
-            tgts.append(v)
-
-    # group predecessor lists by target in one flat array with a counting
-    # sort; it is stable, so the sweep meets each state's predecessors in
-    # input order and reports the same cycle for the same input
+    eps = [(u, v) for u, v, _ in a.epsilon_edges if u != v]
+    pending = [0] * (n + 1)  # unreleased epsilon predecessors per state
     offs = [0] * (n + 2)
-    for v in tgts:
-        offs[v + 1] += 1
+    for u, v in eps:
+        pending[v] += 1
+        offs[u] += 1
+    # counting sort by source: offs[u] ends u's block, and placing each
+    # edge moves it back, so u's successors end up in offs[u]..offs[u+1]
     offs = list(accumulate(offs))
-    fill = offs[:]
-    flat = [0] * len(srcs)
-    for u, v in zip(srcs, tgts):
-        flat[fill[v]] = u
-        fill[v] += 1
+    succ = [0] * len(eps)
+    for u, v in eps:
+        offs[u] -= 1
+        succ[offs[u]] = v
 
     a_max = list(range(n + 1))
     a_min = list(range(n + 1))
-    color = bytearray(n + 1)  # 0 white, 1 gray, 2 black
+    todo = list({u for u, _ in eps if not pending[u]})
     visits = 0
+    while todo:
+        u = todo.pop()
+        hi = a_max[u]
+        lo = a_min[u]
+        out = succ[offs[u] : offs[u + 1]]
+        visits += len(out)
+        for v in out:
+            if hi > a_max[v]:
+                a_max[v] = hi
+            if lo < a_min[v]:
+                a_min[v] = lo
+            pending[v] -= 1
+            if not pending[v]:
+                todo.append(v)
 
-    for start in range(1, n + 1):
-        # a state without epsilon predecessors is its own extremum, and a
-        # sweep that meets it as a predecessor pushes, pops and folds it
-        if color[start] or offs[start] == offs[start + 1]:
-            continue
-        color[start] = 1
-        nodes = [start]
-        ptrs = [offs[start]]
-        while nodes:
-            node = nodes[-1]
-            ptr = ptrs[-1]
-            end = offs[node + 1]
-            descended = False
-            while ptr < end:
-                j = flat[ptr]
-                ptr += 1
-                visits += 1
-                cj = color[j]
-                if cj == 2:
-                    if a_max[j] > a_max[node]:
-                        a_max[node] = a_max[j]
-                    if a_min[j] < a_min[node]:
-                        a_min[node] = a_min[j]
-                elif cj == 0:
-                    ptrs[-1] = ptr
-                    color[j] = 1
-                    nodes.append(j)
-                    ptrs.append(offs[j])
-                    descended = True
-                    break
-                else:
-                    raise EpsilonCycleError(j, node)
-            if descended:
-                continue
-            color[node] = 2
-            nodes.pop()
-            ptrs.pop()
-            if nodes:
-                parent = nodes[-1]
-                if a_max[node] > a_max[parent]:
-                    a_max[parent] = a_max[node]
-                if a_min[node] < a_min[parent]:
-                    a_min[parent] = a_min[node]
+    if visits < len(eps):
+        # a state is unreleased iff one of its predecessors is, so the
+        # keys here are exactly the unreleased states
+        first: dict[int, int] = {}
+        for u, v in eps:
+            if pending[u]:
+                first.setdefault(v, u)
+        node = min(first)
+        path = {node}
+        while (pred := first[node]) not in path:
+            path.add(pred)
+            node = pred
+        raise EpsilonCycleError(pred, node)
 
     return EpsilonClosureArrays(a_max=a_max, a_min=a_min, edge_visits=visits)
 

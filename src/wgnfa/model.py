@@ -210,26 +210,17 @@ def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
         raise GnfaFormatError("missing 'initial' line")
     if initial != 1:
         raise GnfaFormatError(f"initial state must be 1, got {initial}")
-    try:
-        return GeneralizedAutomaton(
-            state_count=state_count,
-            edges=tuple(edges),
-            finals=frozenset(finals),
-            initial=initial,
-        )
-    except GnfaFormatError as exc:
-        raise GnfaFormatError(str(exc)) from None
+    return GeneralizedAutomaton(
+        state_count=state_count,
+        edges=tuple(edges),
+        finals=frozenset(finals),
+        initial=initial,
+    )
 
 
-def format_gnfa(a: GeneralizedAutomaton, comment: str | None = None) -> str:
+def format_gnfa(a: GeneralizedAutomaton) -> str:
     """Render an automaton back into the text format."""
-    lines = []
-    if comment:
-        for row in comment.splitlines():
-            lines.append(f"# {row}" if row else "#")
-    lines.append("gnfa 1")
-    lines.append(f"states {a.state_count}")
-    lines.append(f"initial {a.initial}")
+    lines = ["gnfa 1", f"states {a.state_count}", f"initial {a.initial}"]
     if a.finals:
         lines.append("final " + " ".join(str(q) for q in sorted(a.finals)))
     for u, v, rho in a.edges:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgnfa.closure import EpsilonCycleError, build_closure_arrays, build_marker_bits
-from wgnfa.model import GeneralizedAutomaton
+from wgnfa.model import GeneralizedAutomaton, validate
 from wgnfa.oracle import brute_closure
 
 
@@ -147,3 +147,95 @@ def test_markers_flag_fixpoints(a):
         assert mk.b_max[i] == (1 if cl.a_max[i] == i else 0)
         assert mk.b_min[i] == (1 if cl.a_min[i] == i else 0)
     assert mk.b_max[0] == 0 and mk.b_min[0] == 0
+
+
+@st.composite
+def random_eps_graph(draw):
+    """An automaton with arbitrary edges, mostly empty-labeled: cycles,
+    self-loops and parallel epsilon edges are all allowed."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    state = st.integers(min_value=1, max_value=n)
+    label = st.sampled_from([b"", b"", b"", b"", b"a"])
+    edges = draw(st.lists(st.tuples(state, state, label), max_size=14))
+    return GeneralizedAutomaton(
+        state_count=n, edges=tuple(edges), finals=frozenset({n})
+    )
+
+
+def _brute_cycle_witness(a):
+    """The cycle witness build_closure_arrays documents, from
+    reachability alone: a state is never released iff an ancestor of
+    it, itself included, reaches itself through two or more states.
+    From the smallest such state, step to the first such predecessor in
+    input order until a state repeats; None if no state is on a cycle."""
+    n = a.state_count
+    eps = [(u, v) for u, v, rho in a.edges if rho == b"" and u != v]
+    # reach[u]: states reachable from u by one or more epsilon edges
+    reach = {u: set() for u in range(1, n + 1)}
+    for u in range(1, n + 1):
+        todo = [u]
+        while todo:
+            x = todo.pop()
+            for s, t in eps:
+                if s == x and t not in reach[u]:
+                    reach[u].add(t)
+                    todo.append(t)
+    cyclic = {u for u in reach if u in reach[u]}
+    if not cyclic:
+        return None
+    stuck = cyclic.union(*(reach[y] for y in cyclic))
+    node = min(stuck)
+    path = [node]
+    while True:
+        pred = next(u for u, v in eps if v == node and u in stuck)
+        if pred in path:
+            return pred, node
+        path.append(pred)
+        node = pred
+
+
+@settings(max_examples=500)
+@given(random_eps_graph())
+def test_cycle_witness_matches_brute(a):
+    witness = _brute_cycle_witness(a)
+    if witness is None:
+        cl = build_closure_arrays(a)
+        assert cl.edge_visits == sum(
+            1 for u, v, rho in a.edges if rho == b"" and u != v
+        )
+        bmax, bmin = brute_closure(a)
+        assert list(cl.a_max) == bmax
+        assert list(cl.a_min) == bmin
+    else:
+        with pytest.raises(EpsilonCycleError) as exc:
+            build_closure_arrays(a)
+        assert (exc.value.u, exc.value.v) == witness
+
+
+@st.composite
+def planted_eps_cycle(draw):
+    """A random small automaton plus an epsilon cycle through two or
+    more distinct states, its edges shuffled into the rest."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    state = st.integers(min_value=1, max_value=n)
+    label = st.sampled_from([b"", b"a", b"b", b"ab"])
+    edges = draw(st.lists(st.tuples(state, state, label), max_size=12))
+    ring = draw(st.lists(state, min_size=2, max_size=n, unique=True))
+    edges += [(u, v, b"") for u, v in zip(ring, ring[1:] + ring[:1])]
+    edges = draw(st.permutations(edges))
+    return GeneralizedAutomaton(
+        state_count=n, edges=tuple(edges), finals=frozenset({n})
+    )
+
+
+@settings(max_examples=300)
+@given(planted_eps_cycle())
+def test_epsilon_cycle_breaks_axiom4(a):
+    """The largest state m on the cycle has cycle neighbours x, w < m:
+    the epsilon edges x -> m and m -> w break axiom 4, so validation
+    fails before the closure could meet the cycle."""
+    rep = validate(a)
+    assert not (rep.axiom3_ok and rep.axiom4_ok)
+    assert not rep.ok
+    with pytest.raises(EpsilonCycleError):
+        build_closure_arrays(a)
