@@ -23,8 +23,7 @@ such markers, which is how the matcher rounds candidate boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, count, islice
-from operator import eq
+from itertools import accumulate
 
 from .model import GeneralizedAutomaton
 
@@ -45,6 +44,7 @@ class EpsilonClosureArrays:
     a_max: list[int]
     a_min: list[int]
     edge_visits: int  # non-self-loop epsilon edges folded, each once
+    targets: list[int]  # their targets, the only states an extremum can move at
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,23 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
             node = pred
         raise EpsilonCycleError(pred, node)
 
-    return EpsilonClosureArrays(a_max=a_max, a_min=a_min, edge_visits=visits)
+    return EpsilonClosureArrays(
+        a_max=a_max, a_min=a_min, edge_visits=visits, targets=succ
+    )
 
 
 def build_marker_bits(closure: EpsilonClosureArrays) -> MarkerBits:
-    """Bit i set iff state i is its own closure extremum."""
+    """Bit i set iff state i is its own closure extremum.
+
+    A state that is no epsilon edge's target keeps a_max[i] = a_min[i]
+    = i, so each marker starts as all ones and only the targets are
+    looked at: O(n) bytes filled and O(epsilon) entries compared.
+    """
 
     def fixpoints(a: list[int]) -> bytes:
-        return b"\x00" + bytes(map(eq, islice(a, 1, None), count(1)))
+        bits = bytearray(b"\x00" + b"\x01" * (len(a) - 1))
+        for v in closure.targets:
+            bits[v] = a[v] == v
+        return bytes(bits)
 
     return MarkerBits(b_max=fixpoints(closure.a_max), b_min=fixpoints(closure.a_min))

@@ -167,32 +167,38 @@ def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
     initial: int | None = None
     finals: set[int] = set()
     edges: list[Edge] = []
+    labels: dict[bytes, bytes] = {}  # token -> its decoded, checked label
     saw_header = False
 
     for lineno, raw in enumerate(text.split(b"\n"), start=1):
         fields = raw.split()
-        if not fields or fields[0].startswith(b"#"):
-            continue
-        if not saw_header:
-            if fields != [b"gnfa", b"1"]:
-                raise GnfaFormatError(f"line {lineno}: expected header 'gnfa 1'")
-            saw_header = True
+        if not fields:
             continue
         kind = fields[0]
         try:
-            if kind == b"states":
+            # nearly every line is an edge; the states come before the
+            # label, and a token's first line is the one a bad label names
+            if kind == b"edge" and saw_header:
+                _, u, v, token = fields
+                u, v = int(u), int(v)
+                rho = labels.get(token)
+                if rho is None:
+                    rho = unescape_token(token)
+                    _check_label_bytes(rho, lineno)
+                    labels[token] = rho
+                edges.append((u, v, rho))
+            elif kind.startswith(b"#"):
+                continue
+            elif not saw_header:
+                if fields != [b"gnfa", b"1"]:
+                    raise GnfaFormatError(f"line {lineno}: expected header 'gnfa 1'")
+                saw_header = True
+            elif kind == b"states":
                 (state_count,) = map(int, fields[1:])
             elif kind == b"initial":
                 (initial,) = map(int, fields[1:])
             elif kind == b"final":
                 finals.update(map(int, fields[1:]))
-            elif kind == b"edge":
-                if len(fields) != 4:
-                    raise ValueError
-                u, v = int(fields[1]), int(fields[2])
-                rho = unescape_token(fields[3])
-                _check_label_bytes(rho, lineno)
-                edges.append((u, v, rho))
             else:
                 name = kind.decode("latin-1")
                 raise GnfaFormatError(f"line {lineno}: unknown directive {name!r}")

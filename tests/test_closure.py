@@ -72,6 +72,10 @@ def test_epsilon_self_loop_ignored():
     cl = build_closure_arrays(a)
     assert list(cl.a_max) == [0, 1, 2, 3]
     assert list(cl.a_min) == [0, 1, 2, 2]
+    # the self-loop's target 2 keeps both bits
+    mk = build_marker_bits(cl)
+    assert list(mk.b_max) == [0, 1, 1, 1]
+    assert list(mk.b_min) == [0, 1, 1, 0]
 
 
 def test_descending_chain():
@@ -81,6 +85,9 @@ def test_descending_chain():
     assert all(cl.a_max[i] == n for i in range(1, n + 1))
     assert all(cl.a_min[i] == i for i in range(1, n + 1))
     assert cl.edge_visits == n - 1
+    mk = build_marker_bits(cl)
+    assert mk.b_max == bytes(n) + b"\x01"
+    assert mk.b_min == b"\x00" + b"\x01" * n
 
 
 def test_ascending_chain():
@@ -89,6 +96,9 @@ def test_ascending_chain():
     cl = build_closure_arrays(a)
     assert all(cl.a_min[i] == 1 for i in range(1, n + 1))
     assert all(cl.a_max[i] == i for i in range(1, n + 1))
+    mk = build_marker_bits(cl)
+    assert mk.b_max == b"\x00" + b"\x01" * n
+    assert mk.b_min == b"\x00\x01" + bytes(n - 1)
 
 
 def test_matches_brute_on_samples(ten_state, four_state):

@@ -161,6 +161,42 @@ def test_parse_gnfa_errors():
         parse_gnfa("gnfa 1\nstates 2\ninitial 1\nedge 1 2 a\\x00b\n")
 
 
+_HEAD = b"gnfa 1\nstates 3\ninitial 1\n"
+_SENTINEL_AT_5 = "line 5: reserved sentinel byte 0x01 in label"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # each token is decoded and checked once, so its first line is named
+        (
+            _HEAD + b"edge 1 2 a\nedge 1 2 \\x01\nedge 2 3 a\nedge 2 3 \\x01\n",
+            SentinelInLabelError,
+            _SENTINEL_AT_5,
+        ),
+        (
+            _HEAD + b"edge 1 2 a\nedge 1 2 \x01\nedge 2 3 a\nedge 2 3 \x01\n",
+            SentinelInLabelError,
+            _SENTINEL_AT_5,
+        ),
+        # the states are parsed before the label
+        (_HEAD + b"edge 1 x \\x01\n", GnfaFormatError, "line 4: malformed 'edge' line"),
+        (b"edge 1 2 a\ngnfa 1\n", GnfaFormatError, "line 1: expected header 'gnfa 1'"),
+        (_HEAD + b"edge 1 2 a b\n", GnfaFormatError, "line 4: malformed 'edge' line"),
+    ],
+)
+def test_parse_gnfa_edge_line_errors(text, error, message):
+    with pytest.raises(GnfaFormatError) as exc:
+        parse_gnfa(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_parse_gnfa_edge_lines_share_labels():
+    a = parse_gnfa(_HEAD + b"final 3\n#edge 1 2 a\nedge 1 2 a\nedge 2 3 \\x61\n")
+    assert a.edges == ((1, 2, b"a"), (2, 3, b"a"))
+
+
 @pytest.mark.parametrize("byte", [0x85, 0xA0, 0x1C, 0x1D, 0x1E, 0x1F])
 def test_parse_gnfa_keeps_non_ascii_space_bytes(byte):
     """Only ASCII whitespace separates fields and only LF ends a line, so
