@@ -22,11 +22,14 @@ dictionary and its postings (per-label ascending source and target
 arrays of narrow unsigned integers, searched with bisect) there are
 rank/select bitvectors for the finals and the two closure markers the
 epsilon edges add, each holding its packed bits and the positions of
-its rarer bit (none for a marker of an epsilon-free automaton), and two
+its rarer bit (none for a marker of an epsilon-free automaton), and three
 derived tables with one row per dictionary label, never one per edge:
 per label length, the reversed labels with a suffix minimum over each
-label's smallest target; and all reversed labels in dictionary order
-with a range-maximum sparse table over each label's largest target.
+label's smallest target; per label, the entry of that suffix minimum
+just past the label's own row, which is the label-order bound of a
+matching step whose chunk is that label; and all reversed labels in
+dictionary order with a range-maximum sparse table over each label's
+largest target.
 """
 
 from __future__ import annotations
@@ -93,17 +96,24 @@ class WheelerIndex:
         # co-lex order is the order of reversed labels, so the dictionary
         # already lists the rows sorted
         self._rev = [rho[::-1] for rho in labels]
-        by_len: dict[int, tuple[list[bytes], list[int]]] = {}
+        by_len: dict[int, tuple[list[bytes], list[bytes]]] = {}
         for rho, rev in zip(labels, self._rev):
-            revs, firsts = by_len.setdefault(len(rho), ([], []))
+            rhos, revs = by_len.setdefault(len(rho), ([], []))
+            rhos.append(rho)
             revs.append(rev)
-            firsts.append(postings[rho][1][0])
         # per length: reversed labels and, from each row on, the smallest
         # target of that row or any later one (None past the end)
-        self._by_len = {
-            k: (revs, list(accumulate(reversed(firsts), min))[::-1] + [None])
-            for k, (revs, firsts) in by_len.items()
-        }
+        self._by_len = {}
+        # per label rho: the smallest state entered by a label of the same
+        # length sorting strictly above it, or None; what
+        # min_state_with_len_k_label_ge(len(rho), x + rho) returns for any
+        # byte x, keyed by the dictionary's own label objects
+        self.min_state_above: dict[bytes, int | None] = {}
+        for k, (rhos, revs) in by_len.items():
+            firsts = [postings[rho][1][0] for rho in reversed(rhos)]
+            suffix_min = list(accumulate(firsts, min))[::-1] + [None]
+            self._by_len[k] = (revs, suffix_min)
+            self.min_state_above.update(zip(rhos, suffix_min[1:]))
         # sparse table: level i holds the largest target over the 2^i
         # rows starting at each row
         level = [postings[rho][1][-1] for rho in labels]
@@ -114,6 +124,8 @@ class WheelerIndex:
             self._max_levels.append(level)
             span *= 2
         self.r = max(by_len, default=0)
+        # b_max has no zero bit on every epsilon-free index
+        self._floor_is_identity = b_max.ones == b_max.n
 
     # -- counting ----------------------------------------------------------
 
@@ -171,7 +183,10 @@ class WheelerIndex:
     # -- markers and finals ------------------------------------------------
 
     def marker_floor(self, j: int) -> int:
-        """Largest t <= j with b_max[t] set; 0 when there is none."""
+        """Largest t <= j with b_max[t] set; 0 when there is none (j
+        itself when b_max is all ones, as on every epsilon-free index)."""
+        if self._floor_is_identity:
+            return j
         k = self.b_max.rank1(j)
         return 0 if k == 0 else self.b_max.select1(k)
 

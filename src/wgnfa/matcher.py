@@ -14,10 +14,15 @@ c and d are advanced one pattern symbol at a time, both in one loop
 r, a cap on how many length-k edges may enter the candidate block
 (counted out of the interval already known for the l-k prefix) with a
 co-lexicographic cap on the labels themselves, then rounds down to a
-closure marker.  The upper bound is pushed up past forced edge targets
-and suffix-labeled edges; when nothing forces it past c[l] the suffixed
-block is empty and d[l] = c[l], otherwise the boundary rounds up to the
-next closure marker.  The loop keeps a per-symbol StepRecord of these
+closure marker.  Once the prefix is longer than the chunk, the label
+cap depends on the chunk alone, and for a chunk that is a dictionary
+label the index keeps it in a per-label row (min_state_above); the
+bisecting query runs only for other chunks and, within the first r
+symbols, for the label lengths the prefix does not exceed.  The upper
+bound is pushed up past forced edge targets and suffix-labeled edges;
+when nothing forces it past c[l] the suffixed block is empty and
+d[l] = c[l], otherwise the boundary rounds up to the next closure
+marker.  The loop keeps a per-symbol StepRecord of these
 internals only when asked to trace; interval and membership queries
 run it without, and `wgnfa query --trace` runs it again with them.
 
@@ -112,10 +117,21 @@ def run_steps(
     the prefix; if neither pushes it past c[l] the suffixed block is
     empty and d[l] = c[l], otherwise it rounds up to the next marker.
 
+    For k < l the prefix is longer than the chunk, so "at or above the
+    prefix" is "strictly above the chunk": a chunk that is a dictionary
+    label reads that bound off ix.min_state_above, and any other chunk
+    asks min_state_with_len_k_label_ge with the chunk and the byte
+    before it.  The lengths k >= l, which exist only while l <= r, ask
+    it with the whole prefix, and so does the suffix query; past r no
+    prefix is a label suffix and i* is 0.
+
     When the l-k cuts coincide the block between them is empty and g_k
     is f_k, so out_count is asked once for that chunk.  `ops` counts
-    the recursion's index queries all the same, a g_k taken from f_k
-    included, so it stays a function of the pattern and the index.
+    the recursion's index queries all the same: a g_k taken from f_k,
+    a label bound read off the row, the suffix query past r and a
+    marker floor that returns its argument are each counted as the
+    query they stand for, r + 2 label, suffix and floor queries per
+    step, so `ops` stays a function of the pattern and the index.
 
     Only with `trace` is a StepRecord kept per symbol; the counters and
     the `ops` total are the same either way.
@@ -133,6 +149,7 @@ def run_steps(
     max_state_with_suffix_label = ix.max_state_with_suffix_label
     marker_floor = ix.marker_floor
     marker_ceiling = ix.marker_ceiling
+    min_state_above = ix.min_state_above
     n, r = ix.n_states, ix.r
     lengths = range(1, r + 1)
     keep = 0
@@ -159,6 +176,13 @@ def run_steps(
             bound = max_prefix_with_in_at_most(chunk, fk)
             if bound < j:
                 j = bound
+            # the prefix is longer than the chunk, so the label-order bound
+            # compares strictly and depends on the chunk alone
+            hit = min_state_above.get(chunk, 0)
+            if hit == 0:
+                hit = min_state_with_len_k_label_ge(k, pattern[ell - k - 1 : ell])
+            if hit is not None and hit - 1 < j:
+                j = hit - 1
             gk = fk if wide == cut else out_count(chunk, wide)
             ops += 3
             if gk > fk:
@@ -169,17 +193,18 @@ def run_steps(
             if trace:
                 f[k] = fk
                 g[k] = gk
-        # every label comparison looks at most r bytes back, and one extra
-        # byte keeps the longer-than-k strictness decisions identical, so a
-        # bounded tail stands in for the whole prefix at O(r) per step; a
-        # tail longer than r can never be a label suffix
-        prefix = pattern[ell - r - 1 : ell] if ell > r else pattern[:ell]
-        for k in lengths:
-            hit = min_state_with_len_k_label_ge(k, prefix)
-            if hit is not None and hit - 1 < j:
-                j = hit - 1
+        # within the first r symbols, the label lengths k >= l compare
+        # against the whole prefix, and some label may end with it; past
+        # them no prefix is a label suffix, so i* is 0
+        i_star = 0
+        if ell <= r:
+            prefix = pattern[:ell]
+            for k in range(ell, r + 1):
+                hit = min_state_with_len_k_label_ge(k, prefix)
+                if hit is not None and hit - 1 < j:
+                    j = hit - 1
+            i_star = max_state_with_suffix_label(prefix)
         t = marker_floor(j)
-        i_star = max_state_with_suffix_label(prefix)
         ops += r + 2
         h = i_star if i_star > forced else forced
         if h <= t:

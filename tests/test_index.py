@@ -18,7 +18,7 @@ from wgnfa.model import (
     colex_key,
     validate,
 )
-from wgnfa.serial import deserialize, serialize
+from wgnfa.serial import IndexFormatError, deserialize, serialize
 
 from conftest import corpus_names, load_index, load_instance
 
@@ -114,6 +114,25 @@ def test_properties(ten_state_index, four_state_index):
     assert ten_state_index.labels == (b"a", b"ba", b"ca", b"b", b"bb", b"c")
     assert not ten_state_index.sentinel_mode
 
+
+
+def test_min_state_above_is_the_strict_label_bound(all_corpus_names):
+    """Each label's row holds the label-order bound for that label read
+    behind a longer prefix (any byte before it; 0x02 is below every label
+    byte but the sentinel), keyed by the dictionary's own label objects,
+    built and loaded back."""
+    rows = 0
+    for name in all_corpus_names:
+        for sentinel in (False, True):
+            built = load_index(name, sentinel)
+            for ix in (built, deserialize(serialize(built))):
+                above = ix.min_state_above
+                assert {id(rho) for rho in above} == {id(rho) for rho in ix.labels}
+                for rho in ix.labels:
+                    want = ix.min_state_with_len_k_label_ge(len(rho), b"\x02" + rho)
+                    assert above[rho] == want, (name, sentinel, rho)
+                    rows += 1
+    assert rows > 1000
 
 
 def test_summary_derived_from_postings():
@@ -274,9 +293,39 @@ def _edge_multisets(draw):
         finals=frozenset({3}),
     )
 )
+def _breaks_axiom3(a):
+    """Some labeled edge enters a smaller state than an edge whose label
+    it sorts co-lexicographically above without ending with it."""
+    led = [e for e in a.edges if e[2]]
+    return any(
+        v < v2 and colex_key(rho) > colex_key(rho2) and not rho.endswith(rho2)
+        for _, v, rho in led
+        for _, v2, rho2 in led
+    )
+
+
+def _targets_in_label_order(a):
+    """a with its labeled edges' targets dealt out again in co-lex label
+    order, which keeps axiom 3."""
+    led = sorted((e for e in a.edges if e[2]), key=lambda e: colex_key(e[2]))
+    targets = sorted(v for _, v, _ in led)
+    edges = [(u, v, rho) for (u, _, rho), v in zip(led, targets)]
+    edges += [e for e in a.edges if not e[2]]
+    return GeneralizedAutomaton(state_count=a.state_count, edges=tuple(edges), finals=a.finals)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_edge_multisets())
 def test_ops_match_scans_on_edge_multisets(a):
+    # a file whose edges break axiom 3 is refused on load, and only such
+    # a file; the same edges with their targets in label order load
     ix = build_index(a)
     _scan_checks(a, ix)
-    _scan_checks(a, deserialize(serialize(ix)))
+    if _breaks_axiom3(a):
+        with pytest.raises(IndexFormatError, match="axiom 3"):
+            deserialize(serialize(ix))
+    else:
+        _scan_checks(a, deserialize(serialize(ix)))
+    b = _targets_in_label_order(a)
+    assert not _breaks_axiom3(b)
+    _scan_checks(b, deserialize(serialize(build_index(b))))

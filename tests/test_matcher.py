@@ -52,6 +52,43 @@ def test_trace_cba(ten_state_index, monkeypatch):
     assert tr.ops == 22
 
 
+def test_label_queries_only_in_the_first_r_symbols(ten_state_index, monkeypatch):
+    # every 1- and 2-byte window of "bbbbba" is a label (r = 2), so past
+    # the first two symbols each chunk reads its bound off its row and no
+    # prefix can be a label suffix; a chunk no label matches ("z", "bz")
+    # still asks the label-order query, with one byte before the chunk
+    ix = ten_state_index
+    assert ix.r == 2
+    want = {pat: run_steps(ix, pat) for pat in (b"bbbbba", b"bbbbbz")}
+    calls = []
+    for name in ("min_state_with_len_k_label_ge", "max_state_with_suffix_label"):
+        def counted(*args, name=name, fn=getattr(ix, name)):
+            calls.append((name, args))
+            return fn(*args)
+
+        monkeypatch.setattr(ix, name, counted)
+    first_two = [
+        ("min_state_with_len_k_label_ge", (1, b"b")),
+        ("min_state_with_len_k_label_ge", (2, b"b")),
+        ("max_state_with_suffix_label", (b"b",)),
+        ("min_state_with_len_k_label_ge", (2, b"bb")),
+        ("max_state_with_suffix_label", (b"bb",)),
+    ]
+    tr = run_steps(ix, b"bbbbba")
+    assert calls == first_two
+    assert (tr.c, tr.d, tr.dump_tsv()) == (want[b"bbbbba"].c, want[b"bbbbba"].d,
+                                           want[b"bbbbba"].dump_tsv())
+    # still r + 2 label, suffix and floor queries counted per step
+    assert tr.ops == want[b"bbbbba"].ops == 53
+    calls.clear()
+    tr = run_steps(ix, b"bbbbbz")
+    assert calls == first_two + [
+        ("min_state_with_len_k_label_ge", (1, b"bz")),
+        ("min_state_with_len_k_label_ge", (2, b"bbz")),
+    ]
+    assert (tr.c, tr.d, tr.ops) == (want[b"bbbbbz"].c, want[b"bbbbbz"].d, want[b"bbbbbz"].ops)
+
+
 def test_trace_cba_golden(ten_state_index):
     want = (GOLDEN / "ten_state_cba.trace.tsv").read_text().rstrip("\n")
     assert run_steps(ten_state_index, b"cba").dump_tsv() == want

@@ -281,6 +281,24 @@ def test_sentinel_edge_is_the_only_edge_at_state_1(ten_state):
             deserialize(reframe(data, 5, crafted))
 
 
+def test_file_breaking_axiom3_refused():
+    """Edges 1 -> 3 'a' and 1 -> 2 'b': 'b' sorts above 'a' and does not
+    end with it, yet enters a smaller state.  The library build trusts
+    the numbering, and the loaded file answered 'a' with 2..3 and 'b'
+    with nothing, where the automaton reaches {3} and {2}."""
+    a = GeneralizedAutomaton(
+        state_count=3, edges=((1, 3, b"a"), (1, 2, b"b")), finals=frozenset({3})
+    )
+    for sentinel in (False, True):
+        with pytest.raises(IndexFormatError, match="axiom 3"):
+            deserialize(serialize(build_index(a, with_sentinel=sentinel)))
+    # a label ending with 'a' may enter a smaller state
+    a = GeneralizedAutomaton(
+        state_count=3, edges=((1, 3, b"a"), (1, 2, b"ba")), finals=frozenset({3})
+    )
+    assert deserialize(serialize(build_index(a))).labels == (b"a", b"ba")
+
+
 def test_wide_integers_round_trip():
     rng = random.Random(99)
     a = build_piece_trie(rng, n_strings=80, max_string_len=16, max_piece_len=2, alphabet=b"abcd")
