@@ -22,7 +22,7 @@ median and quartiles over the pairs, the change's wins and losses
 tenths of the pairs, and the medians differ, in the metric's better
 direction, by more than the parent's interquartile range.  Every run
 is kept under "runs", and the file is rewritten after each run, so an
-interrupted session leaves what it measured.
+interrupted run leaves what it measured.
 """
 
 from __future__ import annotations
