@@ -3,8 +3,8 @@
 BENCH_<n>.json summary.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --seeds 161-170 \\
-        [--workload NAME ...] [--held-out 301,302] [--trace-seed 261] \\
-        [--claim WORKLOAD:METRIC] [--what TEXT] [--seconds S] -o BENCH_17.json
+        [--held-out 301,302] [--trace-seed 261] \\
+        [--claim WORKLOAD:METRIC] [--what TEXT] -o BENCH_17.json
 
 PARENT and CHANGE are the roots of two source checkouts.  The command,
 the workloads, the run length and each end-to-end metric's direction
@@ -108,19 +108,17 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--seeds", type=seed_list, required=True)
-    ap.add_argument("--workload", action="append", help="default: every workload")
     ap.add_argument("--held-out", type=seed_list, default=[])
     ap.add_argument("--trace-seed", type=int)
     ap.add_argument("--claim", help="WORKLOAD:METRIC")
     ap.add_argument("--what", default="")
-    ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json run_seconds")
     ap.add_argument("-o", "--output", type=Path, required=True)
     args = ap.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     command = bench["command"]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     claim = args.claim.split(":") if args.claim else None
     if claim and (len(claim) != 2 or claim[0] not in workloads or claim[1] not in better):

@@ -180,6 +180,19 @@ class WheelerIndex:
         level = self._max_levels[k]
         return max(level[lo], level[hi - (1 << k)])
 
+    def breaks_axiom3(self) -> bool:
+        """Whether the labeled edges break Wheeler axiom 3: some label
+        above label B's suffix block (co-lex above B and not ending with
+        it) enters a state below B's largest target."""
+        # from each row on, the smallest target of that row or any later one
+        firsts = [self.postings[rho][1][0] for rho in reversed(self.labels)]
+        suffix_min = list(accumulate(firsts, min))[::-1] + [self.n_states + 1]
+        return any(
+            suffix_min[bisect_right(self._rev, suffix_block_end(rev, self.r))]
+            < self.postings[rho][1][-1]
+            for rho, rev in zip(self.labels, self._rev)
+        )
+
     # -- markers and finals ------------------------------------------------
 
     def marker_floor(self, j: int) -> int:

@@ -42,8 +42,9 @@ iff its dictionary holds the label 0x01; the flag bit must agree, and
 the edge 1 -> 2 that the sentinel build adds under that label must be
 the only edge at state 1.  Last, the labeled edges must keep Wheeler
 axiom 3: no label co-lexicographically above label B, other than one
-ending with B, enters a state below B's largest target (one suffix
-minimum over the labels' smallest targets and one bisect per label).
+ending with B, enters a state below B's largest target
+(WheelerIndex.breaks_axiom3: one suffix minimum over the labels'
+smallest targets and one bisect per label).
 Axiom 4 holds by construction, since each label pairs its ascending
 sources with its ascending targets.  Version 1 files, which also stored
 derived tables, are rejected; rebuild them from their .gnfa source.
@@ -54,12 +55,10 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
-from bisect import bisect_right
-from itertools import accumulate
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_width
 from .index import WheelerIndex
-from .model import SENTINEL, SENTINEL_BYTES, suffix_block_end
+from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
 VERSION = 2
@@ -228,7 +227,6 @@ def deserialize(data: bytes) -> WheelerIndex:
 
     rd = _Reader(sections[4], w)
     labels: list[bytes] = []
-    revs: list[bytes] = []
     prev_rev = b""
     for _ in range(rd.u()):
         rho = rd.take(rd.u())
@@ -242,7 +240,6 @@ def deserialize(data: bytes) -> WheelerIndex:
         if SENTINEL in rho and rho != SENTINEL_BYTES:
             raise IndexFormatError("reserved byte 0x01 outside the sentinel label")
         labels.append(rho)
-        revs.append(rev)
         prev_rev = rev
     rd.finish("dictionary")
 
@@ -279,13 +276,6 @@ def deserialize(data: bytes) -> WheelerIndex:
         or any(1 in (postings[rho][0][0], postings[rho][1][0]) for rho in labels[1:])
     ):
         raise IndexFormatError("state 1 needs the sentinel edge 1->2 and no other edge")
-    # axiom 3: a label above label B's suffix block (co-lex above B and
-    # not ending with it) enters no state below B's largest target; from
-    # each row on, the smallest target of that row or any later one
-    firsts = [postings[rho][1][0] for rho in reversed(labels)]
-    suffix_min = list(accumulate(firsts, min))[::-1] + [n + 1]
-    for rho, rev in zip(labels, revs):
-        above = bisect_right(revs, suffix_block_end(rev, ix.r))
-        if suffix_min[above] < postings[rho][1][-1]:
-            raise IndexFormatError("the stored edges break Wheeler axiom 3")
+    if ix.breaks_axiom3():
+        raise IndexFormatError("the stored edges break Wheeler axiom 3")
     return ix
