@@ -8,7 +8,7 @@ BENCH_<n>.json summary.
 
 PARENT and CHANGE are the roots of two source checkouts.  The command,
 the workloads, the run length and each end-to-end metric's direction
-are read from CHANGE's BENCHMARK.json; every run is that command with
+and bound are read from CHANGE's BENCHMARK.json; every run is that command with
 --workload, --seed, --seconds and --trace appended, run from the root
 of one checkout.  For each workload, seed i of --seeds is one pair: the
 parent runs first when i is even and the change first when it is odd.
@@ -17,7 +17,13 @@ per side and workload at --trace-seed, the parent first.
 
 The summary gives, per workload and end-to-end metric, each side's
 median and quartiles over the pairs, the change's wins and losses
-(ties count for neither) and the change-over-parent ratio.  With
+(ties count for neither), the change-over-parent ratio and a verdict.
+The tolerance is the metric's bound times the parent median: the
+verdict is "regressed" when the change median is worse than the parent
+median by more than that, else "unresolved" when the parent's
+interquartile range is wider than that and not every change run beats
+every parent run, else "ok".  "verdicts" lists every workload and
+metric that is not "ok".  With
 --claim, it also applies the claim rule: the change wins at least nine
 tenths of the pairs, and the medians differ, in the metric's better
 direction, by more than the parent's interquartile range.  Every run
@@ -67,12 +73,24 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def compare(parent: list[float], change: list[float], higher_is_better: bool) -> dict:
-    """Medians, quartiles and wins over pairs (parent[i], change[i])."""
+def compare(parent: list[float], change: list[float], higher_is_better: bool,
+            bound: float) -> dict:
+    """Medians, quartiles, wins and the verdict over pairs (parent[i],
+    change[i])."""
     sign = 1 if higher_is_better else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
+    tolerance = bound * abs(pq[1])
+    # each side's value in the better direction: larger is better
+    change_worst = min(sign * c for c in change)
+    parent_best = max(sign * p for p in parent)
+    if sign * (pq[1] - cq[1]) > tolerance:
+        verdict = "regressed"
+    elif pq[2] - pq[0] > tolerance and change_worst <= parent_best:
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     return {
         "parent_median": pq[1],
         "change_median": cq[1],
@@ -83,10 +101,13 @@ def compare(parent: list[float], change: list[float], higher_is_better: bool) ->
         "change_wins": wins,
         "change_losses": losses,
         "pairs": len(parent),
+        "tolerance": tolerance,
+        "verdict": verdict,
     }
 
 
-def summarize(runs: list[dict], seeds: list[int], workloads: list[str], better: dict) -> dict:
+def summarize(runs: list[dict], seeds: list[int], workloads: list[str],
+              metrics: dict[str, tuple[str, float]]) -> dict:
     done = {(r["side"], r["workload"], r["seed"]): r["metrics"]
             for r in runs if r["trace"] == 0 and "metrics" in r}
     summary = {}
@@ -97,8 +118,8 @@ def summarize(runs: list[dict], seeds: list[int], workloads: list[str], better: 
         summary[wl] = {
             name: compare([done["parent", wl, s][name] for s in paired],
                           [done["change", wl, s][name] for s in paired],
-                          higher == "higher")
-            for name, higher in better.items()
+                          better == "higher", bound)
+            for name, (better, bound) in metrics.items()
         }
     return summary
 
@@ -119,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     command = bench["command"]
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    better = {name: b for name, (b, _) in metrics.items()}
     claim = args.claim.split(":") if args.claim else None
     if claim and (len(claim) != 2 or claim[0] not in workloads or claim[1] not in better):
         ap.error(f"--claim must be WORKLOAD:METRIC over {workloads} and {sorted(better)}")
@@ -152,7 +174,10 @@ def main(argv: list[str] | None = None) -> int:
             machine = run.pop("machine")
             out[f"{side}_commit"] = machine.pop("commit", "unknown")
             out["machine"] = machine
-        out["summary"] = summarize(runs, args.seeds, workloads, better)
+        out["summary"] = summarize(runs, args.seeds, workloads, metrics)
+        out["verdicts"] = {f"{wl}:{name}": res["verdict"]
+                           for wl, by_metric in out["summary"].items()
+                           for name, res in by_metric.items() if res["verdict"] != "ok"}
         if claim and claim[0] in out["summary"]:
             res = out["summary"][claim[0]][claim[1]]
             sign = 1 if better[claim[1]] == "higher" else -1

@@ -71,10 +71,7 @@ def make_cyclic(seed: int) -> GeneralizedAutomaton:
         (ring[i], ring[(i + 1) % k], EPSILON) for i in range(k)
     )
     return GeneralizedAutomaton(
-        state_count=base.state_count,
-        edges=base.edges + extra,
-        finals=base.finals,
-        initial=1,
+        state_count=base.state_count, edges=base.edges + extra, finals=base.finals
     )
 
 
@@ -92,8 +89,9 @@ def main() -> int:
         pats = sample_patterns(random.Random(pattern_seed), a, count=100, max_len=10)
         (out / f"{name}.patterns").write_text(pattern_lines(pats))
         sigma = len({b for _, _, rho in a.edges for b in rho})
+        eps = sum(not rho for _, _, rho in a.edges)
         rows.append(
-            f"{name}\t{a.state_count}\t{len(a.edges)}\t{len(a.epsilon_edges)}"
+            f"{name}\t{a.state_count}\t{len(a.edges)}\t{eps}"
             f"\t{a.max_label_len}\t{sigma}\t{len(a.finals)}"
         )
 

@@ -67,7 +67,7 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
     axiom 4; this check serves callers that skip validation.
     """
     n = a.state_count
-    eps = [(u, v) for u, v, _ in a.epsilon_edges if u != v]
+    eps = [(u, v) for u, v, rho in a.edges if not rho and u != v]
     pending = [0] * (n + 1)  # unreleased epsilon predecessors per state
     offs = [0] * (n + 2)
     for u, v in eps:

@@ -114,9 +114,7 @@ def build_piece_trie(
     )
     has_out = {ids[a] for a, _, _ in edge_set}
     sinks = frozenset(i for key, i in ids.items() if i not in has_out)
-    return GeneralizedAutomaton(
-        state_count=len(ordered), edges=edges, finals=sinks, initial=1
-    )
+    return GeneralizedAutomaton(state_count=len(ordered), edges=edges, finals=sinks)
 
 
 def _merge_sink_run(
@@ -152,7 +150,7 @@ def _merge_sink_run(
     edges = tuple((remap[u], remap[v], rho) for u, v, rho in a.edges)
     finals = frozenset(remap[q] for q in a.finals)
     return GeneralizedAutomaton(
-        state_count=a.state_count - (hi - lo), edges=edges, finals=finals, initial=1
+        state_count=a.state_count - (hi - lo), edges=edges, finals=finals
     )
 
 
@@ -184,19 +182,13 @@ def generate_instance(
             if q not in finals and rng.random() < EXTRA_FINAL_PROB:
                 finals.add(q)
         a = GeneralizedAutomaton(
-            state_count=a.state_count,
-            edges=a.edges,
-            finals=frozenset(finals),
-            initial=1,
+            state_count=a.state_count, edges=a.edges, finals=frozenset(finals)
         )
 
         if a.edges and rng.random() < DUPLICATE_EDGE_PROB:
             dup = rng.choice(a.edges)
             a = GeneralizedAutomaton(
-                state_count=a.state_count,
-                edges=a.edges + (dup,),
-                finals=a.finals,
-                initial=1,
+                state_count=a.state_count, edges=a.edges + (dup,), finals=a.finals
             )
 
         for _ in range(params.epsilon_attempts):
@@ -208,7 +200,6 @@ def generate_instance(
                 state_count=a.state_count,
                 edges=a.edges + ((u, v, EPSILON),),
                 finals=a.finals,
-                initial=1,
             )
             if wheeler_exact(cand):
                 a = cand
@@ -268,7 +259,7 @@ def _spell_some_strings(a: GeneralizedAutomaton, limit: int) -> list[bytes]:
         adj[u].append((v, rho))
     found: list[bytes] = []
     seen: set[tuple[int, bytes]] = set()
-    todo = deque([(a.initial, b"")])
+    todo = deque([(1, b"")])
     while todo and len(found) < limit:
         u, s = todo.popleft()
         for v, rho in adj[u]:

@@ -193,6 +193,14 @@ class WheelerIndex:
             for rho, rev in zip(self.labels, self._rev)
         )
 
+    def unentered_states(self) -> int:
+        """How many of the states 2..n no posting enters."""
+        entered = bytearray(self.n_states + 1)
+        for _, targets in self.postings.values():
+            for v in targets:
+                entered[v] = 1
+        return self.n_states - 1 - entered.count(1, 2)
+
     # -- markers and finals ------------------------------------------------
 
     def marker_floor(self, j: int) -> int:
@@ -222,6 +230,8 @@ def build_index(
 ) -> WheelerIndex:
     """Build the index, trusting the state numbering to be Wheeler.
 
+    One pass over the edges groups the labeled ones by label and counts
+    the epsilon edges, which the closure markers are then built from.
     with_sentinel indexes the automaton with a fresh initial state
     prepended, joined by a sentinel-labeled edge, which is what
     membership queries need: every state i becomes i+1, the new state 1
@@ -240,7 +250,11 @@ def build_index(
     n = lead + a.state_count
 
     per_label: dict[bytes, tuple[list[int], list[int]]] = {}
-    for u, v, rho in a.labeled_edges:
+    epsilon_edge_count = 0
+    for u, v, rho in a.edges:
+        if not rho:
+            epsilon_edge_count += 1
+            continue
         srcs, tgts = per_label.setdefault(rho, ([], []))
         srcs.append(u + lead)
         tgts.append(v + lead)
@@ -264,7 +278,7 @@ def build_index(
 
     return WheelerIndex(
         state_count=n,
-        epsilon_edge_count=len(a.epsilon_edges),
+        epsilon_edge_count=epsilon_edge_count,
         finals=RankSelectBits(bytes(finals_bits)),
         b_max=RankSelectBits(b"\x01" * lead + markers.b_max[1:]),
         b_min=RankSelectBits(b"\x01" * lead + markers.b_min[1:]),

@@ -3,7 +3,8 @@
 An automaton here is a GNFA whose edges carry arbitrary byte strings,
 including the empty string.  States are identified with the integers
 1..n and the numbering itself is the claimed Wheeler order: state 1 is
-initial, and the four Wheeler axioms are stated against this numbering.
+the initial state by construction, which is axiom 2, and the other three
+Wheeler axioms are stated against this numbering.
 The order on labels is co-lexicographic: strings are compared from the
 right, and a proper suffix sorts before every string it is a suffix of.
 
@@ -50,22 +51,20 @@ def colex_key(x: bytes) -> bytes:
 class GeneralizedAutomaton:
     """A string-labeled automaton with states pre-numbered 1..n.
 
-    The numbering is the (claimed) Wheeler order; nothing here checks
-    the axioms, see validate().  Parallel edges and repeated triples
-    are allowed, so `edges` is a multiset in tuple form.
+    The numbering is the (claimed) Wheeler order and state 1 is the
+    initial state; nothing here checks the axioms, see validate().
+    Parallel edges and repeated triples are allowed, so `edges` is a
+    multiset in tuple form.
     """
 
     state_count: int
     edges: tuple[Edge, ...]
     finals: frozenset[int]
-    initial: int = 1
 
     def __post_init__(self) -> None:
         n = self.state_count
         if n < 1:
             raise GnfaFormatError("automaton needs at least one state")
-        if not 1 <= self.initial <= n:
-            raise GnfaFormatError(f"initial state {self.initial} out of range 1..{n}")
         for u, v, rho in self.edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GnfaFormatError(f"edge ({u},{v}) out of range 1..{n}")
@@ -76,14 +75,6 @@ class GeneralizedAutomaton:
     @cached_property
     def max_label_len(self) -> int:
         return max((len(rho) for _, _, rho in self.edges), default=0)
-
-    @cached_property
-    def epsilon_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[2] == EPSILON)
-
-    @cached_property
-    def labeled_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[2] != EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +208,13 @@ def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
     if initial != 1:
         raise GnfaFormatError(f"initial state must be 1, got {initial}")
     return GeneralizedAutomaton(
-        state_count=state_count,
-        edges=tuple(edges),
-        finals=frozenset(finals),
-        initial=initial,
+        state_count=state_count, edges=tuple(edges), finals=frozenset(finals)
     )
 
 
 def format_gnfa(a: GeneralizedAutomaton) -> str:
     """Render an automaton back into the text format."""
-    lines = ["gnfa 1", f"states {a.state_count}", f"initial {a.initial}"]
+    lines = ["gnfa 1", f"states {a.state_count}", "initial 1"]
     if a.finals:
         lines.append("final " + " ".join(str(q) for q in sorted(a.finals)))
     for u, v, rho in a.edges:
@@ -242,7 +230,6 @@ def format_gnfa(a: GeneralizedAutomaton) -> str:
 class ValidationReport:
     reachable_ok: bool
     coreachable_ok: bool
-    axiom2_ok: bool
     axiom3_ok: bool
     axiom4_ok: bool
     axiom3_witness: tuple[Edge, Edge] | None
@@ -257,7 +244,6 @@ class ValidationReport:
         return (
             self.reachable_ok
             and self.coreachable_ok
-            and self.axiom2_ok
             and self.axiom3_ok
             and self.axiom4_ok
             and self.axiom1_verdict != "failed"
@@ -267,7 +253,8 @@ class ValidationReport:
         out = [
             f"reachable\t{'ok' if self.reachable_ok else 'FAIL'}",
             f"coreachable\t{'ok' if self.coreachable_ok else 'FAIL'}",
-            f"axiom2\t{'ok' if self.axiom2_ok else 'FAIL'}",
+            # state 1 is the initial state by construction
+            "axiom2\tok",
         ]
         if self.axiom3_ok:
             out.append("axiom3\tok")
@@ -323,9 +310,9 @@ def incoming_strings(
     for u, v, rho in a.edges:
         out_adj[u].append((v, rho))
     found: list[set[bytes]] = [set() for _ in range(a.state_count + 1)]
-    found[a.initial].add(EPSILON)
+    found[1].add(EPSILON)
     total = 1
-    todo = deque([(a.initial, EPSILON)])
+    todo = deque([(1, EPSILON)])
     while todo:
         u, alpha = todo.popleft()
         for v, rho in out_adj[u]:
@@ -447,7 +434,8 @@ def _first_axiom34_violation(
 def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport:
     """Check structural requirements and the Wheeler axioms.
 
-    Axioms 2, 3 and 4 are decided exactly.  Axiom 1 quantifies over the
+    Axioms 3 and 4 are decided exactly, and axiom 2 holds by
+    construction (state 1 is initial).  Axiom 1 quantifies over the
     (possibly infinite) incoming-string sets, so it is only probed up to
     string length `axiom1_depth`; depth 0 skips it.  A bounded pass is
     reported as "passed-bounded", a failure is definitive.
@@ -467,12 +455,10 @@ def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport
     for u, v, _ in a.edges:
         fwd[u].append(v)
         rev[v].append(u)
-    reach = _reachable_from(n, fwd, [a.initial])
+    reach = _reachable_from(n, fwd, [1])
     coreach = _reachable_from(n, rev, a.finals)
     reachable_ok = len(reach) == n
     coreachable_ok = len(coreach) == n
-
-    axiom2_ok = a.initial == 1
 
     axiom, pair = _first_axiom34_violation(a.edges)
 
@@ -486,7 +472,6 @@ def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport
     return ValidationReport(
         reachable_ok=reachable_ok,
         coreachable_ok=coreachable_ok,
-        axiom2_ok=axiom2_ok,
         axiom3_ok=axiom != 3,
         axiom4_ok=axiom != 4,
         axiom3_witness=pair if axiom == 3 else None,

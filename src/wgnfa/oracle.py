@@ -142,7 +142,7 @@ def brute_below_count(a: GeneralizedAutomaton, alpha: bytes) -> int:
     seen = bytearray(size)
     todo = deque()
     for q in (m, GT):
-        node = a.initial * width + q
+        node = width + q  # (x, q) at x = 1, the initial state
         seen[node] = 1
         todo.append(node)
     while todo:
@@ -189,7 +189,7 @@ def brute_closure(a: GeneralizedAutomaton) -> tuple[list[int], list[int]]:
 def brute_accepts(a: GeneralizedAutomaton, alpha: bytes) -> bool:
     """Membership by plain subset simulation on the expansion."""
     exp = _expand(a)
-    live = exp.eps_close({a.initial})
+    live = exp.eps_close({1})
     for sym in alpha:
         live = exp.advance(live, sym)
         if not live:

@@ -30,9 +30,7 @@ def ten_state_sample() -> GeneralizedAutomaton:
         (9, 4, b"a"),
         (10, 5, b"ca"),
     )
-    return GeneralizedAutomaton(
-        state_count=10, edges=edges, finals=frozenset({3, 4}), initial=1
-    )
+    return GeneralizedAutomaton(state_count=10, edges=edges, finals=frozenset({3, 4}))
 
 
 def four_state_sample() -> GeneralizedAutomaton:
@@ -42,6 +40,4 @@ def four_state_sample() -> GeneralizedAutomaton:
         (3, 4, b""),
         (3, 4, b"c"),
     )
-    return GeneralizedAutomaton(
-        state_count=4, edges=edges, finals=frozenset({2, 4}), initial=1
-    )
+    return GeneralizedAutomaton(state_count=4, edges=edges, finals=frozenset({2, 4}))

@@ -44,9 +44,11 @@ the only edge at state 1.  Last, the labeled edges must keep Wheeler
 axiom 3: no label co-lexicographically above label B, other than one
 ending with B, enters a state below B's largest target
 (WheelerIndex.breaks_axiom3: one suffix minimum over the labels'
-smallest targets and one bisect per label).
-Axiom 4 holds by construction, since each label pairs its ascending
-sources with its ascending targets.  Version 1 files, which also stored
+smallest targets and one bisect per label), and the states 2..n that no
+posting enters must be at most the epsilon-edge count, since each such
+state needs an epsilon edge of its own (WheelerIndex.unentered_states:
+one bytearray of n + 1 flags).  Axiom 4 holds by construction, since
+each label pairs its ascending sources with its ascending targets.  Version 1 files, which also stored
 derived tables, are rejected; rebuild them from their .gnfa source.
 """
 
@@ -278,4 +280,7 @@ def deserialize(data: bytes) -> WheelerIndex:
         raise IndexFormatError("state 1 needs the sentinel edge 1->2 and no other edge")
     if ix.breaks_axiom3():
         raise IndexFormatError("the stored edges break Wheeler axiom 3")
+    # each state but 1 needs an in-edge, and an epsilon edge enters one state
+    if ix.unentered_states() > eps:
+        raise IndexFormatError("more states without an incoming edge than epsilon edges")
     return ix

@@ -135,15 +135,16 @@ def test_closure_matches_brute(a):
     bmax, bmin = brute_closure(a)
     assert list(cl.a_max) == bmax
     assert list(cl.a_min) == bmin
-    assert cl.edge_visits == len(a.epsilon_edges)
+    assert cl.edge_visits == sum(not rho for _, _, rho in a.edges)
 
 
 @given(random_eps_dag())
 def test_closure_recurrence(a):
     cl = build_closure_arrays(a)
     preds = [[] for _ in range(a.state_count + 1)]
-    for u, v, _ in a.epsilon_edges:
-        preds[v].append(u)
+    for u, v, rho in a.edges:
+        if not rho:
+            preds[v].append(u)
     for i in range(1, a.state_count + 1):
         assert cl.a_max[i] == max([i] + [cl.a_max[u] for u in preds[i]])
         assert cl.a_min[i] == min([i] + [cl.a_min[u] for u in preds[i]])

@@ -140,7 +140,7 @@ def test_summary_derived_from_postings():
     for name in corpus_names():
         a = load_instance(name)
         for ix in (load_index(name), deserialize(serialize(load_index(name)))):
-            assert ix.epsilon_edge_count == len(a.epsilon_edges), name
+            assert ix.epsilon_edge_count == sum(not rho for _, _, rho in a.edges), name
             assert ix.r == a.max_label_len, name
 
 
@@ -190,7 +190,7 @@ def test_sentinel_build_rejects_sentinel_label(with_sentinel, byte):
 
 def _scan_checks(a, ix):
     n = a.state_count
-    led = a.labeled_edges
+    led = [e for e in a.edges if e[2]]
     label_set = sorted({rho for _, _, rho in led}, key=colex_key)
     # every suffix of every label, so that suffix blocks whose end is not
     # itself a label are probed too, and one string longer than r
@@ -296,6 +296,14 @@ def _breaks_axiom3(a):
     )
 
 
+def _unentered_beyond_epsilon(a):
+    """More states 2..n enter by no labeled edge than there are epsilon
+    edges."""
+    entered = {v for _, v, rho in a.edges if rho}
+    epsilon = sum(not rho for _, _, rho in a.edges)
+    return len(set(range(2, a.state_count + 1)) - entered) > epsilon
+
+
 def _targets_in_label_order(a):
     """a with its labeled edges' targets dealt out again in co-lex label
     order, which keeps axiom 3."""
@@ -317,15 +325,19 @@ def _targets_in_label_order(a):
 @settings(max_examples=200, deadline=None)
 @given(_edge_multisets())
 def test_ops_match_scans_on_edge_multisets(a):
-    # a file whose edges break axiom 3 is refused on load, and only such
-    # a file; the same edges with their targets in label order load
-    ix = build_index(a)
-    _scan_checks(a, ix)
-    if _breaks_axiom3(a):
-        with pytest.raises(IndexFormatError, match="axiom 3"):
-            deserialize(serialize(ix))
-    else:
-        _scan_checks(a, deserialize(serialize(ix)))
-    b = _targets_in_label_order(a)
-    assert not _breaks_axiom3(b)
-    _scan_checks(b, deserialize(serialize(build_index(b))))
+    # a file is refused on load iff its edges break axiom 3 or leave more
+    # states unentered than it has epsilon edges; the same edges with
+    # their targets in label order keep axiom 3 and enter the same states
+    _scan_checks(a, build_index(a))
+    relabeled = _targets_in_label_order(a)
+    assert not _breaks_axiom3(relabeled)
+    for b in (a, relabeled):
+        blob = serialize(build_index(b))
+        if _breaks_axiom3(b):
+            with pytest.raises(IndexFormatError, match="axiom 3"):
+                deserialize(blob)
+        elif _unentered_beyond_epsilon(b):
+            with pytest.raises(IndexFormatError, match="without an incoming edge"):
+                deserialize(blob)
+        else:
+            _scan_checks(b, deserialize(blob))

@@ -119,7 +119,6 @@ def test_format_parse_round_trip(ten_state, four_state):
         assert b.state_count == a.state_count
         assert sorted(b.edges) == sorted(a.edges)
         assert b.finals == a.finals
-        assert b.initial == a.initial
 
 
 def test_parse_gnfa_text():
@@ -143,6 +142,10 @@ edge 2 3 \\x7f
 def test_parse_gnfa_errors():
     with pytest.raises(GnfaFormatError, match="header"):
         parse_gnfa("states 2\n")
+    with pytest.raises(GnfaFormatError, match="^missing 'gnfa 1' header$"):
+        parse_gnfa("# only a comment\n\n   \n")
+    with pytest.raises(GnfaFormatError, match="^non byte character '\u20ac'$"):
+        parse_gnfa("gnfa 1\nstates 2\ninitial 1\nedge 1 2 \u20ac\n")
     with pytest.raises(GnfaFormatError, match="missing 'states'"):
         parse_gnfa("gnfa 1\ninitial 1\n")
     with pytest.raises(GnfaFormatError, match="missing 'initial'"):
@@ -314,13 +317,6 @@ def test_model_rejects_bad_shapes():
         )
     with pytest.raises(GnfaFormatError):
         GeneralizedAutomaton(state_count=2, edges=(), finals=frozenset({3}))
-    with pytest.raises(GnfaFormatError):
-        GeneralizedAutomaton(state_count=2, edges=(), finals=frozenset(), initial=3)
-    # an in-range non-1 initial constructs fine but fails axiom 2
-    shifted = GeneralizedAutomaton(
-        state_count=2, edges=((2, 1, b"a"),), finals=frozenset({1}), initial=2
-    )
-    assert not validate(shifted).axiom2_ok
 
 
 # -- the near-linear axiom 3/4 pass against the plain pair loop --------------
@@ -376,9 +372,8 @@ def _reference_validate(a):
     if axiom:
         witness[axiom] = pair
     return ValidationReport(
-        reachable_ok=len(_reached(fwd, [a.initial])) == n,
+        reachable_ok=len(_reached(fwd, [1])) == n,
         coreachable_ok=len(_reached(rev, a.finals)) == n,
-        axiom2_ok=a.initial == 1,
         axiom3_ok=witness[3] is None,
         axiom4_ok=witness[4] is None,
         axiom3_witness=witness[3],

@@ -299,6 +299,20 @@ def test_file_breaking_axiom3_refused():
     assert deserialize(serialize(build_index(a))).labels == (b"a", b"ba")
 
 
+def test_file_leaving_a_state_unentered_refused():
+    """Edge 1 -> 3 'a' alone: no edge enters state 2, and there is no
+    epsilon edge that could."""
+    a = GeneralizedAutomaton(state_count=3, edges=((1, 3, b"a"),), finals=frozenset({3}))
+    for sentinel in (False, True):
+        with pytest.raises(IndexFormatError, match="without an incoming edge"):
+            deserialize(serialize(build_index(a, with_sentinel=sentinel)))
+    # an epsilon edge may be a state's only way in
+    a = GeneralizedAutomaton(
+        state_count=3, edges=((1, 2, b"a"), (2, 3, b"")), finals=frozenset({3})
+    )
+    assert deserialize(serialize(build_index(a))).epsilon_edge_count == 1
+
+
 def test_wide_integers_round_trip():
     rng = random.Random(99)
     a = build_piece_trie(rng, n_strings=80, max_string_len=16, max_piece_len=2, alphabet=b"abcd")
