@@ -8,9 +8,9 @@ BENCH_<n>.json summary.
 
 PARENT and CHANGE are the roots of two source checkouts.  The command,
 the workloads, the run length and each end-to-end metric's direction
-and bound are read from CHANGE's BENCHMARK.json; every run is that command with
---workload, --seed, --seconds and --trace appended, run from the root
-of one checkout.  For each workload, seed i of --seeds is one pair: the
+and bound are read from CHANGE's BENCHMARK.json; every run is that
+command with --workload, --seed, --seconds and --trace appended, run
+from the root of one checkout.  For each workload, seed i of --seeds is one pair: the
 parent runs first when i is even and the change first when it is odd.
 The --held-out seeds then run the same way, and last one traced run
 per side and workload at --trace-seed, the parent first.
