@@ -22,13 +22,17 @@ The tolerance is the metric's bound times the parent median: the
 verdict is "regressed" when the change median is worse than the parent
 median by more than that, else "unresolved" when the parent's
 interquartile range is wider than that and not every change run beats
-every parent run, else "ok".  "verdicts" lists every workload and
-metric that is not "ok".  With
---claim, it also applies the claim rule: the change wins at least nine
-tenths of the pairs, and the medians differ, in the metric's better
-direction, by more than the parent's interquartile range.  Every run
-is kept under "runs", and the file is rewritten after each run, so an
-interrupted run leaves what it measured.
+every parent run, else "ok".  Per workload it also sums each side's
+failed and attempted operations over the untraced runs and counts the
+runs that exited non-zero; "failures" is "regressed" when the change
+fails a larger share of its operations than the parent or any change
+run exits non-zero, else "ok".  "verdicts" lists every workload and
+metric (or failures) that is not "ok".  With --claim, it also applies
+the claim rule: the change wins at least nine tenths of the pairs, and
+the medians differ, in the metric's better direction, by more than the
+parent's interquartile range.  Every run is kept under "runs", and the
+file is rewritten after each run, so an interrupted run leaves what it
+measured.
 """
 
 from __future__ import annotations
@@ -106,22 +110,51 @@ def compare(parent: list[float], change: list[float], higher_is_better: bool,
     }
 
 
+def failures(runs: list[dict]) -> dict:
+    """Per side, the failed and attempted operations summed over runs
+    and the runs that exited non-zero, with the verdict."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        out[side] = {"failed": sum(r.get("failed", 0) for r in mine),
+                     "attempted": sum(r.get("attempted", 0) for r in mine),
+                     "bad_exits": sum(r["exit"] != 0 for r in mine)}
+
+    def share(counts: dict) -> float:
+        return counts["failed"] / counts["attempted"] if counts["attempted"] else 0.0
+
+    change = out["change"]
+    worse = change["bad_exits"] or share(change) > share(out["parent"])
+    out["verdict"] = "regressed" if worse else "ok"
+    return out
+
+
 def summarize(runs: list[dict], seeds: list[int], workloads: list[str],
               metrics: dict[str, tuple[str, float]]) -> dict:
+    untraced = [r for r in runs if r["trace"] == 0]
     done = {(r["side"], r["workload"], r["seed"]): r["metrics"]
-            for r in runs if r["trace"] == 0 and "metrics" in r}
+            for r in untraced if "metrics" in r}
     summary = {}
     for wl in workloads:
-        paired = [s for s in seeds if ("parent", wl, s) in done and ("change", wl, s) in done]
-        if not paired:
+        mine = [r for r in untraced if r["workload"] == wl]
+        if not mine:
             continue
+        paired = [s for s in seeds if ("parent", wl, s) in done and ("change", wl, s) in done]
         summary[wl] = {
             name: compare([done["parent", wl, s][name] for s in paired],
                           [done["change", wl, s][name] for s in paired],
                           better == "higher", bound)
-            for name, (better, bound) in metrics.items()
+            for name, (better, bound) in metrics.items() if paired
         }
+        summary[wl]["failures"] = failures(mine)
     return summary
+
+
+def verdicts(summary: dict) -> dict[str, str]:
+    """'WORKLOAD:METRIC' (or 'WORKLOAD:failures') -> verdict, for each
+    one that is not "ok"."""
+    return {f"{wl}:{name}": res["verdict"] for wl, by_metric in summary.items()
+            for name, res in by_metric.items() if res["verdict"] != "ok"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,10 +208,8 @@ def main(argv: list[str] | None = None) -> int:
             out[f"{side}_commit"] = machine.pop("commit", "unknown")
             out["machine"] = machine
         out["summary"] = summarize(runs, args.seeds, workloads, metrics)
-        out["verdicts"] = {f"{wl}:{name}": res["verdict"]
-                           for wl, by_metric in out["summary"].items()
-                           for name, res in by_metric.items() if res["verdict"] != "ok"}
-        if claim and claim[0] in out["summary"]:
+        out["verdicts"] = verdicts(out["summary"])
+        if claim and claim[1] in out["summary"].get(claim[0], {}):
             res = out["summary"][claim[0]][claim[1]]
             sign = 1 if better[claim[1]] == "higher" else -1
             gap = sign * (res["change_median"] - res["parent_median"])

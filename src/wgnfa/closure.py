@@ -15,9 +15,11 @@ m -> w break axiom 4.  States the fold never releases lie on such a
 cycle or are reached from one, and EpsilonCycleError names one.  Epsilon
 self-loops are harmless and are ignored.
 
-The marker bitvectors b_max / b_min flag the fixpoints a_max[i] == i
-resp. a_min[i] == i; interval endpoints of query prefixes always sit on
-such markers, which is how the matcher rounds candidate boundaries.
+The same pass yields the two marker bitvectors, which are all the
+index adds for the epsilon edges: b_max / b_min flag the fixpoints
+a_max[i] == i resp. a_min[i] == i.  Interval endpoints of query
+prefixes always sit on such markers, which is how the matcher rounds
+candidate boundaries.
 """
 
 from __future__ import annotations
@@ -43,14 +45,9 @@ class EpsilonClosureArrays:
 
     a_max: list[int]
     a_min: list[int]
+    b_max: bytes  # one 0/1 byte per state, 1 iff a_max[i] == i
+    b_min: bytes  # likewise for a_min
     edge_visits: int  # non-self-loop epsilon edges folded, each once
-    targets: list[int]  # their targets, the only states an extremum can move at
-
-
-@dataclass(frozen=True)
-class MarkerBits:
-    b_max: bytes  # one 0/1 byte per state, length n+1, entry 0 unused
-    b_min: bytes
 
 
 def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
@@ -58,7 +55,10 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
 
     A state is released once all its epsilon predecessors are, and then
     passes its extrema along each of its out-edges, so every epsilon edge
-    is examined exactly once and the pass is linear in the edges.
+    is examined exactly once and the pass is linear in the edges.  A
+    state that no epsilon edge enters keeps a_max[i] = a_min[i] = i, so
+    each marker starts as all ones and only the edges' targets are
+    compared: O(n) bytes filled and O(epsilon) entries looked at.
 
     If states remain unreleased, raises EpsilonCycleError(u, v) for the
     first repeat on the walk that starts at the smallest unreleased state
@@ -114,23 +114,16 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
             node = pred
         raise EpsilonCycleError(pred, node)
 
-    return EpsilonClosureArrays(
-        a_max=a_max, a_min=a_min, edge_visits=visits, targets=succ
-    )
-
-
-def build_marker_bits(closure: EpsilonClosureArrays) -> MarkerBits:
-    """Bit i set iff state i is its own closure extremum.
-
-    A state that is no epsilon edge's target keeps a_max[i] = a_min[i]
-    = i, so each marker starts as all ones and only the targets are
-    looked at: O(n) bytes filled and O(epsilon) entries compared.
-    """
-
-    def fixpoints(a: list[int]) -> bytes:
-        bits = bytearray(b"\x00" + b"\x01" * (len(a) - 1))
-        for v in closure.targets:
-            bits[v] = a[v] == v
+    def fixpoints(ext: list[int]) -> bytes:
+        bits = bytearray(b"\x00" + b"\x01" * n)
+        for v in succ:
+            bits[v] = ext[v] == v
         return bytes(bits)
 
-    return MarkerBits(b_max=fixpoints(closure.a_max), b_min=fixpoints(closure.a_min))
+    return EpsilonClosureArrays(
+        a_max=a_max,
+        a_min=a_min,
+        b_max=fixpoints(a_max),
+        b_min=fixpoints(a_min),
+        edge_visits=visits,
+    )

@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_width
-from .closure import build_closure_arrays, build_marker_bits
+from .closure import build_closure_arrays
 from .model import (
     SENTINEL,
     SENTINEL_BYTES,
@@ -62,7 +62,9 @@ class WheelerIndex:
     increasing in co-lex order) and its postings (label -> (sources,
     targets), at least one edge per label, both ascending arrays of
     unsigned integers).  No Python object is held per edge or per
-    state.
+    state, but each label costs about 550 bytes of heap on top of its
+    file bytes, so an index with thousands of labels loads to twenty
+    or more heap bytes per file byte.
 
     Every other table holds one row per dictionary label, never one per
     edge.  Because the targets ascend, a label's smallest and largest
@@ -231,7 +233,7 @@ def build_index(
     """Build the index, trusting the state numbering to be Wheeler.
 
     One pass over the edges groups the labeled ones by label and counts
-    the epsilon edges, which the closure markers are then built from.
+    the epsilon edges, and the epsilon closure gives the marker bits.
     with_sentinel indexes the automaton with a fresh initial state
     prepended, joined by a sentinel-labeled edge, which is what
     membership queries need: every state i becomes i+1, the new state 1
@@ -263,7 +265,7 @@ def build_index(
     if with_sentinel:
         per_label[SENTINEL_BYTES] = ([1], [2])
 
-    markers = build_marker_bits(build_closure_arrays(a))
+    closure = build_closure_arrays(a)
 
     labels = tuple(sorted(per_label, key=colex_key))
     typecode = UINT_TYPECODES[uint_width(n)]
@@ -280,8 +282,8 @@ def build_index(
         state_count=n,
         epsilon_edge_count=epsilon_edge_count,
         finals=RankSelectBits(bytes(finals_bits)),
-        b_max=RankSelectBits(b"\x01" * lead + markers.b_max[1:]),
-        b_min=RankSelectBits(b"\x01" * lead + markers.b_min[1:]),
+        b_max=RankSelectBits(b"\x01" * lead + closure.b_max[1:]),
+        b_min=RankSelectBits(b"\x01" * lead + closure.b_min[1:]),
         labels=labels,
         postings=postings,
     )

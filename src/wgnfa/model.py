@@ -144,9 +144,12 @@ def _check_label_bytes(label: bytes, lineno: int) -> None:
 def parse_gnfa(text: str | bytes) -> GeneralizedAutomaton:
     """Parse the line-oriented text format into an automaton.
 
-    A str is read as latin-1 bytes.  Raises GnfaFormatError with a line
-    number for malformed input, out-of-range states, reserved bytes in
-    labels, or an initial state other than 1.
+    A str is read as latin-1 bytes.  Raises GnfaFormatError for
+    malformed input, reserved bytes in labels (SentinelInLabelError),
+    out-of-range states or an initial state other than 1.  The message
+    names the line for a malformed line, an unknown directive or a bad
+    label; out-of-range states, which GeneralizedAutomaton checks, a
+    wrong initial state and missing lines come without one.
     """
     if isinstance(text, str):
         try:
@@ -283,7 +286,7 @@ def _edge_str(e: Edge) -> str:
     return f"({e[0]},{e[1]},{escape_label(e[2])})"
 
 
-def _reachable_from(n: int, adj: list[list[int]], start: Iterable[int]) -> set[int]:
+def _reachable_from(adj: list[list[int]], start: Iterable[int]) -> set[int]:
     seen = set(start)
     todo = deque(seen)
     while todo:
@@ -455,8 +458,8 @@ def validate(a: GeneralizedAutomaton, axiom1_depth: int = 0) -> ValidationReport
     for u, v, _ in a.edges:
         fwd[u].append(v)
         rev[v].append(u)
-    reach = _reachable_from(n, fwd, [1])
-    coreach = _reachable_from(n, rev, a.finals)
+    reach = _reachable_from(fwd, [1])
+    coreach = _reachable_from(rev, a.finals)
     reachable_ok = len(reach) == n
     coreachable_ok = len(coreach) == n
 

@@ -32,12 +32,16 @@ epsilon-free file, every bit set, load to nothing more than their bytes.
 Besides magic, version, flags, framing and digest, loading checks that
 the bit sections are ceil(n/8) bytes with clear padding bits (so a
 loaded index writes back the bytes it was read from), that the marker
-bits b_max[n] and b_min[1] are set and neither marker section has more
-zero bits than the epsilon-edge count (as for any closure), that
-dictionary labels are non-empty, strictly increasing in co-lex order
-and free of the reserved bytes 0x00 and 0x01 but for the single label
-0x01, and that every postings entry holds at least one edge with
-ascending sources and targets in 1..n.  The index is a sentinel index
+bits b_max[n] and b_min[1] are set and the two marker sections hold no
+more zero bits together than the epsilon-edge count (as for any
+closure: a zero in b_max at v needs a direct epsilon edge into v from
+above v, since by axiom 4 an epsilon path whose last edge climbs into
+v stays below v throughout, and likewise a zero in b_min one from
+below, so each edge pays for at most one zero), that dictionary labels
+are non-empty, strictly increasing in co-lex order and free of the
+reserved bytes 0x00 and 0x01 but for the single label 0x01, and that
+every postings entry holds at least one edge with ascending sources and
+targets in 1..n.  The index is a sentinel index
 iff its dictionary holds the label 0x01; the flag bit must agree, and
 the edge 1 -> 2 that the sentinel build adds under that label must be
 the only edge at state 1.  Last, the labeled edges must keep Wheeler
@@ -220,11 +224,12 @@ def deserialize(data: bytes) -> WheelerIndex:
         except ValueError:
             raise IndexFormatError(f"{what} bit section has a padding bit set") from None
     finals, b_max, b_min = bits
-    # any closure has a_max[n] = n and a_min[1] = 1, and a state that is
-    # not its own closure extremum has an incoming epsilon edge of its own
+    # any closure has a_max[n] = n and a_min[1] = 1; a zero in b_max at v
+    # needs an epsilon edge into v from above v, and one in b_min an
+    # epsilon edge from below, so no edge pays for two zeros
     if n < 1 or not b_max[n] or not b_min[1]:
         raise IndexFormatError("closure marker bits b_max[n] and b_min[1] must be set")
-    if n - min(b_max.ones, b_min.ones) > eps:
+    if 2 * n - b_max.ones - b_min.ones > eps:
         raise IndexFormatError("more unmarked states than epsilon edges")
 
     rd = _Reader(sections[4], w)

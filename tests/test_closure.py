@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgnfa.closure import EpsilonCycleError, build_closure_arrays, build_marker_bits
+from wgnfa.closure import EpsilonCycleError, build_closure_arrays
 from wgnfa.model import GeneralizedAutomaton, validate
 from wgnfa.oracle import brute_closure
 
@@ -16,9 +16,8 @@ def test_closure_ten_state(ten_state):
     assert list(cl.a_max) == [0, 1, 2, 5, 5, 5, 6, 7, 8, 9, 10]
     assert list(cl.a_min) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
     assert cl.edge_visits == 2
-    mk = build_marker_bits(cl)
-    assert list(mk.b_max) == [0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1]
-    assert list(mk.b_min) == [0] + [1] * 10
+    assert list(cl.b_max) == [0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1]
+    assert list(cl.b_min) == [0] + [1] * 10
 
 
 def test_closure_four_state(four_state):
@@ -26,9 +25,8 @@ def test_closure_four_state(four_state):
     assert list(cl.a_max) == [0, 1, 2, 3, 4]
     assert list(cl.a_min) == [0, 1, 2, 3, 3]
     assert cl.edge_visits == 1
-    mk = build_marker_bits(cl)
-    assert list(mk.b_max) == [0, 1, 1, 1, 1]
-    assert list(mk.b_min) == [0, 1, 1, 1, 0]
+    assert list(cl.b_max) == [0, 1, 1, 1, 1]
+    assert list(cl.b_min) == [0, 1, 1, 1, 0]
 
 
 def _eps_only(n, eps_edges, finals=None):
@@ -73,9 +71,8 @@ def test_epsilon_self_loop_ignored():
     assert list(cl.a_max) == [0, 1, 2, 3]
     assert list(cl.a_min) == [0, 1, 2, 2]
     # the self-loop's target 2 keeps both bits
-    mk = build_marker_bits(cl)
-    assert list(mk.b_max) == [0, 1, 1, 1]
-    assert list(mk.b_min) == [0, 1, 1, 0]
+    assert list(cl.b_max) == [0, 1, 1, 1]
+    assert list(cl.b_min) == [0, 1, 1, 0]
 
 
 def test_descending_chain():
@@ -85,9 +82,8 @@ def test_descending_chain():
     assert all(cl.a_max[i] == n for i in range(1, n + 1))
     assert all(cl.a_min[i] == i for i in range(1, n + 1))
     assert cl.edge_visits == n - 1
-    mk = build_marker_bits(cl)
-    assert mk.b_max == bytes(n) + b"\x01"
-    assert mk.b_min == b"\x00" + b"\x01" * n
+    assert cl.b_max == bytes(n) + b"\x01"
+    assert cl.b_min == b"\x00" + b"\x01" * n
 
 
 def test_ascending_chain():
@@ -96,9 +92,8 @@ def test_ascending_chain():
     cl = build_closure_arrays(a)
     assert all(cl.a_min[i] == 1 for i in range(1, n + 1))
     assert all(cl.a_max[i] == i for i in range(1, n + 1))
-    mk = build_marker_bits(cl)
-    assert mk.b_max == b"\x00" + b"\x01" * n
-    assert mk.b_min == b"\x00\x01" + bytes(n - 1)
+    assert cl.b_max == b"\x00" + b"\x01" * n
+    assert cl.b_min == b"\x00\x01" + bytes(n - 1)
 
 
 def test_matches_brute_on_samples(ten_state, four_state):
@@ -153,11 +148,10 @@ def test_closure_recurrence(a):
 @given(random_eps_dag())
 def test_markers_flag_fixpoints(a):
     cl = build_closure_arrays(a)
-    mk = build_marker_bits(cl)
     for i in range(1, a.state_count + 1):
-        assert mk.b_max[i] == (1 if cl.a_max[i] == i else 0)
-        assert mk.b_min[i] == (1 if cl.a_min[i] == i else 0)
-    assert mk.b_max[0] == 0 and mk.b_min[0] == 0
+        assert cl.b_max[i] == (1 if cl.a_max[i] == i else 0)
+        assert cl.b_min[i] == (1 if cl.a_min[i] == i else 0)
+    assert cl.b_max[0] == 0 and cl.b_min[0] == 0
 
 
 @st.composite

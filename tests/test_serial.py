@@ -223,12 +223,14 @@ def test_load_checks(ten_state, ten_state_index):
         (3, b"\x7f\xc0", "must be set"),  # b_min[1] cleared
         (2, b"\xc7\xc0", "more unmarked"),  # b_max[5] cleared as well
         (3, b"\xf8\xc0", "more unmarked"),  # three zeros in b_min
+        # the two markers' zeros add up: b_max's two plus these
+        (3, b"\xfc\xc0", "more unmarked"),  # two zeros in b_min
+        (3, b"\xfb\xc0", "more unmarked"),  # b_min[6] cleared
         (0, b"\x01\x0a\x01", "more unmarked"),  # one epsilon edge
     ]
     for section, payload, message in cases:
         with pytest.raises(IndexFormatError, match=message):
             deserialize(reframe(data, section, payload))
-    assert deserialize(reframe(data, 3, b"\xfc\xc0"))  # two zeros in b_min
     empty = data
     for section, payload in enumerate((b"\x01\x00\x00", b"", b"", b"", b"\x00", b"")):
         empty = reframe(empty, section, payload)
