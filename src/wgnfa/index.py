@@ -17,19 +17,21 @@ All label comparisons only ever touch the last r bytes of the query
 prefix (r = longest label), which keeps a matching step independent of
 how much of the pattern has already been consumed.
 
-The structures behind these are deliberately plain.  Besides the label
-dictionary and its postings (per-label ascending source and target
-arrays of narrow unsigned integers, searched with bisect) there are
-rank/select bitvectors for the finals and the two closure markers the
-epsilon edges add, each holding its packed bits and the positions of
-its rarer bit (none for a marker of an epsilon-free automaton), and three
-derived tables with one row per dictionary label, never one per edge:
-per label length, the reversed labels with a suffix minimum over each
-label's smallest target; per label, the entry of that suffix minimum
-just past the label's own row, which is the label-order bound of a
-matching step whose chunk is that label; and all reversed labels in
-dictionary order with a range-maximum sparse table over each label's
-largest target.
+The structures behind these are deliberately plain.  The label
+dictionary keys one row per label: its ascending source and target
+arrays of narrow unsigned integers, searched with bisect, and the
+label-order bound of a matching step whose chunk is that label.  The
+three counting operations take such a row, not a label, so a matching
+step looks each chunk up once; NO_ROW stands for a chunk the dictionary
+does not hold.  Besides the rows there are rank/select bitvectors for
+the finals and the two closure markers the epsilon edges add, each
+holding its packed bits and the positions of its rarer bit (none for a
+marker of an epsilon-free automaton), and two more tables with one
+entry per dictionary label, never one per edge: per label length, the
+reversed labels with a suffix minimum over each label's smallest
+target, whose entry just past a label's own is that label's bound; and
+all reversed labels in dictionary order with a range-maximum sparse
+table over each label's largest target.
 """
 
 from __future__ import annotations
@@ -50,8 +52,12 @@ from .model import (
 )
 
 
-# the postings of a label the dictionary does not hold
-_NO_EDGES = ((), ())
+# (sources, targets, label-order bound) of one dictionary label
+Row = tuple[array, array, int | None]
+
+# the row of a chunk the dictionary does not hold: no edges, and a
+# label-order bound of 0, which no dictionary label has
+NO_ROW = ((), (), 0)
 
 
 class WheelerIndex:
@@ -61,10 +67,16 @@ class WheelerIndex:
     finals and marker bits, the dictionary (non-empty labels strictly
     increasing in co-lex order) and its postings (label -> (sources,
     targets), at least one edge per label, both ascending arrays of
-    unsigned integers).  No Python object is held per edge or per
-    state, but each label costs about 550 bytes of heap on top of its
-    file bytes, so an index with thousands of labels loads to twenty
-    or more heap bytes per file byte.
+    unsigned integers).  The postings are kept only inside `rows`,
+    which maps each dictionary label object to (sources, targets,
+    bound): bound is the smallest state entered by a label of the same
+    length sorting strictly above it (None if there is none), which is
+    what min_state_with_len_k_label_ge(len(rho), x + rho) returns for
+    any byte x.  out_count and the two prefix boundaries take such a
+    row.  No Python object is held per edge or per state, but each
+    label costs about 510 bytes of heap on top of its file bytes, so
+    an index with thousands of labels loads to twenty or more heap
+    bytes per file byte.
 
     Every other table holds one row per dictionary label, never one per
     edge.  Because the targets ascend, a label's smallest and largest
@@ -93,7 +105,6 @@ class WheelerIndex:
         self.b_max = b_max
         self.b_min = b_min
         self.labels = labels
-        self.postings = postings
 
         # co-lex order is the order of reversed labels, so the dictionary
         # already lists the rows sorted
@@ -106,16 +117,15 @@ class WheelerIndex:
         # per length: reversed labels and, from each row on, the smallest
         # target of that row or any later one (None past the end)
         self._by_len = {}
-        # per label rho: the smallest state entered by a label of the same
-        # length sorting strictly above it, or None; what
-        # min_state_with_len_k_label_ge(len(rho), x + rho) returns for any
-        # byte x, keyed by the dictionary's own label objects
-        self.min_state_above: dict[bytes, int | None] = {}
+        # per label: its postings and the suffix minimum just past its
+        # own row, keyed by the dictionary's own label objects
+        self.rows: dict[bytes, Row] = {}
         for k, (rhos, revs) in by_len.items():
             firsts = [postings[rho][1][0] for rho in reversed(rhos)]
             suffix_min = list(accumulate(firsts, min))[::-1] + [None]
             self._by_len[k] = (revs, suffix_min)
-            self.min_state_above.update(zip(rhos, suffix_min[1:]))
+            for rho, bound in zip(rhos, suffix_min[1:]):
+                self.rows[rho] = (*postings[rho], bound)
         # sparse table: level i holds the largest target over the 2^i
         # rows starting at each row
         level = [postings[rho][1][-1] for rho in labels]
@@ -131,24 +141,25 @@ class WheelerIndex:
 
     # -- counting ----------------------------------------------------------
 
-    def out_count(self, label: bytes, j: int) -> int:
-        """Edges labeled `label` leaving states 1..j."""
-        return bisect_right(self.postings.get(label, _NO_EDGES)[0], j)
+    def out_count(self, row: Row, j: int) -> int:
+        """Edges of `row`'s label leaving states 1..j."""
+        return bisect_right(row[0], j)
 
     # -- boundaries --------------------------------------------------------
 
-    def max_prefix_with_in_at_most(self, label: bytes, f: int) -> int:
-        """Largest j with at most f edges labeled `label` into states 1..j."""
+    def max_prefix_with_in_at_most(self, row: Row, f: int) -> int:
+        """Largest j with at most f edges of `row`'s label into states 1..j."""
         if f < 0:
             raise ValueError("count bound must be nonnegative")
-        targets = self.postings.get(label, _NO_EDGES)[1]
+        targets = row[1]
         return targets[f] - 1 if f < len(targets) else self.n_states
 
-    def min_prefix_with_in_at_least(self, label: bytes, g: int) -> int:
-        """Smallest j with at least g `label` edges into 1..j, 1 <= g <= mult."""
-        targets = self.postings.get(label, _NO_EDGES)[1]
+    def min_prefix_with_in_at_least(self, row: Row, g: int) -> int:
+        """Smallest j with at least g edges of `row`'s label into 1..j,
+        1 <= g <= mult."""
+        targets = row[1]
         if not 1 <= g <= len(targets):
-            raise ValueError(f"no prefix receives {g} edges labeled {label!r}")
+            raise ValueError(f"no prefix receives {g} of the row's {len(targets)} edges")
         return targets[g - 1]
 
     def min_state_with_len_k_label_ge(self, k: int, alpha: bytes) -> int | None:
@@ -187,18 +198,18 @@ class WheelerIndex:
         above label B's suffix block (co-lex above B and not ending with
         it) enters a state below B's largest target."""
         # from each row on, the smallest target of that row or any later one
-        firsts = [self.postings[rho][1][0] for rho in reversed(self.labels)]
+        firsts = [self.rows[rho][1][0] for rho in reversed(self.labels)]
         suffix_min = list(accumulate(firsts, min))[::-1] + [self.n_states + 1]
         return any(
             suffix_min[bisect_right(self._rev, suffix_block_end(rev, self.r))]
-            < self.postings[rho][1][-1]
+            < self.rows[rho][1][-1]
             for rho, rev in zip(self.labels, self._rev)
         )
 
     def unentered_states(self) -> int:
         """How many of the states 2..n no posting enters."""
         entered = bytearray(self.n_states + 1)
-        for _, targets in self.postings.values():
+        for _, targets, _ in self.rows.values():
             for v in targets:
                 entered[v] = 1
         return self.n_states - 1 - entered.count(1, 2)

@@ -10,13 +10,14 @@ by two counters per pattern prefix,
          with at least one incoming string ending in the prefix.
 
 c and d are advanced one pattern symbol at a time, both in one loop
-(run_steps).  The lower bound combines, for each chunk length k up to
-r, a cap on how many length-k edges may enter the candidate block
-(counted out of the interval already known for the l-k prefix) with a
-co-lexicographic cap on the labels themselves, then rounds down to a
-closure marker.  Once the prefix is longer than the chunk, the label
+(run_steps), which looks each chunk's row up in the index once per
+chunk length and passes that row to the counting operations.  The
+lower bound combines, for each chunk length k up to r, a cap on how
+many length-k edges may enter the candidate block (counted out of the
+interval already known for the l-k prefix) with a co-lexicographic cap
+on the labels themselves, then rounds down to a closure marker.  Once the prefix is longer than the chunk, the label
 cap depends on the chunk alone, and for a chunk that is a dictionary
-label the index keeps it in a per-label row (min_state_above); the
+label the index keeps it in the chunk's row (the third slot); the
 bisecting query runs only for other chunks and, within the first r
 symbols, for the label lengths the prefix does not exceed.  The upper
 bound is pushed up past forced edge targets and suffix-labeled edges;
@@ -29,20 +30,26 @@ run it without, and `wgnfa query --trace` runs it again with them.
 Indexes built with the sentinel carry one extra lead state, so reported
 intervals are shifted back down; membership (accepts) runs the same
 recursion on sentinel-prefixed input and checks for final states,
-without translating.
+without translating.  match_interval runs accepts only when the
+pattern's own block (c[m]+1..d[m], index numbering) holds a final
+state: every state the pattern reaches from the initial state is
+reached by a string ending in the pattern, so it lies inside that
+block, and a block without a final state answers False exactly.
 
 Since c[l] and d[l] depend only on the first l pattern symbols (the
 closure markers only round them), a batch of patterns is matched as
 one walk (match_patterns): sorted, each pattern resuming from its
 predecessor's counter lists cut back to their longest common prefix,
-so only the symbols past it run the recursion.
+so only the symbols past it run the recursion.  The membership walk
+resumes from the last pattern that actually ran it, since a pattern
+the block check answers leaves it untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .index import WheelerIndex
+from .index import NO_ROW, WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES, escape_label
 
 
@@ -117,11 +124,13 @@ def run_steps(
     the prefix; if neither pushes it past c[l] the suffixed block is
     empty and d[l] = c[l], otherwise it rounds up to the next marker.
 
+    Each chunk's row is looked up once (NO_ROW when the chunk is not a
+    dictionary label) and passed to the three counting operations.
     For k < l the prefix is longer than the chunk, so "at or above the
     prefix" is "strictly above the chunk": a chunk that is a dictionary
-    label reads that bound off ix.min_state_above, and any other chunk
-    asks min_state_with_len_k_label_ge with the chunk and the byte
-    before it.  The lengths k >= l, which exist only while l <= r, ask
+    label reads that bound off its row, and any other chunk asks
+    min_state_with_len_k_label_ge with the chunk and the byte before
+    it.  The lengths k >= l, which exist only while l <= r, ask
     it with the whole prefix, and so does the suffix query; past r no
     prefix is a label suffix and i* is 0.
 
@@ -149,7 +158,7 @@ def run_steps(
     max_state_with_suffix_label = ix.max_state_with_suffix_label
     marker_floor = ix.marker_floor
     marker_ceiling = ix.marker_ceiling
-    min_state_above = ix.min_state_above
+    rows_get = ix.rows.get
     n, r = ix.n_states, ix.r
     lengths = range(1, r + 1)
     keep = 0
@@ -170,23 +179,23 @@ def run_steps(
             f: dict[int, int] = {}
             g: dict[int, int] = {}
         for k in lengths if ell > r else range(1, ell):
-            chunk = pattern[ell - k : ell]
+            row = rows_get(pattern[ell - k : ell], NO_ROW)
             cut, wide = c[ell - k], d[ell - k]
-            fk = out_count(chunk, cut)
-            bound = max_prefix_with_in_at_most(chunk, fk)
+            fk = out_count(row, cut)
+            bound = max_prefix_with_in_at_most(row, fk)
             if bound < j:
                 j = bound
             # the prefix is longer than the chunk, so the label-order bound
             # compares strictly and depends on the chunk alone
-            hit = min_state_above.get(chunk, 0)
+            hit = row[2]
             if hit == 0:
                 hit = min_state_with_len_k_label_ge(k, pattern[ell - k - 1 : ell])
             if hit is not None and hit - 1 < j:
                 j = hit - 1
-            gk = fk if wide == cut else out_count(chunk, wide)
+            gk = fk if wide == cut else out_count(row, wide)
             ops += 3
             if gk > fk:
-                pos = min_prefix_with_in_at_least(chunk, gk)
+                pos = min_prefix_with_in_at_least(row, gk)
                 ops += 1
                 if pos > forced:
                     forced = pos
@@ -227,20 +236,26 @@ def match_interval(
 
     On a sentinel index the reported interval is translated back to the
     original numbering and `accepted` reports exact membership; on a
-    plain index `accepted` is None.  The empty pattern consumes no
-    symbol, so it answers (1, n) without touching the index.  `resume`
-    holds the untraced traces of an earlier pattern, one for the
-    interval and one for membership, which run_steps then continues.
+    plain index `accepted` is None.  Membership runs accepts only when
+    the pattern's block, before translation, holds a final state, since
+    every state the pattern reaches from the initial state lies in it;
+    otherwise `accepted` is False.  The empty pattern consumes no
+    symbol, so its interval is (1, n) without a step.  `resume` holds
+    the untraced traces of an earlier pattern, one for the interval and
+    one for membership, which run_steps then continues; the membership
+    trace is left as the last pattern that ran accepts left it, and the
+    next one that runs it resumes from there.
     """
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
     walk, sentinel_walk = resume or (None, None)
     trace = run_steps(ix, pattern, trace=False, resume=walk)
     lo, hi = trace.c[-1] + 1, trace.d[-1]
+    accepted = None
     if ix.sentinel_mode:
+        accepted = ix.finals_in(lo, hi) and accepts(ix, pattern, sentinel_walk)
         lo, hi = max(lo - 1, 1), hi - 1
     count = max(0, hi - lo + 1)
-    accepted = accepts(ix, pattern, sentinel_walk) if ix.sentinel_mode else None
     return QueryResult(lo=lo, hi=hi, count=count, accepted=accepted, trace=trace)
 
 
@@ -251,7 +266,10 @@ def match_patterns(
     input order, as plain tuples: the walk reuses its counter lists.
 
     The patterns are matched in sorted order, each resuming from the
-    one before, so a prefix shared by neighbours is run once.
+    one before, so a prefix shared by neighbours is run once.  On a
+    sentinel index the membership walk runs only for the patterns whose
+    block holds a final state, each resuming from the last such pattern
+    before it.
     """
     walk = (run_steps(ix, b"", trace=False), run_steps(ix, b"", trace=False))
     answers: list = [None] * len(patterns)
@@ -267,8 +285,11 @@ def accepts(ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None) 
     Requires a sentinel index: the recursion runs on the pattern with
     the sentinel prepended, whose suffixed block is exactly the set of
     states whose incoming strings equal the pattern, and acceptance is
-    a final-state check on that block.  `resume` is an untraced trace
-    of an earlier sentinel-prefixed pattern, continued as in run_steps.
+    a final-state check on that block.  That block lies inside the
+    pattern's own block, so match_interval calls this only when the
+    latter holds a final state.  `resume` is an untraced trace of an
+    earlier sentinel-prefixed pattern, continued as in run_steps; it
+    need not be the pattern matched just before.
     """
     if not ix.sentinel_mode:
         raise ValueError("membership needs an index built with the sentinel")

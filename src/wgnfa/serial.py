@@ -103,7 +103,7 @@ def serialize(ix: WheelerIndex) -> bytes:
             eps,
             len(labels),
             ix.r,
-            max((len(sources) for sources, _ in ix.postings.values()), default=0),
+            max((len(sources) for sources, _, _ in ix.rows.values()), default=0),
         )
     )
 
@@ -113,7 +113,7 @@ def serialize(ix: WheelerIndex) -> bytes:
     )
     parts = []
     for rho in labels:
-        sources, targets = ix.postings[rho]
+        sources, targets, _ = ix.rows[rho]
         parts += (_uints(w, [len(sources)]), _uints(w, sources), _uints(w, targets))
     sec_postings = b"".join(parts)
 

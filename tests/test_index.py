@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wgnfa.index import build_index
+from wgnfa.index import NO_ROW, build_index
 from wgnfa.model import (
     SENTINEL_BYTES,
     GeneralizedAutomaton,
@@ -25,31 +25,31 @@ from conftest import corpus_names, load_index, load_instance
 
 def test_out_count_ten(ten_state_index):
     ix = ten_state_index
-    assert ix.out_count(b"a", 9) == 3
-    assert ix.out_count(b"b", 9) == 2
-    assert ix.out_count(b"b", 5) == 2
-    assert ix.out_count(b"bb", 10) == 2
-    assert ix.out_count(b"ca", 10) == 2
-    assert ix.out_count(b"ca", 1) == 0
-    assert ix.out_count(b"zz", 10) == 0
+    assert ix.out_count(ix.rows[b"a"], 9) == 3
+    assert ix.out_count(ix.rows[b"b"], 9) == 2
+    assert ix.out_count(ix.rows[b"b"], 5) == 2
+    assert ix.out_count(ix.rows[b"bb"], 10) == 2
+    assert ix.out_count(ix.rows[b"ca"], 10) == 2
+    assert ix.out_count(ix.rows[b"ca"], 1) == 0
+    assert ix.out_count(ix.rows.get(b"zz", NO_ROW), 10) == 0
 
 
 def test_prefix_bounds_ten(ten_state_index):
     ix = ten_state_index
-    assert ix.max_prefix_with_in_at_most(b"a", 0) == 1
-    assert ix.max_prefix_with_in_at_most(b"a", 1) == 2
-    assert ix.max_prefix_with_in_at_most(b"a", 2) == 3
-    assert ix.max_prefix_with_in_at_most(b"a", 3) == 10  # all of them
-    assert ix.max_prefix_with_in_at_most(b"zz", 0) == 10  # unknown label
-    assert ix.min_prefix_with_in_at_least(b"a", 1) == 2
-    assert ix.min_prefix_with_in_at_least(b"a", 2) == 3
-    assert ix.min_prefix_with_in_at_least(b"a", 3) == 4
+    assert ix.max_prefix_with_in_at_most(ix.rows[b"a"], 0) == 1
+    assert ix.max_prefix_with_in_at_most(ix.rows[b"a"], 1) == 2
+    assert ix.max_prefix_with_in_at_most(ix.rows[b"a"], 2) == 3
+    assert ix.max_prefix_with_in_at_most(ix.rows[b"a"], 3) == 10  # all of them
+    assert ix.max_prefix_with_in_at_most(ix.rows.get(b"zz", NO_ROW), 0) == 10  # unknown label
+    assert ix.min_prefix_with_in_at_least(ix.rows[b"a"], 1) == 2
+    assert ix.min_prefix_with_in_at_least(ix.rows[b"a"], 2) == 3
+    assert ix.min_prefix_with_in_at_least(ix.rows[b"a"], 3) == 4
     with pytest.raises(ValueError):
-        ix.min_prefix_with_in_at_least(b"a", 4)
+        ix.min_prefix_with_in_at_least(ix.rows[b"a"], 4)
     with pytest.raises(ValueError):
-        ix.min_prefix_with_in_at_least(b"zz", 1)
+        ix.min_prefix_with_in_at_least(ix.rows.get(b"zz", NO_ROW), 1)
     with pytest.raises(ValueError):
-        ix.max_prefix_with_in_at_most(b"a", -1)
+        ix.max_prefix_with_in_at_most(ix.rows[b"a"], -1)
 
 
 def test_label_lower_bound_ten(ten_state_index):
@@ -99,9 +99,9 @@ def test_finals_ten(ten_state_index):
 
 def test_four_state_ops(four_state_index):
     ix = four_state_index
-    assert [ix.out_count(b"b", j) for j in range(5)] == [0, 1, 1, 1, 1]
-    assert ix.max_prefix_with_in_at_most(b"b", 0) == 2
-    assert ix.max_prefix_with_in_at_most(b"b", 1) == 4
+    assert [ix.out_count(ix.rows[b"b"], j) for j in range(5)] == [0, 1, 1, 1, 1]
+    assert ix.max_prefix_with_in_at_most(ix.rows[b"b"], 0) == 2
+    assert ix.max_prefix_with_in_at_most(ix.rows[b"b"], 1) == 4
     assert ix.min_state_with_len_k_label_ge(1, b"b") == 3
     assert ix.min_state_with_len_k_label_ge(1, b"bb") == 4
     assert ix.max_state_with_suffix_label(b"b") == 3
@@ -126,11 +126,10 @@ def test_min_state_above_is_the_strict_label_bound(all_corpus_names):
         for sentinel in (False, True):
             built = load_index(name, sentinel)
             for ix in (built, deserialize(serialize(built))):
-                above = ix.min_state_above
-                assert {id(rho) for rho in above} == {id(rho) for rho in ix.labels}
+                assert {id(rho) for rho in ix.rows} == {id(rho) for rho in ix.labels}
                 for rho in ix.labels:
                     want = ix.min_state_with_len_k_label_ge(len(rho), b"\x02" + rho)
-                    assert above[rho] == want, (name, sentinel, rho)
+                    assert ix.rows[rho][2] == want, (name, sentinel, rho)
                     rows += 1
     assert rows > 1000
 
@@ -169,8 +168,8 @@ def test_sentinel_build_matches_augmented(ten_state, four_state):
         assert (
             got.n_states,
             [stand_in.get(rho, rho) for rho in got.labels],
-            {stand_in.get(rho, rho): p for rho, p in got.postings.items()},
-        ) == (want.n_states, list(want.labels), want.postings)
+            {stand_in.get(rho, rho): row for rho, row in got.rows.items()},
+        ) == (want.n_states, list(want.labels), want.rows)
         for bits in ("finals", "b_max", "b_min"):
             assert getattr(got, bits).to_bytes() == getattr(want, bits).to_bytes()
 
@@ -202,13 +201,13 @@ def _scan_checks(a, ix):
         outs = sorted(u for u, _, r2 in led if r2 == rho)
         ins = sorted(v for _, v, r2 in led if r2 == rho)
         for j in (0, 1, n // 2, n):
-            assert ix.out_count(rho, j) == bisect_right(outs, j)
+            assert ix.out_count(ix.rows.get(rho, NO_ROW), j) == bisect_right(outs, j)
         for f in (0, 1, len(ins)):
             want = max(j for j in range(n + 1) if bisect_right(ins, j) <= f)
-            assert ix.max_prefix_with_in_at_most(rho, f) == want
+            assert ix.max_prefix_with_in_at_most(ix.rows.get(rho, NO_ROW), f) == want
         for g in range(1, len(ins) + 1):
             want = min(j for j in range(n + 1) if bisect_right(ins, j) >= g)
-            assert ix.min_prefix_with_in_at_least(rho, g) == want
+            assert ix.min_prefix_with_in_at_least(ix.rows.get(rho, NO_ROW), g) == want
     for alpha in probes:
         for k in range(1, a.max_label_len + 1):
             hits = [

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgnfa import matcher
+from wgnfa.generate import GenerationParams, generate_instance, sample_patterns
 from wgnfa.index import build_index
 from wgnfa.matcher import (
     SentinelInPatternError,
@@ -29,10 +32,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_trace_cba(ten_state_index, monkeypatch):
     calls = []
     out_count = ten_state_index.out_count
+    label_of = {id(row): rho for rho, row in ten_state_index.rows.items()}
 
-    def counted(chunk, j):
-        calls.append((chunk, j))
-        return out_count(chunk, j)
+    def counted(row, j):
+        calls.append((label_of[id(row)], j))
+        return out_count(row, j)
 
     monkeypatch.setattr(ten_state_index, "out_count", counted)
     tr = run_steps(ten_state_index, b"cba")
@@ -236,6 +240,66 @@ def test_untraced_recursion_equals_traced(all_corpus_names):
     assert runs > 60_000
 
 
+@pytest.fixture
+def accepts_calls(monkeypatch) -> list[bytes]:
+    """The patterns matcher.accepts is called with, in call order."""
+    calls: list[bytes] = []
+
+    def counted(ix, pattern, resume=None):
+        calls.append(pattern)
+        return accepts(ix, pattern, resume)
+
+    monkeypatch.setattr(matcher, "accepts", counted)
+    return calls
+
+
+def _check_membership_gate(a, patterns, calls) -> tuple[int, int]:
+    """On a's sentinel index, match_interval and match_patterns run
+    accepts exactly for the patterns whose own block holds a final
+    state, and every `accepted` is brute_accepts'.  Returns how many
+    patterns the block check answered and how many ran accepts."""
+    ix = build_index(a, with_sentinel=True)
+    want = {p: brute_accepts(a, p) for p in patterns}
+    has_final = {}
+    for pat in patterns:
+        walk = run_steps(ix, pat, trace=False)
+        has_final[pat] = ix.finals_in(walk.c[-1] + 1, walk.d[-1])
+        assert has_final[pat] or not want[pat], pat
+    calls.clear()
+    for pat in patterns:
+        assert match_interval(ix, pat).accepted is want[pat], pat
+    assert calls == [p for p in patterns if has_final[p]]
+    calls.clear()
+    answers = match_patterns(ix, patterns)
+    assert [acc for *_, acc in answers] == [want[p] for p in patterns]
+    assert calls == [p for p in sorted(patterns) if has_final[p]]
+    ran = sum(has_final[p] for p in patterns)
+    return len(patterns) - ran, ran
+
+
+def test_membership_walk_only_where_the_block_holds_a_final(all_corpus_names, accepts_calls):
+    # the corpus sidecar patterns and the exhaustive short sweep
+    gated = ran = 0
+    for name in all_corpus_names:
+        pats = list(load_sidecar_patterns(name)) + _sweep_patterns(name)
+        g, k = _check_membership_gate(load_instance(name), pats, accepts_calls)
+        gated, ran = gated + g, ran + k
+    assert gated > 1000 and ran > 1000, (gated, ran)
+
+
+def test_membership_gate_on_generated_instances(accepts_calls):
+    # seeds 0-299 at 8, 24 and 40 epsilon attempts
+    gated = with_epsilon = 0
+    for epsilon_attempts in (8, 24, 40):
+        params = GenerationParams(epsilon_attempts=epsilon_attempts)
+        for seed in range(300):
+            a = generate_instance(seed, params)
+            with_epsilon += any(not rho for _, _, rho in a.edges)
+            pats = sample_patterns(random.Random(seed), a, 40)
+            gated += _check_membership_gate(a, pats, accepts_calls)[0]
+    assert gated > 1000 and with_epsilon > 700, (gated, with_epsilon)
+
+
 @pytest.mark.skipif(not corpus_names(), reason="corpus not generated")
 @settings(max_examples=150, deadline=None)
 @given(st.data())
@@ -273,3 +337,6 @@ def test_resumed_walk_equals_fresh_runs(data):
         assert match_patterns(ix, patterns) == [
             (res.lo, res.hi, res.count, res.accepted) for res in want
         ]
+        if sentinel:
+            a = load_instance(name)
+            assert [res.accepted for res in want] == [brute_accepts(a, p) for p in patterns]

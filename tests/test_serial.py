@@ -11,7 +11,7 @@ import pytest
 
 from wgnfa.cli import _default_battery
 from wgnfa.generate import build_piece_trie
-from wgnfa.index import build_index
+from wgnfa.index import NO_ROW, build_index
 from wgnfa.matcher import match_interval
 from wgnfa.model import GeneralizedAutomaton
 from wgnfa.serial import IndexFormatError, deserialize, payload_bits, serialize
@@ -25,8 +25,8 @@ def probe_ops(ix, rng, count=200):
     for _ in range(count):
         rho = rng.choice(labels)
         j = rng.randrange(0, n + 1)
-        out.append(ix.out_count(rho, j))
-        out.append(ix.max_prefix_with_in_at_most(rho, rng.randrange(0, 3)))
+        out.append(ix.out_count(ix.rows.get(rho, NO_ROW), j))
+        out.append(ix.max_prefix_with_in_at_most(ix.rows.get(rho, NO_ROW), rng.randrange(0, 3)))
         k = rng.randrange(1, ix.r + 1) if ix.r else 1
         tail = rho[-1:] if rho else b"a"
         out.append(ix.min_state_with_len_k_label_ge(k, tail * rng.randrange(1, 4)))
@@ -44,7 +44,7 @@ def assert_round_trip(ix, probes=200):
     assert (again.epsilon_edge_count, again.r) == (ix.epsilon_edge_count, ix.r)
     assert again.sentinel_mode == ix.sentinel_mode
     assert again.labels == ix.labels
-    assert again.postings == ix.postings
+    assert again.rows == ix.rows
     assert probe_ops(again, random.Random(7)) == probe_ops(ix, random.Random(7))
     assert serialize(again) == data
 
