@@ -93,16 +93,14 @@ def _state_offset(q: int) -> int:
 def state_column(n: int) -> Callable[[int, int], str]:
     """The comma-joined states lo..hi of 1..n, as slices of one text.
 
-    The text is built once, a block of states at a time so that no list
-    of n strings is ever held, and a row then costs time in proportion
-    to the bytes it prints.  An empty interval (lo > hi) gives "", and a
-    non-empty one outside 1..n raises ValueError.
+    The text is built once, a block of 4,096 states at a time so that no
+    list of n strings is ever held, each block formatted by one "%d,"
+    template, and a row then costs time in proportion to the bytes it
+    prints.  An empty interval (lo > hi) gives "", and a non-empty one
+    outside 1..n raises ValueError.
     """
-    block = 4096
-    text = "".join(
-        ",".join(map(str, range(start, min(start + block, n + 1)))) + ","
-        for start in range(1, n + 1, block)
-    )
+    blocks = (range(start, min(start + 4096, n + 1)) for start in range(1, n + 1, 4096))
+    text = "".join("%d," * len(block) % tuple(block) for block in blocks)
 
     def states(lo: int, hi: int) -> str:
         if lo > hi:
@@ -119,11 +117,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     patterns = parse_patterns(_read_bytes(args.patterns))
     answers = match_patterns(ix, patterns)
     states = state_column(ix.n_states - (1 if ix.sentinel_mode else 0))
+    write = sys.stdout.write  # one write per row and per trace block
     for p, (lo, hi, count, accepted) in zip(patterns, answers):
         if args.trace and p:
-            print(run_steps(ix, p).dump_tsv())
+            write(run_steps(ix, p).dump_tsv() + "\n")
         acc = "-" if accepted is None else ("1" if accepted else "0")
-        print(f"{escape_label(p)}\t{lo}\t{hi}\t{count}\t{states(lo, hi)}\t{acc}")
+        write(f"{escape_label(p)}\t{lo}\t{hi}\t{count}\t{states(lo, hi)}\t{acc}\n")
     return 0
 
 

@@ -40,9 +40,10 @@ Since c[l] and d[l] depend only on the first l pattern symbols (the
 closure markers only round them), a batch of patterns is matched as
 one walk (match_patterns): sorted, each pattern resuming from its
 predecessor's counter lists cut back to their longest common prefix,
-so only the symbols past it run the recursion.  The membership walk
-resumes from the last pattern that actually ran it, since a pattern
-the block check answers leaves it untouched.
+so only the symbols past it run the recursion.  A pattern equal to
+the one before it reuses that answer and runs nothing.  The membership
+walk resumes from the last pattern that actually ran it, since a
+pattern the block check answers leaves it untouched.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class MatchTrace:
         return "\n".join(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QueryResult:
     lo: int
     hi: int
@@ -266,16 +267,23 @@ def match_patterns(
     input order, as plain tuples: the walk reuses its counter lists.
 
     The patterns are matched in sorted order, each resuming from the
-    one before, so a prefix shared by neighbours is run once.  On a
-    sentinel index the membership walk runs only for the patterns whose
-    block holds a final state, each resuming from the last such pattern
-    before it.
+    one before, so a prefix shared by neighbours is run once.  Sorting
+    puts a repeated pattern right after its twin, and it reuses that
+    answer's tuple: match_interval runs once per distinct pattern.  On
+    a sentinel index the membership walk runs only for the distinct
+    patterns whose block holds a final state, each resuming from the
+    last such pattern before it.
     """
     walk = (run_steps(ix, b"", trace=False), run_steps(ix, b"", trace=False))
     answers: list = [None] * len(patterns)
+    prev = answer = None
     for i in sorted(range(len(patterns)), key=patterns.__getitem__):
-        res = match_interval(ix, patterns[i], walk)
-        answers[i] = (res.lo, res.hi, res.count, res.accepted)
+        pattern = patterns[i]
+        if pattern != prev:
+            res = match_interval(ix, pattern, walk)
+            answer = (res.lo, res.hi, res.count, res.accepted)
+            prev = pattern
+        answers[i] = answer
     return answers
 
 

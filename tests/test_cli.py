@@ -128,6 +128,26 @@ def test_validate_axiom1_fail_row(tmp_path, capsys):
     assert "axiom1\tFAIL\tstates 2<3\tba !< baa\n" in capsys.readouterr().out
 
 
+def test_shared_strings_pass_axiom1(tmp_path, capsys):
+    # states 2 and 3 are entered by the same strings, a and ba: no string
+    # orders them, so axiom 1 holds, and an exact axiom-1 check must keep
+    # accepting this automaton
+    shared = tmp_path / "shared.gnfa"
+    shared.write_text(
+        "gnfa 1\nstates 3\ninitial 1\nfinal 2 3\n"
+        "edge 1 2 a\nedge 1 2 ba\nedge 1 3 a\nedge 1 3 ba\n"
+    )
+    assert main(["validate", str(shared), "--axiom1-depth", "6"]) == 0
+    assert main(["oracle-check", str(shared)]) == 0
+    out = tmp_path / "shared.wgx"
+    assert main(["build", str(shared), "-o", str(out), "--sentinel"]) == 0
+    pats = tmp_path / "pats.txt"
+    pats.write_text("a\nba\n")
+    capsys.readouterr()
+    assert main(["query", str(out), "--patterns", str(pats)]) == 0
+    assert capsys.readouterr().out == "a\t2\t3\t2\t2,3\t1\nba\t2\t3\t2\t2,3\t1\n"
+
+
 def test_validate_axiom3_fail_row(tmp_path, capsys):
     bad = tmp_path / "ax3.gnfa"
     bad.write_text("gnfa 1\nstates 3\ninitial 1\nfinal 2 3\nedge 1 2 b\nedge 1 3 a\n")
@@ -319,6 +339,14 @@ def test_state_column_slices():
             assert states(lo, hi) == ",".join(map(str, range(lo, hi + 1))), (lo, hi)
     assert states(1, n) == ",".join(map(str, range(1, n + 1)))
     assert states(5000, 4999) == ""
+    # the text is built 4,096 states at a time: a full last block, a
+    # one-state last block and two full blocks
+    for n in (4096, 4097, 8192):
+        states = state_column(n)
+        ends = [q for q in near + [4095, 4096, 4097, 4098, 8191] if q <= n] + [1, n]
+        for lo in ends:
+            for hi in ends:
+                assert states(lo, hi) == ",".join(map(str, range(lo, hi + 1))), (n, lo, hi)
     for n in range(13):
         states = state_column(n)
         for lo in range(1, n + 2):

@@ -253,11 +253,27 @@ def accepts_calls(monkeypatch) -> list[bytes]:
     return calls
 
 
-def _check_membership_gate(a, patterns, calls) -> tuple[int, int]:
-    """On a's sentinel index, match_interval and match_patterns run
-    accepts exactly for the patterns whose own block holds a final
-    state, and every `accepted` is brute_accepts'.  Returns how many
-    patterns the block check answered and how many ran accepts."""
+@pytest.fixture
+def interval_calls(monkeypatch) -> list[bytes]:
+    """The patterns match_patterns calls matcher.match_interval with."""
+    calls: list[bytes] = []
+
+    def counted(ix, pattern, resume=None):
+        calls.append(pattern)
+        return match_interval(ix, pattern, resume)
+
+    monkeypatch.setattr(matcher, "match_interval", counted)
+    return calls
+
+
+def _check_membership_gate(a, patterns, calls, interval_calls) -> tuple[int, int]:
+    """On a's sentinel index, match_interval runs accepts exactly for
+    the patterns whose own block holds a final state, match_patterns
+    for the distinct ones among them, and every `accepted` is
+    brute_accepts'.  A batch repeating the patterns out of order runs
+    match_interval once per distinct pattern and answers as the
+    per-pattern calls do.  Returns how many patterns the block check
+    answered and how many ran accepts."""
     ix = build_index(a, with_sentinel=True)
     want = {p: brute_accepts(a, p) for p in patterns}
     has_final = {}
@@ -266,28 +282,36 @@ def _check_membership_gate(a, patterns, calls) -> tuple[int, int]:
         has_final[pat] = ix.finals_in(walk.c[-1] + 1, walk.d[-1])
         assert has_final[pat] or not want[pat], pat
     calls.clear()
+    singles = []
     for pat in patterns:
-        assert match_interval(ix, pat).accepted is want[pat], pat
+        res = match_interval(ix, pat)
+        assert res.accepted is want[pat], pat
+        singles.append((res.lo, res.hi, res.count, res.accepted))
     assert calls == [p for p in patterns if has_final[p]]
     calls.clear()
     answers = match_patterns(ix, patterns)
     assert [acc for *_, acc in answers] == [want[p] for p in patterns]
-    assert calls == [p for p in sorted(patterns) if has_final[p]]
+    assert calls == [p for p in sorted(set(patterns)) if has_final[p]]
+    interval_calls.clear()
+    assert match_patterns(ix, patterns[::-1] + patterns) == singles[::-1] + singles
+    assert interval_calls == sorted(set(patterns))
     ran = sum(has_final[p] for p in patterns)
     return len(patterns) - ran, ran
 
 
-def test_membership_walk_only_where_the_block_holds_a_final(all_corpus_names, accepts_calls):
+def test_membership_walk_only_where_the_block_holds_a_final(
+    all_corpus_names, accepts_calls, interval_calls
+):
     # the corpus sidecar patterns and the exhaustive short sweep
     gated = ran = 0
     for name in all_corpus_names:
         pats = list(load_sidecar_patterns(name)) + _sweep_patterns(name)
-        g, k = _check_membership_gate(load_instance(name), pats, accepts_calls)
+        g, k = _check_membership_gate(load_instance(name), pats, accepts_calls, interval_calls)
         gated, ran = gated + g, ran + k
     assert gated > 1000 and ran > 1000, (gated, ran)
 
 
-def test_membership_gate_on_generated_instances(accepts_calls):
+def test_membership_gate_on_generated_instances(accepts_calls, interval_calls):
     # seeds 0-299 at 8, 24 and 40 epsilon attempts
     gated = with_epsilon = 0
     for epsilon_attempts in (8, 24, 40):
@@ -296,7 +320,7 @@ def test_membership_gate_on_generated_instances(accepts_calls):
             a = generate_instance(seed, params)
             with_epsilon += any(not rho for _, _, rho in a.edges)
             pats = sample_patterns(random.Random(seed), a, 40)
-            gated += _check_membership_gate(a, pats, accepts_calls)[0]
+            gated += _check_membership_gate(a, pats, accepts_calls, interval_calls)[0]
     assert gated > 1000 and with_epsilon > 700, (gated, with_epsilon)
 
 
