@@ -95,9 +95,11 @@ def state_column(n: int) -> Callable[[int, int], str]:
 
     The text is built once, a block of 4,096 states at a time so that no
     list of n strings is ever held, each block formatted by one "%d,"
-    template, and a row then costs time in proportion to the bytes it
-    prints.  An empty interval (lo > hi) gives "", and a non-empty one
-    outside 1..n raises ValueError.
+    template.  A row, which cmd_query writes with its slice in one
+    write, then costs time in proportion to the bytes it prints; a
+    repeated pattern reuses its neighbour's answer, and its row is cut
+    again from the same text.  An empty interval (lo > hi) gives "", and
+    a non-empty one outside 1..n raises ValueError.
     """
     blocks = (range(start, min(start + 4096, n + 1)) for start in range(1, n + 1, 4096))
     text = "".join("%d," * len(block) % tuple(block) for block in blocks)
@@ -117,7 +119,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     patterns = parse_patterns(_read_bytes(args.patterns))
     answers = match_patterns(ix, patterns)
     states = state_column(ix.n_states - (1 if ix.sentinel_mode else 0))
-    write = sys.stdout.write  # one write per row and per trace block
+    write = sys.stdout.write  # print would write each newline separately
     for p, (lo, hi, count, accepted) in zip(patterns, answers):
         if args.trace and p:
             write(run_steps(ix, p).dump_tsv() + "\n")
