@@ -3,23 +3,24 @@ integer arrays the loaded index is made of.
 
 Positions are 1-based to match the state numbering used everywhere
 else.  rank1(i) counts set bits in positions 1..i and select1(k) finds
-the position of the k-th set bit.  A bitvector keeps its bits packed,
-eight to a byte, as the container holds them, and besides them only the
-ascending positions of its rarer bit (the ones on a tie), each in the
-smallest of 1, 2, 4 or 8 bytes that holds n.  With the ones stored,
-rank1(i) is a bisect over their positions and select1(k) is the k-th of
-them.  With the zeros stored, rank1(i) is i less the zeros up to i, and
-select1(k) is k plus the zeros ahead of the k-th one, found by a bisect
-over a second array that holds, for each zero, the number of ones
-before it.  A bitvector with m rarer bits thus takes n/8 bytes and one
-or two arrays of m entries.  The closure markers have at most one zero
-per epsilon edge, so on an epsilon-free index both arrays are empty and
-both operations bisect nothing: on the 85,230-state benchmark index the
-three bitvectors take 32 kB of packed bits and 40 kB for the 10,094
-final states.  The price is a bisect where a directory of n+1 running
-counts would answer with one lookup: once a marker holds a thousand
-zeros or more, each marker rounding costs one to two microseconds more
-(2-vCPU Xeon, Python 3.11).
+the position of the k-th set bit.  A bitvector keeps n, its count of
+ones and the ascending positions of its rarer bit (the ones on a tie),
+each in the smallest of 1, 2, 4 or 8 bytes that holds n, and nothing
+else: to_bytes packs the bits, eight to a byte as the container holds
+them, from those positions.  With the ones stored, rank1(i) is a bisect
+over their positions and select1(k) is the k-th of them.  With the
+zeros stored, rank1(i) is i less the zeros up to i, and select1(k) is k
+plus the zeros ahead of the k-th one, found by a bisect over a second
+array that holds, for each zero, the number of ones before it.  A
+bitvector with m rarer bits thus takes one or two arrays of m entries.
+The closure markers have at most one zero per epsilon edge, so on an
+epsilon-free index both arrays are empty, both operations bisect
+nothing and each marker takes under 300 bytes of heap: on the
+85,230-state benchmark index the three bitvectors take 41 kB, nearly
+all of it the positions of the 10,094 final states.  The price is a
+bisect where a directory of n+1 running counts would answer with one
+lookup: once a marker holds a thousand zeros or more, each marker
+rounding costs one to two microseconds more (2-vCPU Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def uint_array(width: int, data: bytes) -> array:
 
 
 class RankSelectBits:
-    __slots__ = ("n", "ones", "_zeros_stored", "_rare", "_ones_before", "_packed")
+    __slots__ = ("n", "ones", "_zeros_stored", "_rare", "_ones_before")
 
-    def __init__(self, bits: bytes, *, packed: bytes | None = None):
-        # bits holds one 0/1 byte per position; packed, if given, is
-        # to_bytes() of these bits (from_bytes has it)
+    def __init__(self, bits: bytes):
+        # bits holds one 0/1 byte per position
         if bits.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
         self.n = len(bits)
@@ -84,16 +84,13 @@ class RankSelectBits:
         self._rare = rare
         # for the zeros, z_i - i: the number of ones ahead of zero i
         self._ones_before = array(typecode, map(sub, rare, count(1)))[:] if zeros_stored else None
-        if packed is None:
-            size = (self.n + 7) // 8
-            value = int(b"0" + bits.translate(_TO_ASCII), 2) << (8 * size - self.n)
-            packed = value.to_bytes(size, "big")
-        self._packed = packed
 
     def __getitem__(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise IndexError(f"bit position {i} out of range 1..{self.n}")
-        return self._packed[(i - 1) >> 3] >> (7 - ((i - 1) & 7)) & 1
+        # 1 if i is one of the rarer positions, flipped when those are zeros
+        rare = self._rare
+        return (bisect_right(rare, i) - bisect_left(rare, i)) ^ self._zeros_stored
 
     def rank1(self, i: int) -> int:
         """Number of set bits among positions 1..i (i may be 0)."""
@@ -118,16 +115,25 @@ class RankSelectBits:
 
     def to_bytes(self) -> bytes:
         """Eight bits to a byte, the first one highest, zero-padded."""
-        return self._packed
+        common = int(self._zeros_stored)
+        # one 0/1 byte per position after a leading 0, which also gives
+        # int() a digit when n is 0
+        bits = bytearray([common]) * (self.n + 1)
+        bits[0] = 0
+        for p in self._rare:
+            bits[p] = 1 - common
+        size = (self.n + 7) // 8
+        value = int(bits.translate(_TO_ASCII), 2) << (8 * size - self.n)
+        return value.to_bytes(size, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes, n: int) -> "RankSelectBits":
         """The inverse of to_bytes: ValueError on a bad length or padding."""
         size = (n + 7) // 8
         if len(data) != size:
-            raise ValueError("packed bits have the wrong length")
+            raise ValueError("bit section has the wrong length")
         value = int.from_bytes(data, "big")
         if value & ((1 << (8 * size - n)) - 1):
-            raise ValueError("packed bits have a padding bit set")
+            raise ValueError("bit section has a padding bit set")
         bits = format(value, f"0{8 * size}b")[:n].encode().translate(_FROM_ASCII)
-        return cls(bits, packed=bytes(data))
+        return cls(bits)

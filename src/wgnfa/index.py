@@ -25,13 +25,13 @@ three counting operations take such a row, not a label, so a matching
 step looks each chunk up once; NO_ROW stands for a chunk the dictionary
 does not hold.  Besides the rows there are rank/select bitvectors for
 the finals and the two closure markers the epsilon edges add, each
-holding its packed bits and the positions of its rarer bit (none for a
-marker of an epsilon-free automaton), and two more tables with one
-entry per dictionary label, never one per edge: per label length, the
-reversed labels with a suffix minimum over each label's smallest
-target, whose entry just past a label's own is that label's bound; and
-all reversed labels in dictionary order with a range-maximum sparse
-table over each label's largest target.
+holding only the positions of its rarer bit (none for a marker of an
+epsilon-free automaton), and two more tables with one entry per
+dictionary label, never one per edge: per label length, the reversed
+labels with a suffix minimum over each label's smallest target, whose
+entry just past a label's own is that label's bound; and all reversed
+labels in dictionary order with a range-maximum sparse table over each
+label's largest target.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class WheelerIndex:
     what min_state_with_len_k_label_ge(len(rho), x + rho) returns for
     any byte x.  out_count and the two prefix boundaries take such a
     row.  No Python object is held per edge or per state, but each
-    label costs about 510 bytes of heap on top of its file bytes, so
+    label costs about 550 bytes of heap on top of its file bytes, so
     an index with thousands of labels loads to twenty or more heap
     bytes per file byte.
 
@@ -182,8 +182,6 @@ class WheelerIndex:
     def max_state_with_suffix_label(self, alpha: bytes) -> int:
         """Largest state entered by an edge whose label has alpha as a
         suffix; 0 if no edge label does (always so once |alpha| > r)."""
-        if len(alpha) > self.r:
-            return 0
         rev = alpha[::-1]
         lo = bisect_left(self._rev, rev)
         hi = bisect_right(self._rev, suffix_block_end(rev, self.r), lo)

@@ -25,14 +25,16 @@ round-trips.
 Only what the index cannot derive is stored.  WheelerIndex derives the
 longest label and its per-label query rows from the dictionary and
 postings, so none of these can disagree with the rest of the file.
-Each bit section loads as a RankSelectBits that keeps the section's
-bytes and the positions of its rarer bit, so the marker sections of an
-epsilon-free file, every bit set, load to nothing more than their bytes.
+Each bit section loads as a RankSelectBits that keeps only the
+positions of its rarer bit, so the marker sections of an epsilon-free
+file, every bit set, load to empty arrays; serialize packs the
+bytes again from those positions.
 
 Besides magic, version, flags, framing and digest, loading checks that
 the bit sections are ceil(n/8) bytes with clear padding bits (so a
-loaded index writes back the bytes it was read from), that the marker
-bits b_max[n] and b_min[1] are set and the two marker sections hold no
+loaded index writes back the bytes it was read from; both are checked
+once, by RankSelectBits.from_bytes), that the marker bits b_max[n] and
+b_min[1] are set and the two marker sections hold no
 more zero bits together than the epsilon-edge count (as for any
 closure: a zero in b_max at v needs a direct epsilon edge into v from
 above v, since by axiom 4 an epsilon path whose last edge climbs into
@@ -217,12 +219,11 @@ def deserialize(data: bytes) -> WheelerIndex:
 
     bits = []
     for what, payload in zip(("finals", "b_max", "b_min"), sections[1:4]):
-        if len(payload) != (n + 7) // 8:
-            raise IndexFormatError(f"{what} bit section has the wrong length")
         try:
             bits.append(RankSelectBits.from_bytes(payload, n))
-        except ValueError:
-            raise IndexFormatError(f"{what} bit section has a padding bit set") from None
+        except ValueError as exc:
+            # a wrong length or a padding bit set
+            raise IndexFormatError(f"{what} {exc}") from None
     finals, b_max, b_min = bits
     # any closure has a_max[n] = n and a_min[1] = 1; a zero in b_max at v
     # needs an epsilon edge into v from above v, and one in b_min an

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -182,3 +184,18 @@ def test_large_random_against_numpy():
     ones = np.flatnonzero(bits) + 1
     for k in (1, len(ones) // 2, len(ones)):
         assert bv.select1(k) == int(ones[k - 1])
+
+
+def test_all_ones_keeps_no_packed_copy():
+    """An all-ones vector, as each closure marker of an epsilon-free
+    index is, keeps its n and counts and no copy of its packed bytes:
+    the 100,000-byte buffer it is read from is freed once it is built."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bv = RankSelectBits.from_bytes(bytes(bytearray(b"\xff" * 100_000)), 800_000)
+        heap = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (bv.n, bv.ones, bv[1], bv[800_000]) == (800_000, 800_000, 1, 1)
+    assert heap < 1024, heap

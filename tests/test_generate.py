@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import random
 import subprocess
@@ -11,16 +12,23 @@ from pathlib import Path
 import pytest
 
 from wgnfa.generate import (
+    ALPHABET_POOL,
     GenerationError,
     GenerationParams,
+    _merge_sink_run,
     build_piece_trie,
     generate_instance,
     sample_patterns,
     wheeler_exact,
 )
 from wgnfa.model import GeneralizedAutomaton, validate
+from wgnfa.oracle import brute_below_count
 
 ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("make_corpus", ROOT / "scripts" / "make_corpus.py")
+make_corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_corpus)
 
 
 def test_deterministic():
@@ -51,6 +59,37 @@ def test_trie_is_wheeler_by_construction():
         assert validate(a, axiom1_depth=6).ok
         assert a.finals  # sinks exist and are final
         assert wheeler_exact(a)
+
+
+@pytest.mark.parametrize("shape", [0, 1])
+def test_merged_sink_run_is_wheeler(shape):
+    """Collapsing a run of order-consecutive sinks keeps a Wheeler order,
+    which is why generate_instance does not re-check a merge; the two
+    shapes are those of the corpus's confined and roaming instances."""
+    p = make_corpus.params_for(shape)
+    merges = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        trie = build_piece_trie(
+            rng, p.n_strings, p.max_string_len, p.max_piece_len, ALPHABET_POOL[: p.alphabet_size]
+        )
+        merged = _merge_sink_run(trie, rng)
+        if merged is not None:
+            merges += 1
+            assert merged.state_count < trie.state_count
+            assert wheeler_exact(merged), seed
+    assert merges > 0
+
+
+@pytest.mark.parametrize("epsilon_attempts", [0, 8])
+def test_generated_instances_have_prefix_shape(epsilon_attempts):
+    """On a generated instance the states strictly below a pattern form
+    a prefix, so the oracle's count raises no ShapeViolation."""
+    params = GenerationParams(epsilon_attempts=epsilon_attempts)
+    for seed in range(50):
+        a = generate_instance(seed, params)
+        for pattern in sample_patterns(random.Random(seed), a, 20):
+            brute_below_count(a, pattern)
 
 
 def test_wheeler_exact_rejects_planted_violation():

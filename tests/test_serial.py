@@ -390,8 +390,8 @@ def test_loaded_index_heap_within_4x_file(sentinel):
 def test_loaded_index_heap_within_1_5x_file(sentinel):
     """The criterion-09 10k trie loads into at most 1.5 heap bytes per
     file byte: each bitvector keeps only the positions of its rarer bit,
-    so the all-ones marker bits of this epsilon-free trie cost their
-    packed bytes alone."""
+    so the all-ones marker bits of this epsilon-free trie load to empty
+    arrays and keep none of their packed bytes."""
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
     blob = serialize(build_index(a, with_sentinel=sentinel))
