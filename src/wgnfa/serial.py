@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
   magic   "WGNE" (4 bytes)
-  version 0x02   (1 byte)
+  version 0x03   (1 byte)
   flags   1 byte, bit 0 set when the index was built with the sentinel
   6 sections, each an 8-byte payload length followed by the payload:
     1 summary        width byte w in {1,2,4,8}, then two w-byte ints:
@@ -13,14 +13,21 @@ Layout, all integers little-endian:
     4 b_min markers  packed bits
     5 dictionary     label count, then per label (strictly increasing in
                      co-lex order): length + raw bytes
-    6 postings       per dictionary entry: edge count, that many
-                     ascending sources, that many ascending targets
+    6 postings       per dictionary entry: edge count c, then its
+                     sources and its targets, each side as its first
+                     state, a gap width byte dw in {1,2,4,8} and the
+                     c-1 gaps between consecutive states, dw bytes each
   digest  8 bytes: blake2b (digest_size=8) of everything above
 
 The framing around the payloads is 62 bytes.  The width w is the
-smallest of 1/2/4/8 bytes that fits every integer in the file, so small
-automata serialize compactly while anything up to 2^64 still
-round-trips.
+smallest of 1/2/4/8 bytes that fits every integer in the file but the
+gaps, so small automata serialize compactly while anything up to 2^64
+still round-trips.  Each postings side has a width dw of its own, the
+smallest that fits its largest gap: a label's states are spread over
+the whole numbering, so the gaps are far smaller than n, and on the
+85k-state benchmark trie most sides take one byte per edge where w is
+four.  Loading rebuilds each side as an array of exactly c entries of
+the width that holds n, the arrays the library build makes.
 
 Only what the index cannot derive is stored.  WheelerIndex derives the
 longest label and its per-label query rows from the dictionary and
@@ -42,8 +49,9 @@ v stays below v throughout, and likewise a zero in b_min one from
 below, so each edge pays for at most one zero), that dictionary labels
 are non-empty, strictly increasing in co-lex order and free of the
 reserved bytes 0x00 and 0x01 but for the single label 0x01, and that
-every postings entry holds at least one edge with ascending sources and
-targets in 1..n.  The index is a sentinel index
+every postings entry holds at least one edge and each of its sides a
+gap width in {1,2,4,8} and states in 1..n (the states ascend by
+construction, since the gaps are unsigned).  The index is a sentinel index
 iff its dictionary holds the label 0x01; the flag bit must agree, and
 the edge 1 -> 2 that the sentinel build adds under that label must be
 the only edge at state 1.  Last, the labeled edges must keep Wheeler
@@ -54,8 +62,10 @@ smallest targets and one bisect per label), and the states 2..n that no
 posting enters must be at most the epsilon-edge count, since each such
 state needs an epsilon edge of its own (WheelerIndex.unentered_states:
 one bytearray of n + 1 flags).  Axiom 4 holds by construction, since
-each label pairs its ascending sources with its ascending targets.  Version 1 files, which also stored
-derived tables, are rejected; rebuild them from their .gnfa source.
+each label pairs its ascending sources with its ascending targets.
+Version 1 files, which also stored derived tables, and version 2 files,
+which stored every posting w bytes wide, are rejected; rebuild them
+from their .gnfa source.
 """
 
 from __future__ import annotations
@@ -63,13 +73,14 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
+from itertools import accumulate
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_width
 from .index import WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
-VERSION = 2
+VERSION = 3
 FLAG_SENTINEL = 0x01
 SECTION_COUNT = 6
 DIGEST_SIZE = 8
@@ -95,6 +106,28 @@ def _uints(width: int, values) -> bytes:
     return arr.tobytes()
 
 
+def _side(w: int, side: array) -> bytes:
+    """One ascending postings side: its first state as a `w`-byte int,
+    one byte dw, and the gaps between consecutive states, each dw bytes
+    wide, where dw is the smallest of 1/2/4/8 that holds every gap."""
+    iw = side.itemsize
+    raw = _uints(iw, side)
+    # one subtraction over whole lanes: the side ascends, so no lane
+    # borrows from the next, and each lane of the difference is a gap
+    lanes = (
+        int.from_bytes(raw[iw:], "little") - int.from_bytes(raw[:-iw], "little")
+    ).to_bytes(len(raw) - iw, "little")
+    k = len(lanes) // iw
+    # the narrowest width whose higher bytes are zero in every lane
+    dw = next(
+        d for d in (1, 2, 4, 8) if all(lanes[b::iw].count(0) == k for b in range(d, iw))
+    )
+    gaps = bytearray(k * dw)
+    for b in range(dw):
+        gaps[b::dw] = lanes[b::iw]
+    return _uints(w, side[:1]) + bytes([dw]) + gaps
+
+
 def serialize(ix: WheelerIndex) -> bytes:
     n = ix.n_states
     eps = ix.epsilon_edge_count
@@ -116,7 +149,7 @@ def serialize(ix: WheelerIndex) -> bytes:
     parts = []
     for rho in labels:
         sources, targets, _ = ix.rows[rho]
-        parts += (_uints(w, [len(sources)]), _uints(w, sources), _uints(w, targets))
+        parts += (_uints(w, [len(sources)]), _side(w, sources), _side(w, targets))
     sec_postings = b"".join(parts)
 
     body = bytearray()
@@ -252,19 +285,28 @@ def deserialize(data: bytes) -> WheelerIndex:
     rd.finish("dictionary")
 
     rd = _Reader(sections[5], w)
+    typecode = UINT_TYPECODES[uint_width(n)]
     postings = {}
     for rho in labels:
         cnt = rd.u()
         if cnt < 1:
             raise IndexFormatError("postings entry without edges")
         sides = []
-        for raw in (rd.take(cnt * w), rd.take(cnt * w)):
-            arr = uint_array(w, raw)
-            if (values := arr.tolist()) != sorted(values):
-                raise IndexFormatError("postings not in ascending order")
-            if values[0] < 1 or values[-1] > n:
+        for _ in range(2):
+            first = rd.u()
+            dw = rd.take(1)[0]
+            if dw not in (1, 2, 4, 8):
+                raise IndexFormatError(f"bad postings gap width {dw}")
+            gaps = uint_array(dw, rd.take((cnt - 1) * dw))
+            try:
+                # an array grown from an iterator keeps spare room, and
+                # its [:] copy holds exactly cnt entries
+                side = array(typecode, accumulate(gaps, initial=first))[:]
+            except OverflowError:
+                raise IndexFormatError("postings state out of range 1..n") from None
+            if first < 1 or side[-1] > n:
                 raise IndexFormatError("postings state out of range 1..n")
-            sides.append(arr)
+            sides.append(side)
         postings[rho] = tuple(sides)
     rd.finish("postings")
 

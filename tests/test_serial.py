@@ -5,9 +5,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wgnfa.cli import _default_battery
 from wgnfa.generate import build_piece_trie
@@ -61,7 +64,7 @@ def test_round_trip_sentinel(ten_state):
 def test_header_bytes(four_state, four_state_index):
     data = serialize(four_state_index)
     assert data[:4] == b"WGNE"
-    assert data[4] == 2
+    assert data[4] == 3
     assert data[5] == 0
     data_s = serialize(build_index(four_state, with_sentinel=True))
     assert data_s[5] == 1
@@ -70,8 +73,8 @@ def test_header_bytes(four_state, four_state_index):
 def test_known_sizes(ten_state_index, four_state_index):
     ten = serialize(ten_state_index)
     four = serialize(four_state_index)
-    assert (len(ten), payload_bits(ten)) == (117, 440)
-    assert (len(four), payload_bits(four)) == (84, 176)
+    assert (len(ten), payload_bits(ten)) == (129, 536)
+    assert (len(four), payload_bits(four)) == (90, 224)
     # framing is the 6 header bytes, six 8-byte lengths, 8-byte digest
     assert len(ten) - payload_bits(ten) // 8 == 62
     assert len(four) - payload_bits(four) // 8 == 62
@@ -85,11 +88,12 @@ def test_bad_magic(four_state_index):
 
 
 def test_bad_version(four_state_index):
-    # a version 1 file is rejected cleanly; it has to be rebuilt
-    data = bytearray(serialize(four_state_index))
-    data[4] = 1
-    with pytest.raises(IndexFormatError, match="unsupported index version 1"):
-        deserialize(bytes(data))
+    # version 1 and 2 files are rejected cleanly; they have to be rebuilt
+    for version in (1, 2):
+        data = bytearray(serialize(four_state_index))
+        data[4] = version
+        with pytest.raises(IndexFormatError, match=f"unsupported index version {version}"):
+            deserialize(bytes(data))
 
 
 def test_unknown_flags(four_state_index):
@@ -187,12 +191,42 @@ def split_sections(data: bytes) -> list[bytes]:
     return out
 
 
+def frame(header: bytes, parts: list[bytes]) -> bytes:
+    """The 6-byte header and six section payloads, framed and digested."""
+    body = header + b"".join(len(p).to_bytes(8, "little") + p for p in parts)
+    return body + hashlib.blake2b(body, digest_size=8).digest()
+
+
 def reframe(data: bytes, section: int, payload: bytes) -> bytes:
     """data with one section payload replaced, framed and digested anew."""
     parts = split_sections(data)
     parts[section] = payload
-    body = data[:6] + b"".join(len(p).to_bytes(8, "little") + p for p in parts)
-    return body + hashlib.blake2b(body, digest_size=8).digest()
+    return frame(data[:6], parts)
+
+
+def side_bytes(states: list[int], w: int) -> bytes:
+    """One postings side: its first state w bytes wide, the width byte dw
+    and the gaps between consecutive states, dw bytes each."""
+    gaps = [b - a for a, b in zip(states, states[1:])]
+    dw = next(d for d in (1, 2, 4, 8) if max(gaps, default=0) < 1 << 8 * d)
+    return (
+        states[0].to_bytes(w, "little")
+        + bytes([dw])
+        + b"".join(g.to_bytes(dw, "little") for g in gaps)
+    )
+
+
+def postings_bytes(entries, w: int = 1) -> bytes:
+    """The postings section of (sources, targets) lists, one per label."""
+    return b"".join(
+        len(sources).to_bytes(w, "little") + side_bytes(sources, w) + side_bytes(targets, w)
+        for sources, targets in entries
+    )
+
+
+def edge_lists(ix) -> list[tuple[list[int], list[int]]]:
+    """Each dictionary label's sources and targets, in dictionary order."""
+    return [(list(ix.rows[rho][0]), list(ix.rows[rho][1])) for rho in ix.labels]
 
 
 def test_load_checks(ten_state, ten_state_index):
@@ -201,7 +235,11 @@ def test_load_checks(ten_state, ten_state_index):
     summary, finals, _, _, dictionary, postings = split_sections(data)
     assert reframe(data, 4, dictionary) == data
     assert dictionary == b"\x06\x01a\x02ba\x02ca\x01b\x02bb\x01c"
-    assert postings[:7] == bytes([3, 1, 8, 9, 2, 3, 4])  # label a
+    a, *rest = edge_lists(ten_state_index)
+    assert a == ([1, 8, 9], [2, 3, 4])
+    assert postings == postings_bytes([a, *rest])
+    # label a: 3 edges; sources 1, width 1, gaps 7 1; targets 2, width 1, gaps 1 1
+    assert postings[:9] == bytes([3, 1, 1, 7, 1, 2, 1, 1, 1])
     cases = [
         (0, b"\x03" + summary[1:], "width"),
         (0, summary + b"\x00", "oversized summary"),
@@ -214,9 +252,9 @@ def test_load_checks(ten_state, ten_state_index):
         (4, b"\x06\x02\x00a" + dictionary[3:], "reserved byte 0x00"),
         (4, b"\x06\x01\x01" + dictionary[3:], "reserved byte 0x01"),
         (5, b"\x00" + postings[1:], "without edges"),
-        (5, bytes([3, 9, 8, 1]) + postings[4:], "ascending"),
-        (5, bytes([3, 0]) + postings[2:], "out of range"),
-        (5, postings[:6] + b"\x0b" + postings[7:], "out of range"),
+        (5, postings[:2] + b"\x03" + postings[3:], "gap width 3"),
+        (5, postings_bytes([([0, 8, 9], [2, 3, 4]), *rest]), "out of range"),
+        (5, postings_bytes([([1, 8, 9], [2, 3, 11]), *rest]), "out of range"),
         (5, postings + b"\x00", "oversized postings"),
         # marker bits: b_max = 1100111111 and b_min all ones, 2 epsilon edges
         (2, b"\xcf\x80", "must be set"),  # b_max[10] cleared
@@ -247,6 +285,100 @@ def test_load_checks(ten_state, ten_state_index):
         deserialize(reframe(data, 4, crafted))
 
 
+def test_postings_gap_checks(ten_state_index):
+    """Crafted gaps under a valid digest: a width byte outside 1/2/4/8,
+    gaps whose running sum passes n = 10 or the range of the loaded
+    one-byte state arrays, and a single-edge side, which has no gaps."""
+    data = serialize(ten_state_index)
+    _, *rest = edge_lists(ten_state_index)
+    *middle, c = rest
+    assert c == ([1], [10])
+
+    def with_label_a(a: bytes) -> bytes:
+        return reframe(data, 5, a + postings_bytes(rest))
+
+    targets = bytes([2, 1, 1, 1])  # 2, 3, 4
+    assert with_label_a(bytes([3, 1, 1, 7, 1]) + targets) == data
+    for dw in (0, 3, 5, 16, 255):
+        with pytest.raises(IndexFormatError, match=f"gap width {dw}"):
+            deserialize(with_label_a(bytes([3, 1, dw, 7, 1]) + targets))
+    for sources in (
+        bytes([1, 1, 7, 3]),  # 1, 8, 11
+        bytes([1, 1, 200, 100]),  # 1, 201, 301: past one byte
+        bytes([1, 2]) + (7).to_bytes(2, "little") + (65535).to_bytes(2, "little"),
+        bytes([1, 8]) + (7).to_bytes(8, "little") + (2**64 - 1).to_bytes(8, "little"),
+    ):
+        with pytest.raises(IndexFormatError, match="out of range"):
+            deserialize(with_label_a(b"\x03" + sources + targets))
+
+    # label c, the last: one edge 1 -> 10, so no gaps whatever the width
+    def with_label_c(c: bytes) -> bytes:
+        return reframe(data, 5, postings_bytes([edge_lists(ten_state_index)[0], *middle]) + c)
+
+    assert with_label_c(bytes([1, 1, 1, 10, 1])) == data
+    for dw in (2, 4, 8):
+        again = deserialize(with_label_c(bytes([1, 1, dw, 10, dw])))
+        assert again.rows == ten_state_index.rows
+        assert serialize(again) == data
+    with pytest.raises(IndexFormatError, match="gap width 3"):
+        deserialize(with_label_c(bytes([1, 1, 1, 10, 3])))
+    with pytest.raises(IndexFormatError, match="oversized postings"):
+        deserialize(with_label_c(bytes([1, 1, 1, 10, 1, 0])))
+
+
+@st.composite
+def one_label_postings(draw):
+    """(n, sources, targets): one label's ascending postings, with
+    repeated entries, over n states at a state-width boundary."""
+    n = draw(st.sampled_from([255, 256, 65535, 65536, 65537]))
+    pool = draw(st.lists(st.integers(1, n), min_size=1, max_size=6)) + [1, n]
+    count = draw(st.integers(1, 30))
+    side = st.lists(st.sampled_from(pool), min_size=count, max_size=count).map(sorted)
+    return n, draw(side), draw(side)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_label_postings())
+@example((255, [1, 1, 2, 255], [1, 255, 255, 255]))  # gap widths 1 and 1
+@example((65535, [1, 1, 65535], [1, 300, 300]))  # 2 and 2
+@example((65537, [1, 65537], [5, 5]))  # 4 and 1
+def test_postings_round_trip(case):
+    """A file holding one label's postings loads them into arrays of the
+    state width of n, with no spare room (a [:] copy is sized exactly),
+    and writes back the bytes it was read from."""
+    n, sources, targets = case
+    w = 1 if n < 256 else 2 if n < 65536 else 4
+    bits = (n + 7) // 8
+    all_set = b"\xff" * (bits - 1) + bytes([0xFF00 >> (n % 8 or 8) & 0xFF])
+    parts = [
+        bytes([w]) + n.to_bytes(w, "little") * 2,  # as many epsilon edges as states
+        bytes(bits),
+        all_set,
+        all_set,
+        (1).to_bytes(w, "little") * 2 + b"a",
+        postings_bytes([(sources, targets)], w),
+    ]
+    data = frame(b"WGNE\x03\x00", parts)
+    ix = deserialize(data)
+    assert [list(side) for side in ix.rows[b"a"][:2]] == [sources, targets]
+    for side in ix.rows[b"a"][:2]:
+        assert side.itemsize == w
+        assert sys.getsizeof(side) == sys.getsizeof(side[:])
+    assert serialize(ix) == data
+
+
+def test_postings_take_about_a_byte_per_entry():
+    """On the criterion-09 10k trie the gap-coded postings section takes
+    at most 1.1 bytes per stored source or target; stored w = 2 bytes
+    wide each, as they were before, they took 2.0."""
+    rng = random.Random(271828)
+    a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
+    ix = build_index(a)
+    entries = sum(len(sources) + len(targets) for sources, targets, _ in ix.rows.values())
+    postings = split_sections(serialize(ix))[5]
+    assert len(postings) <= 1.1 * entries, (len(postings), entries, len(postings) / entries)
+
+
 def test_sentinel_flag_must_agree_with_dictionary(ten_state, ten_state_index):
     """The flag bit alone does not make a sentinel index: set on a plain
     file it would shift every interval down by one ('a' would answer
@@ -267,18 +399,20 @@ def test_sentinel_edge_is_the_only_edge_at_state_1(ten_state):
     """A sentinel edge 1 -> 3 would make membership start at state 2
     ('ca' accepted, 'bba' and 'aca' refused), and another edge at state 1
     has no edge of the automaton to stand for, so the file is refused."""
-    data = serialize(build_index(ten_state, with_sentinel=True))
-    postings = split_sections(data)[5]
+    ix = build_index(ten_state, with_sentinel=True)
+    data = serialize(ix)
+    sentinel, a, *rest = edge_lists(ix)
     # label 0x01: edge 1 -> 2; label a: sources 2, 9, 10 and targets 3, 4, 5
-    assert postings[:10] == bytes([1, 1, 2, 3, 2, 9, 10, 3, 4, 5])
+    assert (sentinel, a) == (([1], [2]), ([2, 9, 10], [3, 4, 5]))
+    assert split_sections(data)[5] == postings_bytes([sentinel, a, *rest])
     for edges in (
-        [1, 1, 3, 3, 2, 9, 10, 3, 4, 5],
-        [1, 2, 2, 3, 2, 9, 10, 3, 4, 5],
-        [2, 1, 1, 2, 2, 3, 2, 9, 10, 3, 4, 5],
-        [1, 1, 2, 3, 1, 9, 10, 3, 4, 5],
-        [1, 1, 2, 3, 2, 9, 10, 1, 4, 5],
+        [([1], [3]), ([2, 9, 10], [3, 4, 5])],
+        [([2], [2]), ([2, 9, 10], [3, 4, 5])],
+        [([1, 1], [2, 3]), ([2, 9, 10], [3, 4, 5])],
+        [([1], [2]), ([1, 9, 10], [3, 4, 5])],
+        [([1], [2]), ([2, 9, 10], [1, 4, 5])],
     ):
-        crafted = bytes(edges) + postings[10:]
+        crafted = postings_bytes(edges + rest)
         with pytest.raises(IndexFormatError, match="sentinel edge"):
             deserialize(reframe(data, 5, crafted))
 
@@ -331,7 +465,8 @@ def test_payload_bits_arithmetic(four_state_index):
 
 def at_width(data: bytes, w: int) -> bytes:
     """data with every integer of the summary, dictionary and postings
-    sections rewritten w bytes wide, framed and digested anew."""
+    sections rewritten w bytes wide, but the postings' gap widths and
+    gaps, framed and digested anew."""
     summary, _, _, _, dictionary, postings = split_sections(data)
     w0 = summary[0]
 
@@ -347,9 +482,20 @@ def at_width(data: bytes, w: int) -> bytes:
         ln = int.from_bytes(dictionary[pos : pos + w0], "little")
         wide_dict += widen(dictionary[pos : pos + w0]) + dictionary[pos + w0 : pos + w0 + ln]
         pos += w0 + ln
+    # each postings entry: edge count, then per side its first state,
+    # the width byte dw and count - 1 gaps of dw bytes
+    pos, wide_postings = 0, b""
+    while pos < len(postings):
+        count = int.from_bytes(postings[pos : pos + w0], "little")
+        wide_postings += widen(postings[pos : pos + w0])
+        pos += w0
+        for _ in range(2):
+            end = pos + w0 + 1 + (count - 1) * postings[pos + w0]
+            wide_postings += widen(postings[pos : pos + w0]) + postings[pos + w0 : end]
+            pos = end
     data = reframe(data, 0, bytes([w]) + widen(summary[1:]))
     data = reframe(data, 4, wide_dict)
-    return reframe(data, 5, widen(postings))
+    return reframe(data, 5, wide_postings)
 
 
 @pytest.mark.parametrize("sentinel", [False, True])
@@ -387,11 +533,13 @@ def test_loaded_index_heap_within_4x_file(sentinel):
 
 
 @pytest.mark.parametrize("sentinel", [False, True])
-def test_loaded_index_heap_within_1_5x_file(sentinel):
+def test_loaded_index_heap_within_1_5x_payload(sentinel):
     """The criterion-09 10k trie loads into at most 1.5 heap bytes per
-    file byte: each bitvector keeps only the positions of its rarer bit,
-    so the all-ones marker bits of this epsilon-free trie load to empty
-    arrays and keep none of their packed bytes."""
+    byte of its loaded postings arrays and packed bit sections (what a
+    file held before the postings were gap-coded): each bitvector keeps
+    only the positions of its rarer bit, so the all-ones marker bits of
+    this epsilon-free trie load to empty arrays and keep none of their
+    packed bytes."""
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
     blob = serialize(build_index(a, with_sentinel=sentinel))
@@ -403,7 +551,10 @@ def test_loaded_index_heap_within_1_5x_file(sentinel):
     finally:
         tracemalloc.stop()
     assert ix.b_max.ones == ix.b_min.ones == ix.n_states
-    assert heap <= 1.5 * len(blob), (heap, len(blob), heap / len(blob))
+    payload = sum(
+        side.itemsize * len(side) for row in ix.rows.values() for side in row[:2]
+    ) + 3 * ((ix.n_states + 7) // 8)
+    assert heap <= 1.5 * payload, (heap, payload, heap / payload)
 
 
 def test_long_label_heap_within_4x_file():
