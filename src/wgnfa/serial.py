@@ -25,7 +25,7 @@ gaps, so small automata serialize compactly while anything up to 2^64
 still round-trips.  Each postings side has a width dw of its own, the
 smallest that fits its largest gap: a label's states are spread over
 the whole numbering, so the gaps are far smaller than n, and on the
-85k-state benchmark trie most sides take one byte per edge where w is
+85k-state benchmark trie most sides take one byte per gap where w is
 four.  Loading rebuilds each side as an array of exactly c entries of
 the width that holds n, the arrays the library build makes.
 
@@ -51,8 +51,8 @@ are non-empty, strictly increasing in co-lex order and free of the
 reserved bytes 0x00 and 0x01 but for the single label 0x01, and that
 every postings entry holds at least one edge and each of its sides a
 gap width in {1,2,4,8} and states in 1..n (the states ascend by
-construction, since the gaps are unsigned).  The index is a sentinel index
-iff its dictionary holds the label 0x01; the flag bit must agree, and
+construction, since the gaps are unsigned).  The index is a sentinel
+index iff its dictionary holds the label 0x01; the flag bit must agree, and
 the edge 1 -> 2 that the sentinel build adds under that label must be
 the only edge at state 1.  Last, the labeled edges must keep Wheeler
 axiom 3: no label co-lexicographically above label B, other than one

@@ -290,12 +290,12 @@ def test_postings_gap_checks(ten_state_index):
     gaps whose running sum passes n = 10 or the range of the loaded
     one-byte state arrays, and a single-edge side, which has no gaps."""
     data = serialize(ten_state_index)
-    _, *rest = edge_lists(ten_state_index)
-    *middle, c = rest
+    a, *middle, c = edge_lists(ten_state_index)
     assert c == ([1], [10])
+    rest = [*middle, c]
 
-    def with_label_a(a: bytes) -> bytes:
-        return reframe(data, 5, a + postings_bytes(rest))
+    def with_label_a(entry: bytes) -> bytes:
+        return reframe(data, 5, entry + postings_bytes(rest))
 
     targets = bytes([2, 1, 1, 1])  # 2, 3, 4
     assert with_label_a(bytes([3, 1, 1, 7, 1]) + targets) == data
@@ -312,8 +312,8 @@ def test_postings_gap_checks(ten_state_index):
             deserialize(with_label_a(b"\x03" + sources + targets))
 
     # label c, the last: one edge 1 -> 10, so no gaps whatever the width
-    def with_label_c(c: bytes) -> bytes:
-        return reframe(data, 5, postings_bytes([edge_lists(ten_state_index)[0], *middle]) + c)
+    def with_label_c(entry: bytes) -> bytes:
+        return reframe(data, 5, postings_bytes([a, *middle]) + entry)
 
     assert with_label_c(bytes([1, 1, 1, 10, 1])) == data
     for dw in (2, 4, 8):
@@ -369,8 +369,8 @@ def test_postings_round_trip(case):
 
 def test_postings_take_about_a_byte_per_entry():
     """On the criterion-09 10k trie the gap-coded postings section takes
-    at most 1.1 bytes per stored source or target; stored w = 2 bytes
-    wide each, as they were before, they took 2.0."""
+    at most 1.1 bytes per stored source or target, where the file-wide
+    width w = 2 would take 2.0."""
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
     ix = build_index(a)
@@ -535,8 +535,9 @@ def test_loaded_index_heap_within_4x_file(sentinel):
 @pytest.mark.parametrize("sentinel", [False, True])
 def test_loaded_index_heap_within_1_5x_payload(sentinel):
     """The criterion-09 10k trie loads into at most 1.5 heap bytes per
-    byte of its loaded postings arrays and packed bit sections (what a
-    file held before the postings were gap-coded): each bitvector keeps
+    byte of its loaded postings arrays and packed bit sections, the
+    payload of a container that stores postings at a fixed width (the
+    gap-coded file is smaller, the heap is not): each bitvector keeps
     only the positions of its rarer bit, so the all-ones marker bits of
     this epsilon-free trie load to empty arrays and keep none of their
     packed bytes."""
