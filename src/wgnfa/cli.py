@@ -30,7 +30,7 @@ from .model import (
     parse_patterns,
     validate,
 )
-from .serial import IndexFormatError, deserialize, payload_bits, serialize
+from .serial import IndexFormatError, deserialize, payload_bits, section_bytes, serialize
 
 
 def _read_bytes(path: str) -> bytes:
@@ -168,6 +168,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"space.bound_bits\t{bound}")
     print(f"space.within_bound\t{1 if bits <= bound else 0}")
     print(f"space.file_bytes\t{len(blob)}")
+    print(f"space.section_bytes\t{','.join(map(str, section_bytes(blob)))}")
     return 0
 
 

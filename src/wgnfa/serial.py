@@ -3,69 +3,80 @@
 Layout, all integers little-endian:
 
   magic   "WGNE" (4 bytes)
-  version 0x03   (1 byte)
+  version 0x04   (1 byte)
   flags   1 byte, bit 0 set when the index was built with the sentinel
   6 sections, each an 8-byte payload length followed by the payload:
     1 summary        width byte w in {1,2,4,8}, then two w-byte ints:
                      states n and epsilon edge count
     2 finals         packed bits, one per state
-    3 b_max markers  packed bits
-    4 b_min markers  packed bits
+    3 b_max markers  packed bits, none when the epsilon edge count is 0
+    4 b_min markers  packed bits, none when the epsilon edge count is 0
     5 dictionary     label count, then per label (strictly increasing in
                      co-lex order): length + raw bytes
     6 postings       per dictionary entry: edge count c, then its
                      sources and its targets, each side as its first
-                     state, a gap width byte dw in {1,2,4,8} and the
-                     c-1 gaps between consecutive states, dw bytes each
+                     state and, when c > 1, a gap width byte b in
+                     {4,8,16,32,64} and the c-1 gaps between consecutive
+                     states, b bits each; 4-bit gaps pack two to a byte,
+                     the first in the high nibble, and an odd gap count
+                     leaves a last low nibble of zero
   digest  8 bytes: blake2b (digest_size=8) of everything above
 
 The framing around the payloads is 62 bytes.  The width w is the
 smallest of 1/2/4/8 bytes that fits every integer in the file but the
 gaps, so small automata serialize compactly while anything up to 2^64
-still round-trips.  Each postings side has a width dw of its own, the
-smallest that fits its largest gap: a label's states are spread over
-the whole numbering, so the gaps are far smaller than n, and on the
-85k-state benchmark trie most sides take one byte per gap where w is
-four.  Loading rebuilds each side as an array of exactly c entries of
-the width that holds n, the arrays the library build makes.
+still round-trips.  Each postings side of more than one state has a
+gap width of its own, the smallest of 4/8/16/32/64 bits that fits its
+largest gap: in Wheeler order a label's targets sit close together, so
+on the 85k-state benchmark trie 17 of the 20 target sides of more than
+one state take 4 bits per gap, and the source sides 8 or 16, where w is
+four bytes.  A side of one state has no gaps and stores no width byte,
+since the edge count is read first.  Loading rebuilds each side as an
+array of exactly c entries of the width that holds n, the arrays the
+library build makes.
 
 Only what the index cannot derive is stored.  WheelerIndex derives the
 longest label and its per-label query rows from the dictionary and
 postings, so none of these can disagree with the rest of the file.
 Each bit section loads as a RankSelectBits that keeps only the
-positions of its rarer bit, so the marker sections of an epsilon-free
-file, every bit set, load to empty arrays; serialize packs the
-bytes again from those positions.
+positions of its rarer bit; serialize packs the bytes again from those
+positions.  An epsilon-free index has every marker bit set, so its file
+stores both marker sections empty and loading makes them all ones; the
+epsilon edge count alone decides which form a file takes, so each index
+has exactly one encoding.
 
 Besides magic, version, flags, framing and digest, loading checks that
-the bit sections are ceil(n/8) bytes with clear padding bits (so a
-loaded index writes back the bytes it was read from; both are checked
-once, by RankSelectBits.from_bytes), that the marker bits b_max[n] and
-b_min[1] are set and the two marker sections hold no
-more zero bits together than the epsilon-edge count (as for any
-closure: a zero in b_max at v needs a direct epsilon edge into v from
-above v, since by axiom 4 an epsilon path whose last edge climbs into
-v stays below v throughout, and likewise a zero in b_min one from
-below, so each edge pays for at most one zero), that dictionary labels
-are non-empty, strictly increasing in co-lex order and free of the
-reserved bytes 0x00 and 0x01 but for the single label 0x01, and that
-every postings entry holds at least one edge and each of its sides a
-gap width in {1,2,4,8} and states in 1..n (the states ascend by
-construction, since the gaps are unsigned).  The index is a sentinel
-index iff its dictionary holds the label 0x01; the flag bit must agree, and
-the edge 1 -> 2 that the sentinel build adds under that label must be
-the only edge at state 1.  Last, the labeled edges must keep Wheeler
-axiom 3: no label co-lexicographically above label B, other than one
-ending with B, enters a state below B's largest target
+the finals section, and with epsilon edges each marker section, is
+ceil(n/8) bytes with clear padding bits (so a loaded index writes back
+the bytes it was read from; both are checked once, by
+RankSelectBits.from_bytes), that an epsilon-free file's marker sections
+are empty, that the marker bits b_max[n] and b_min[1] are set and the
+two marker sections hold no more zero bits together than the
+epsilon-edge count (as for any closure: a zero in b_max at v needs a
+direct epsilon edge into v from above v, since by axiom 4 an epsilon
+path whose last edge climbs into v stays below v throughout, and
+likewise a zero in b_min one from below, so each edge pays for at most
+one zero), that dictionary labels are non-empty, strictly increasing in
+co-lex order and free of the reserved bytes 0x00 and 0x01 but for the
+single label 0x01, and that every postings entry holds at least one
+edge and each of its sides of more than one state a gap width in
+{4,8,16,32,64}, a clear padding nibble and states in 1..n (the states
+ascend by construction, since the gaps are unsigned).  The index is a
+sentinel index iff its dictionary holds the label 0x01; the flag bit
+must agree, and the edge 1 -> 2 that the sentinel build adds under that
+label must be the only edge at state 1.  Last, the labeled edges must
+keep Wheeler axiom 3: no label co-lexicographically above label B,
+other than one ending with B, enters a state below B's largest target
 (WheelerIndex.breaks_axiom3: one suffix minimum over the labels'
 smallest targets and one bisect per label), and the states 2..n that no
 posting enters must be at most the epsilon-edge count, since each such
 state needs an epsilon edge of its own (WheelerIndex.unentered_states:
 one bytearray of n + 1 flags).  Axiom 4 holds by construction, since
 each label pairs its ascending sources with its ascending targets.
-Version 1 files, which also stored derived tables, and version 2 files,
-which stored every posting w bytes wide, are rejected; rebuild them
-from their .gnfa source.
+Version 1 files, which also stored derived tables, version 2 files,
+which stored every posting w bytes wide, and version 3 files, which
+stored gap widths in bytes and every marker section in full, are
+rejected; rebuild them from their .gnfa source.
 """
 
 from __future__ import annotations
@@ -80,13 +91,19 @@ from .index import WheelerIndex
 from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
-VERSION = 3
+VERSION = 4
 FLAG_SENTINEL = 0x01
 SECTION_COUNT = 6
 DIGEST_SIZE = 8
 # the sentinel build adds state 1 and the edge 1 -> 2 and shifts every
 # other state up by one, so no other edge starts or ends at state 1
 _SENTINEL_EDGE = (array("B", [1]), array("B", [2]))
+# bytes.translate tables for 4-bit gaps: the gaps below 16, a gap moved
+# to the high nibble, and the high and the low nibble of a packed byte
+_NIBBLES = bytes(range(16))
+_TO_HIGH = bytes((b << 4) & 0xFF for b in range(256))
+_HIGH = bytes(b >> 4 for b in range(256))
+_LOW = bytes(b & 0x0F for b in range(256))
 
 
 class IndexFormatError(ValueError):
@@ -107,9 +124,13 @@ def _uints(width: int, values) -> bytes:
 
 
 def _side(w: int, side: array) -> bytes:
-    """One ascending postings side: its first state as a `w`-byte int,
-    one byte dw, and the gaps between consecutive states, each dw bytes
-    wide, where dw is the smallest of 1/2/4/8 that holds every gap."""
+    """One ascending postings side: its first state as a `w`-byte int
+    and, unless that is its only state, one byte giving the gap width
+    in bits and the gaps between consecutive states at that width, the
+    smallest of 4/8/16/32/64 bits that holds every gap."""
+    first = _uints(w, side[:1])
+    if len(side) == 1:
+        return first
     iw = side.itemsize
     raw = _uints(iw, side)
     # one subtraction over whole lanes: the side ascends, so no lane
@@ -122,10 +143,20 @@ def _side(w: int, side: array) -> bytes:
     dw = next(
         d for d in (1, 2, 4, 8) if all(lanes[b::iw].count(0) == k for b in range(d, iw))
     )
+    if dw == 1:
+        gaps = lanes[::iw]
+        if gaps.translate(None, _NIBBLES):
+            return first + b"\x08" + gaps
+        # two gaps to a byte: the even-numbered ones in the high nibbles,
+        # or-ed with the odd-numbered ones, zero-padded to as many bytes
+        high = gaps[::2].translate(_TO_HIGH)
+        low = gaps[1::2].ljust(len(high), b"\x00")
+        packed = int.from_bytes(high, "big") | int.from_bytes(low, "big")
+        return first + b"\x04" + packed.to_bytes(len(high), "big")
     gaps = bytearray(k * dw)
     for b in range(dw):
         gaps[b::dw] = lanes[b::iw]
-    return _uints(w, side[:1]) + bytes([dw]) + gaps
+    return first + bytes([8 * dw]) + gaps
 
 
 def serialize(ix: WheelerIndex) -> bytes:
@@ -151,19 +182,14 @@ def serialize(ix: WheelerIndex) -> bytes:
         sources, targets, _ = ix.rows[rho]
         parts += (_uints(w, [len(sources)]), _side(w, sources), _side(w, targets))
     sec_postings = b"".join(parts)
+    # without epsilon edges every marker bit is set, and none is stored
+    markers = (ix.b_max.to_bytes(), ix.b_min.to_bytes()) if eps else (b"", b"")
 
     body = bytearray()
     body += MAGIC
     body.append(VERSION)
     body.append(FLAG_SENTINEL if ix.sentinel_mode else 0)
-    for sec in (
-        sec_summary,
-        ix.finals.to_bytes(),
-        ix.b_max.to_bytes(),
-        ix.b_min.to_bytes(),
-        sec_dict,
-        sec_postings,
-    ):
+    for sec in (sec_summary, ix.finals.to_bytes(), *markers, sec_dict, sec_postings):
         body += len(sec).to_bytes(8, "little")
         body += sec
     body += _digest(bytes(body))
@@ -204,6 +230,13 @@ def _sections(data: bytes) -> tuple[int, list[bytes]]:
     return flags, sections
 
 
+def section_bytes(data: bytes) -> list[int]:
+    """The sizes of the six section payloads, in bytes and in file
+    order: summary, finals, b_max, b_min, dictionary, postings.  Raises
+    IndexFormatError when the header or the section frame is unreadable."""
+    return [len(sec) for sec in _sections(data)[1]]
+
+
 def payload_bits(data: bytes) -> int:
     """Summed size of the six section payloads, in bits.
 
@@ -212,7 +245,7 @@ def payload_bits(data: bytes) -> int:
     are framing overhead on top.  Raises IndexFormatError when the
     header or the section frame is unreadable.
     """
-    return 8 * sum(len(sec) for sec in _sections(data)[1])
+    return 8 * sum(section_bytes(data))
 
 
 class _Reader:
@@ -231,9 +264,35 @@ class _Reader:
     def u(self) -> int:
         return int.from_bytes(self.take(self.width), "little")
 
+    def gaps(self, cnt: int):
+        """The cnt - 1 gaps of a side of cnt states, one entry each."""
+        if cnt == 1:
+            return b""
+        bits = self.take(1)[0]
+        if bits in (8, 16, 32, 64):
+            return uint_array(bits // 8, self.take((cnt - 1) * bits // 8))
+        if bits != 4:
+            raise IndexFormatError(f"bad postings gap width {bits}")
+        packed = self.take(cnt // 2)
+        gaps = bytearray(2 * len(packed))
+        gaps[::2] = packed.translate(_HIGH)
+        gaps[1::2] = packed.translate(_LOW)
+        # an odd count of gaps leaves the last low nibble as padding
+        if cnt % 2 == 0 and gaps.pop():
+            raise IndexFormatError("postings padding nibble is set")
+        return gaps
+
     def finish(self, what: str) -> None:
         if self.pos != len(self.data):
             raise IndexFormatError(f"oversized {what} section")
+
+
+def _bits(what: str, payload: bytes, n: int) -> RankSelectBits:
+    try:
+        return RankSelectBits.from_bytes(payload, n)
+    except ValueError as exc:
+        # a wrong length or a padding bit set
+        raise IndexFormatError(f"{what} {exc}") from None
 
 
 def deserialize(data: bytes) -> WheelerIndex:
@@ -250,14 +309,17 @@ def deserialize(data: bytes) -> WheelerIndex:
     eps = rd.u()
     rd.finish("summary")
 
-    bits = []
-    for what, payload in zip(("finals", "b_max", "b_min"), sections[1:4]):
-        try:
-            bits.append(RankSelectBits.from_bytes(payload, n))
-        except ValueError as exc:
-            # a wrong length or a padding bit set
-            raise IndexFormatError(f"{what} {exc}") from None
-    finals, b_max, b_min = bits
+    # the finals section bounds n by the file size before the all-ones
+    # markers of an epsilon-free file take n bytes to make
+    finals = _bits("finals", sections[1], n)
+    if eps:
+        b_max = _bits("b_max", sections[2], n)
+        b_min = _bits("b_min", sections[3], n)
+    elif sections[2] or sections[3]:
+        raise IndexFormatError("an epsilon-free file stores no marker bits")
+    else:
+        b_max = RankSelectBits(b"\x01" * n)
+        b_min = RankSelectBits(b"\x01" * n)
     # any closure has a_max[n] = n and a_min[1] = 1; a zero in b_max at v
     # needs an epsilon edge into v from above v, and one in b_min an
     # epsilon edge from below, so no edge pays for two zeros
@@ -294,10 +356,7 @@ def deserialize(data: bytes) -> WheelerIndex:
         sides = []
         for _ in range(2):
             first = rd.u()
-            dw = rd.take(1)[0]
-            if dw not in (1, 2, 4, 8):
-                raise IndexFormatError(f"bad postings gap width {dw}")
-            gaps = uint_array(dw, rd.take((cnt - 1) * dw))
+            gaps = rd.gaps(cnt)
             try:
                 # an array grown from an iterator keeps spare room, and
                 # its [:] copy holds exactly cnt entries

@@ -222,10 +222,12 @@ def test_oracle_check_patterns_file(tmp_path, four_file, capsys):
 def test_bench_space_lines(four_file, capsys):
     assert main(["bench", str(four_file)]) == 0
     out = capsys.readouterr().out
-    assert "space.payload_bits\t224" in out
+    assert "space.payload_bits\t176" in out
     assert "space.bound_bits\t704" in out
     assert "space.within_bound\t1" in out
-    assert "space.file_bytes\t90" in out
+    assert "space.file_bytes\t84" in out
+    # summary, finals, b_max, b_min, dictionary and postings payloads
+    assert "space.section_bytes\t3,1,1,1,7,9" in out
 
 
 def test_build_is_byte_stable(tmp_path, gnfa_file):

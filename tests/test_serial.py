@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgnfa.cli import _default_battery
-from wgnfa.generate import build_piece_trie
+from wgnfa.generate import GenerationParams, build_piece_trie, generate_instance, sample_patterns
 from wgnfa.index import NO_ROW, build_index
-from wgnfa.matcher import match_interval
+from wgnfa.matcher import match_interval, match_patterns
 from wgnfa.model import GeneralizedAutomaton
 from wgnfa.serial import IndexFormatError, deserialize, payload_bits, serialize
 
@@ -64,7 +64,7 @@ def test_round_trip_sentinel(ten_state):
 def test_header_bytes(four_state, four_state_index):
     data = serialize(four_state_index)
     assert data[:4] == b"WGNE"
-    assert data[4] == 3
+    assert data[4] == 4
     assert data[5] == 0
     data_s = serialize(build_index(four_state, with_sentinel=True))
     assert data_s[5] == 1
@@ -73,8 +73,8 @@ def test_header_bytes(four_state, four_state_index):
 def test_known_sizes(ten_state_index, four_state_index):
     ten = serialize(ten_state_index)
     four = serialize(four_state_index)
-    assert (len(ten), payload_bits(ten)) == (129, 536)
-    assert (len(four), payload_bits(four)) == (90, 224)
+    assert (len(ten), payload_bits(ten)) == (125, 504)
+    assert (len(four), payload_bits(four)) == (84, 176)
     # framing is the 6 header bytes, six 8-byte lengths, 8-byte digest
     assert len(ten) - payload_bits(ten) // 8 == 62
     assert len(four) - payload_bits(four) // 8 == 62
@@ -88,8 +88,8 @@ def test_bad_magic(four_state_index):
 
 
 def test_bad_version(four_state_index):
-    # version 1 and 2 files are rejected cleanly; they have to be rebuilt
-    for version in (1, 2):
+    # version 1, 2 and 3 files are rejected cleanly; they have to be rebuilt
+    for version in (1, 2, 3):
         data = bytearray(serialize(four_state_index))
         data[4] = version
         with pytest.raises(IndexFormatError, match=f"unsupported index version {version}"):
@@ -204,16 +204,23 @@ def reframe(data: bytes, section: int, payload: bytes) -> bytes:
     return frame(data[:6], parts)
 
 
-def side_bytes(states: list[int], w: int) -> bytes:
-    """One postings side: its first state w bytes wide, the width byte dw
-    and the gaps between consecutive states, dw bytes each."""
+def side_bytes(states: list[int], w: int, bits: int | None = None) -> bytes:
+    """One postings side: its first state w bytes wide and, for more
+    than one state, the gap width byte and the gaps between consecutive
+    states at that width in bits, by default the smallest of
+    4/8/16/32/64 that holds them; 4-bit gaps pack two to a byte, the
+    first in the high nibble."""
+    first = states[0].to_bytes(w, "little")
     gaps = [b - a for a, b in zip(states, states[1:])]
-    dw = next(d for d in (1, 2, 4, 8) if max(gaps, default=0) < 1 << 8 * d)
-    return (
-        states[0].to_bytes(w, "little")
-        + bytes([dw])
-        + b"".join(g.to_bytes(dw, "little") for g in gaps)
-    )
+    if not gaps:
+        return first
+    if bits is None:
+        bits = next(b for b in (4, 8, 16, 32, 64) if max(gaps) < 1 << b)
+    if bits == 4:
+        padded = gaps + [0] * (len(gaps) % 2)
+        packed = bytes(16 * hi + lo for hi, lo in zip(padded[::2], padded[1::2]))
+        return first + b"\x04" + packed
+    return first + bytes([bits]) + b"".join(g.to_bytes(bits // 8, "little") for g in gaps)
 
 
 def postings_bytes(entries, w: int = 1) -> bytes:
@@ -238,8 +245,8 @@ def test_load_checks(ten_state, ten_state_index):
     a, *rest = edge_lists(ten_state_index)
     assert a == ([1, 8, 9], [2, 3, 4])
     assert postings == postings_bytes([a, *rest])
-    # label a: 3 edges; sources 1, width 1, gaps 7 1; targets 2, width 1, gaps 1 1
-    assert postings[:9] == bytes([3, 1, 1, 7, 1, 2, 1, 1, 1])
+    # label a: 3 edges; sources 1, width 4, gaps 7 1; targets 2, width 4, gaps 1 1
+    assert postings[:7] == bytes([3, 1, 4, 0x71, 2, 4, 0x11])
     cases = [
         (0, b"\x03" + summary[1:], "width"),
         (0, summary + b"\x00", "oversized summary"),
@@ -265,6 +272,10 @@ def test_load_checks(ten_state, ten_state_index):
         (3, b"\xfc\xc0", "more unmarked"),  # two zeros in b_min
         (3, b"\xfb\xc0", "more unmarked"),  # b_min[6] cleared
         (0, b"\x01\x0a\x01", "more unmarked"),  # one epsilon edge
+        # two epsilon edges need both marker sections, none stores them
+        (2, b"", "b_max bit section has the wrong length"),
+        (3, b"", "b_min bit section has the wrong length"),
+        (0, b"\x01\x0a\x00", "stores no marker bits"),
     ]
     for section, payload, message in cases:
         with pytest.raises(IndexFormatError, match=message):
@@ -286,52 +297,111 @@ def test_load_checks(ten_state, ten_state_index):
 
 
 def test_postings_gap_checks(ten_state_index):
-    """Crafted gaps under a valid digest: a width byte outside 1/2/4/8,
-    gaps whose running sum passes n = 10 or the range of the loaded
-    one-byte state arrays, and a single-edge side, which has no gaps."""
+    """Crafted gaps under a valid digest: a width byte outside
+    4/8/16/32/64, a set padding nibble, gaps whose running sum passes
+    n = 10 or the range of the loaded one-byte state arrays, and a width
+    byte after a single-state side, which has no gaps.  Gaps stored
+    wider than they need load and write back at their narrowest."""
     data = serialize(ten_state_index)
-    a, *middle, c = edge_lists(ten_state_index)
-    assert c == ([1], [10])
-    rest = [*middle, c]
+    entries = edge_lists(ten_state_index)
+    assert entries[1] == ([6, 7], [3, 4])  # label ba
+    assert entries[-1] == ([1], [10])  # label c
 
-    def with_label_a(entry: bytes) -> bytes:
-        return reframe(data, 5, entry + postings_bytes(rest))
+    def with_entry(i: int, entry: bytes) -> bytes:
+        before, after = entries[:i], entries[i + 1 :]
+        return reframe(data, 5, postings_bytes(before) + entry + postings_bytes(after))
 
-    targets = bytes([2, 1, 1, 1])  # 2, 3, 4
-    assert with_label_a(bytes([3, 1, 1, 7, 1]) + targets) == data
-    for dw in (0, 3, 5, 16, 255):
+    targets = bytes([2, 4, 0x11])  # 2, 3, 4
+    assert with_entry(0, bytes([3, 1, 4, 0x71]) + targets) == data
+    for dw in (0, 1, 2, 3, 5, 255):
         with pytest.raises(IndexFormatError, match=f"gap width {dw}"):
-            deserialize(with_label_a(bytes([3, 1, dw, 7, 1]) + targets))
-    for sources in (
-        bytes([1, 1, 7, 3]),  # 1, 8, 11
-        bytes([1, 1, 200, 100]),  # 1, 201, 301: past one byte
-        bytes([1, 2]) + (7).to_bytes(2, "little") + (65535).to_bytes(2, "little"),
-        bytes([1, 8]) + (7).to_bytes(8, "little") + (2**64 - 1).to_bytes(8, "little"),
-    ):
-        with pytest.raises(IndexFormatError, match="out of range"):
-            deserialize(with_label_a(b"\x03" + sources + targets))
-
-    # label c, the last: one edge 1 -> 10, so no gaps whatever the width
-    def with_label_c(entry: bytes) -> bytes:
-        return reframe(data, 5, postings_bytes([a, *middle]) + entry)
-
-    assert with_label_c(bytes([1, 1, 1, 10, 1])) == data
-    for dw in (2, 4, 8):
-        again = deserialize(with_label_c(bytes([1, 1, dw, 10, dw])))
+            deserialize(with_entry(0, bytes([3, 1, dw, 7, 1]) + targets))
+    for bits in (8, 16, 32, 64):
+        again = deserialize(with_entry(0, b"\x03" + side_bytes([1, 8, 9], 1, bits) + targets))
         assert again.rows == ten_state_index.rows
         assert serialize(again) == data
-    with pytest.raises(IndexFormatError, match="gap width 3"):
-        deserialize(with_label_c(bytes([1, 1, 1, 10, 3])))
-    with pytest.raises(IndexFormatError, match="oversized postings"):
-        deserialize(with_label_c(bytes([1, 1, 1, 10, 1, 0])))
+    for sources in (
+        bytes([1, 4, 0x73]),  # 1, 8, 11
+        bytes([1, 8, 200, 100]),  # 1, 201, 301: past one byte
+        bytes([1, 16]) + (7).to_bytes(2, "little") + (65535).to_bytes(2, "little"),
+        bytes([1, 64]) + (7).to_bytes(8, "little") + (2**64 - 1).to_bytes(8, "little"),
+    ):
+        with pytest.raises(IndexFormatError, match="out of range"):
+            deserialize(with_entry(0, b"\x03" + sources + targets))
+
+    # label ba: one gap per side, so each packed byte ends in a padding nibble
+    assert with_entry(1, bytes([2, 6, 4, 0x10, 3, 4, 0x10])) == data
+    for entry in (bytes([2, 6, 4, 0x11, 3, 4, 0x10]), bytes([2, 6, 4, 0x10, 3, 4, 0x1F])):
+        with pytest.raises(IndexFormatError, match="padding nibble"):
+            deserialize(with_entry(1, entry))
+
+    # label c, the last: one edge 1 -> 10, so no gaps and no width bytes
+    assert with_entry(5, bytes([1, 1, 10])) == data
+    for entry in (bytes([1, 1, 4, 10]), bytes([1, 1, 10, 4])):
+        with pytest.raises(IndexFormatError, match="oversized postings"):
+            deserialize(with_entry(5, entry))
+
+
+def test_epsilon_free_file_stores_no_marker_bits():
+    """An epsilon-free index stores both marker sections empty and loads
+    them all set; the epsilon edge count alone decides the form, so a
+    marker section beside a count of 0, or an empty one beside a count
+    above 0, is refused."""
+    a = GeneralizedAutomaton(
+        state_count=3, edges=((1, 2, b"a"), (2, 3, b"b")), finals=frozenset({3})
+    )
+    data = serialize(build_index(a))
+    summary, _, b_max, b_min, _, _ = split_sections(data)
+    assert (summary, b_max, b_min) == (b"\x01\x03\x00", b"", b"")
+    again = deserialize(data)
+    assert again.b_max.ones == again.b_min.ones == 3
+    assert serialize(again) == data
+    all_set = b"\xe0"
+    for section in (2, 3):
+        with pytest.raises(IndexFormatError, match="stores no marker bits"):
+            deserialize(reframe(data, section, all_set))
+    one_edge = reframe(data, 0, b"\x01\x03\x01")
+    with pytest.raises(IndexFormatError, match="b_max bit section has the wrong length"):
+        deserialize(one_edge)
+    one_edge = reframe(one_edge, 2, all_set)
+    with pytest.raises(IndexFormatError, match="b_min bit section has the wrong length"):
+        deserialize(one_edge)
+    # with the count above 0 the sections are stored, all set or not
+    one_edge = reframe(one_edge, 3, all_set)
+    assert serialize(deserialize(one_edge)) == one_edge
+
+
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_epsilon_file_round_trip(sentinel):
+    """Generated instances with epsilon edges keep both marker sections
+    in full, write back the bytes they were read from and answer alike
+    before and after the load."""
+    params = GenerationParams(epsilon_attempts=40)
+    files = marker_zeros = 0
+    for seed in range(20):
+        a = generate_instance(seed, params)
+        ix = build_index(a, with_sentinel=sentinel)
+        if not ix.epsilon_edge_count:
+            continue
+        data = serialize(ix)
+        _, finals, b_max, b_min, _, _ = split_sections(data)
+        assert len(b_max) == len(b_min) == len(finals) == (ix.n_states + 7) // 8
+        again = deserialize(data)
+        assert serialize(again) == data
+        patterns = sample_patterns(random.Random(seed), a, 60)
+        assert match_patterns(again, patterns) == match_patterns(ix, patterns)
+        files += 1
+        marker_zeros += 2 * ix.n_states - ix.b_max.ones - ix.b_min.ones
+    assert files >= 15 and marker_zeros  # the markers hold zero bits
 
 
 @st.composite
 def one_label_postings(draw):
     """(n, sources, targets): one label's ascending postings, with
-    repeated entries, over n states at a state-width boundary."""
+    repeated entries and gaps at the 4-bit boundary, over n states at a
+    state-width boundary."""
     n = draw(st.sampled_from([255, 256, 65535, 65536, 65537]))
-    pool = draw(st.lists(st.integers(1, n), min_size=1, max_size=6)) + [1, n]
+    pool = draw(st.lists(st.integers(1, n), min_size=1, max_size=6)) + [1, 2, 16, 17, n]
     count = draw(st.integers(1, 30))
     side = st.lists(st.sampled_from(pool), min_size=count, max_size=count).map(sorted)
     return n, draw(side), draw(side)
@@ -339,13 +409,17 @@ def one_label_postings(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(one_label_postings())
-@example((255, [1, 1, 2, 255], [1, 255, 255, 255]))  # gap widths 1 and 1
-@example((65535, [1, 1, 65535], [1, 300, 300]))  # 2 and 2
-@example((65537, [1, 65537], [5, 5]))  # 4 and 1
+@example((255, [1, 1, 2, 255], [1, 255, 255, 255]))  # gap widths 8 and 8
+@example((65535, [1, 1, 65535], [1, 300, 300]))  # 16 and 16
+@example((65537, [1, 65537], [5, 5]))  # 32 and 4, one gap and a padding nibble
+@example((256, [1, 2, 17, 17, 32], [2, 2, 3, 3, 18]))  # 4 and 4, four gaps
+@example((256, [1, 16, 16, 17], [1, 1, 2, 17]))  # 4 and 4, three gaps
+@example((65536, [7], [65536]))  # single states: no gaps and no width bytes
 def test_postings_round_trip(case):
     """A file holding one label's postings loads them into arrays of the
     state width of n, with no spare room (a [:] copy is sized exactly),
-    and writes back the bytes it was read from."""
+    and writes back the bytes it was read from, each side's gaps at the
+    narrowest width (4-bit ones packed two to a byte)."""
     n, sources, targets = case
     w = 1 if n < 256 else 2 if n < 65536 else 4
     bits = (n + 7) // 8
@@ -358,7 +432,7 @@ def test_postings_round_trip(case):
         (1).to_bytes(w, "little") * 2 + b"a",
         postings_bytes([(sources, targets)], w),
     ]
-    data = frame(b"WGNE\x03\x00", parts)
+    data = frame(b"WGNE\x04\x00", parts)
     ix = deserialize(data)
     assert [list(side) for side in ix.rows[b"a"][:2]] == [sources, targets]
     for side in ix.rows[b"a"][:2]:
@@ -369,14 +443,15 @@ def test_postings_round_trip(case):
 
 def test_postings_take_about_a_byte_per_entry():
     """On the criterion-09 10k trie the gap-coded postings section takes
-    at most 1.1 bytes per stored source or target, where the file-wide
-    width w = 2 would take 2.0."""
+    at most 0.8 bytes per stored source or target, where the file-wide
+    width w = 2 would take 2.0: a label's targets sit close together in
+    Wheeler order, so their gaps take 4 bits."""
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
     ix = build_index(a)
     entries = sum(len(sources) + len(targets) for sources, targets, _ in ix.rows.values())
     postings = split_sections(serialize(ix))[5]
-    assert len(postings) <= 1.1 * entries, (len(postings), entries, len(postings) / entries)
+    assert len(postings) <= 0.8 * entries, (len(postings), entries, len(postings) / entries)
 
 
 def test_sentinel_flag_must_agree_with_dictionary(ten_state, ten_state_index):
@@ -482,15 +557,19 @@ def at_width(data: bytes, w: int) -> bytes:
         ln = int.from_bytes(dictionary[pos : pos + w0], "little")
         wide_dict += widen(dictionary[pos : pos + w0]) + dictionary[pos + w0 : pos + w0 + ln]
         pos += w0 + ln
-    # each postings entry: edge count, then per side its first state,
-    # the width byte dw and count - 1 gaps of dw bytes
+    # each postings entry: edge count, then per side its first state
+    # and, for a count above 1, the width byte and count - 1 gaps of
+    # that many bits, 4-bit ones two to a byte
     pos, wide_postings = 0, b""
     while pos < len(postings):
         count = int.from_bytes(postings[pos : pos + w0], "little")
         wide_postings += widen(postings[pos : pos + w0])
         pos += w0
         for _ in range(2):
-            end = pos + w0 + 1 + (count - 1) * postings[pos + w0]
+            end = pos + w0
+            if count > 1:
+                bits = postings[end]
+                end += 1 + (count // 2 if bits == 4 else (count - 1) * bits // 8)
             wide_postings += widen(postings[pos : pos + w0]) + postings[pos + w0 : end]
             pos = end
     data = reframe(data, 0, bytes([w]) + widen(summary[1:]))
