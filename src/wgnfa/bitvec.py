@@ -50,6 +50,24 @@ def uint_width(vmax: int) -> int:
     return 8
 
 
+def uint_bytes(width: int, values) -> bytes:
+    """values as little-endian `width`-byte unsigned integers."""
+    arr = array(UINT_TYPECODES[width], values)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def uint_lanes(data: bytes, width: int, new_width: int) -> bytearray:
+    """The little-endian `width`-byte unsigned integers in data as
+    `new_width`-byte ones, copied lane by lane with no Python int per
+    value: each keeps its low bytes, so a narrower width must hold them."""
+    out = bytearray(len(data) // width * new_width)
+    for b in range(min(width, new_width)):
+        out[b::new_width] = data[b::width]
+    return out
+
+
 def uint_array(width: int, data: bytes) -> array:
     """The little-endian `width`-byte unsigned integers in data, in an
     array of exactly their count (filling an empty array, as frombytes

@@ -18,20 +18,27 @@ prefix (r = longest label), which keeps a matching step independent of
 how much of the pattern has already been consumed.
 
 The structures behind these are deliberately plain.  The label
-dictionary keys one row per label: its ascending source and target
-arrays of narrow unsigned integers, searched with bisect, and the
-label-order bound of a matching step whose chunk is that label.  The
-three counting operations take such a row, not a label, so a matching
-step looks each chunk up once; NO_ROW stands for a chunk the dictionary
-does not hold.  Besides the rows there are rank/select bitvectors for
-the finals and the two closure markers the epsilon edges add, each
-holding only the positions of its rarer bit (none for a marker of an
+dictionary keys one row per label: its ascending sources, an array of
+the width that holds n; its ascending targets, as their first state
+(the base) and an array of each target's offset from it; and the
+label-order bound of a matching step whose chunk is that label.  Every
+target of a label lies in the label's own query interval, so a label
+of length k spans about n / sigma^k states, and the offsets take the
+narrowest of 1, 2, 4 or 8 bytes that holds that span, not the width n
+needs (on the 85k-state benchmark trie 2 bytes where the sources take
+4).  Sources have no such bound and keep the state width.  The three
+counting operations take such a row, not a label, so a matching step
+looks each chunk up once; NO_ROW stands for a chunk the dictionary does
+not hold.  Besides the rows there are rank/select bitvectors for the
+finals and the two closure markers the epsilon edges add, each holding
+only the positions of its rarer bit (none for a marker of an
 epsilon-free automaton), and two more tables with one entry per
-dictionary label, never one per edge: per label length, the reversed
-labels with a suffix minimum over each label's smallest target, whose
-entry just past a label's own is that label's bound; and all reversed
-labels in dictionary order with a range-maximum sparse table over each
-label's largest target.
+dictionary label, never one per edge, both arrays of the state width
+with 0 for "none": per label length, the reversed labels with a suffix
+minimum over each label's smallest target, whose entry just past a
+label's own is that label's bound; and all reversed labels in
+dictionary order with a range-maximum sparse table over each label's
+largest target.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
-from .bitvec import UINT_TYPECODES, RankSelectBits, uint_width
+from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
 from .closure import build_closure_arrays
 from .model import (
     SENTINEL,
@@ -52,12 +59,35 @@ from .model import (
 )
 
 
-# (sources, targets, label-order bound) of one dictionary label
-Row = tuple[array, array, int | None]
+# (sources, target offsets, label-order bound, base) of one dictionary
+# label: its targets are base + offset for each offset
+Row = tuple[array, array, int | None, int]
 
 # the row of a chunk the dictionary does not hold: no edges, and a
 # label-order bound of 0, which no dictionary label has
-NO_ROW = ((), (), 0)
+NO_ROW = ((), (), 0, 0)
+
+# the offsets of a target side of one state, which all such sides share
+_ONE_OFFSET = array("B", [0])
+
+
+def narrowest(offsets: array) -> array:
+    """Ascending offsets from 0 in an array of exactly their count and
+    the narrowest unsigned width that holds the last; a single offset
+    is always the one shared array.
+
+    An array stores items of one or two bytes through a slower
+    conversion than wider ones, so a long side is summed at the state
+    width and narrowed here by copying its low bytes lane by lane.
+    """
+    if len(offsets) == 1:
+        return _ONE_OFFSET
+    iw, ow = offsets.itemsize, uint_width(offsets[-1])
+    if ow == iw:
+        return offsets[:]
+    if len(offsets) < 64:
+        return array(UINT_TYPECODES[ow], offsets)[:]
+    return uint_array(ow, uint_lanes(uint_bytes(iw, offsets), iw, ow))
 
 
 class WheelerIndex:
@@ -66,25 +96,30 @@ class WheelerIndex:
     Both pass the same inputs: the state and epsilon-edge counts, the
     finals and marker bits, the dictionary (non-empty labels strictly
     increasing in co-lex order) and its postings (label -> (sources,
-    targets), at least one edge per label, both ascending arrays of
-    unsigned integers).  The postings are kept only inside `rows`,
-    which maps each dictionary label object to (sources, targets,
-    bound): bound is the smallest state entered by a label of the same
-    length sorting strictly above it (None if there is none), which is
-    what min_state_with_len_k_label_ge(len(rho), x + rho) returns for
-    any byte x.  out_count and the two prefix boundaries take such a
-    row.  No Python object is held per edge or per state, but each
-    label costs about 550 bytes of heap on top of its file bytes, so
-    an index with thousands of labels loads to twenty or more heap
-    bytes per file byte.
+    offsets, base), at least one edge per label: the ascending sources
+    in an array of the width that holds n, and the ascending targets as
+    their first state and each one's offset from it, in the narrowest
+    unsigned array that holds the last offset).  The postings are kept
+    only inside `rows`, which maps each dictionary label object to
+    (sources, offsets, bound, base): bound is the smallest state
+    entered by a label of the same length sorting strictly above it
+    (None if there is none), which is what
+    min_state_with_len_k_label_ge(len(rho), x + rho) returns for any
+    byte x.  out_count and the two prefix boundaries take such a row
+    and add the base back.  The target sides of a single state, most of
+    them on a trie with thousands of labels, share one offsets array.
+    No Python object is held per edge or per state, but each label
+    costs about 350 bytes of heap on top of its file bytes, so an index
+    with thousands of labels loads to about twenty heap bytes per file
+    byte.
 
-    Every other table holds one row per dictionary label, never one per
-    edge.  Because the targets ascend, a label's smallest and largest
-    target are targets[0] and targets[-1]; a minimum or maximum over a
-    block of labels is then the same as over all their edges.  These
-    rows, r (the longest label) and sentinel_mode (whether the
-    dictionary holds the sentinel label) are derived here and nowhere
-    else.
+    Every other table holds one entry per dictionary label, never one
+    per edge.  Because the targets ascend, a label's smallest and
+    largest target are base and base + offsets[-1]; a minimum or
+    maximum over a block of labels is then the same as over all their
+    edges.  These rows, r (the longest label) and sentinel_mode
+    (whether the dictionary holds the sentinel label) are derived here
+    and nowhere else.
     """
 
     def __init__(
@@ -95,7 +130,7 @@ class WheelerIndex:
         b_max: RankSelectBits,
         b_min: RankSelectBits,
         labels: tuple[bytes, ...],
-        postings: dict[bytes, tuple[array, array]],
+        postings: dict[bytes, tuple[array, array, int]],
     ):
         self.n_states = state_count
         self.epsilon_edge_count = epsilon_edge_count
@@ -114,25 +149,30 @@ class WheelerIndex:
             rhos, revs = by_len.setdefault(len(rho), ([], []))
             rhos.append(rho)
             revs.append(rev)
+        typecode = UINT_TYPECODES[uint_width(state_count)]
         # per length: reversed labels and, from each row on, the smallest
-        # target of that row or any later one (None past the end)
+        # target of that row or any later one (0 past the end)
         self._by_len = {}
         # per label: its postings and the suffix minimum just past its
         # own row, keyed by the dictionary's own label objects
         self.rows: dict[bytes, Row] = {}
         for k, (rhos, revs) in by_len.items():
-            firsts = [postings[rho][1][0] for rho in reversed(rhos)]
-            suffix_min = list(accumulate(firsts, min))[::-1] + [None]
+            suffix_min = array(typecode, [0]) * (len(rhos) + 1)
+            firsts = (postings[rho][2] for rho in reversed(rhos))
+            suffix_min[-2::-1] = array(typecode, accumulate(firsts, min))
             self._by_len[k] = (revs, suffix_min)
             for rho, bound in zip(rhos, suffix_min[1:]):
-                self.rows[rho] = (*postings[rho], bound)
+                sources, offsets, base = postings[rho]
+                self.rows[rho] = (sources, offsets, bound or None, base)
         # sparse table: level i holds the largest target over the 2^i
-        # rows starting at each row
-        level = [postings[rho][1][-1] for rho in labels]
+        # rows starting at each row; an array grown from an iterator
+        # over-allocates, and its [:] copy is sized exactly
+        lasts = (postings[rho][2] + postings[rho][1][-1] for rho in labels)
+        level = array(typecode, lasts)[:]
         self._max_levels = [level]
         span = 1
         while 2 * span <= len(labels):
-            level = list(map(max, level, level[span:]))
+            level = array(typecode, map(max, level, level[span:]))[:]
             self._max_levels.append(level)
             span *= 2
         self.r = max(by_len, default=0)
@@ -151,16 +191,16 @@ class WheelerIndex:
         """Largest j with at most f edges of `row`'s label into states 1..j."""
         if f < 0:
             raise ValueError("count bound must be nonnegative")
-        targets = row[1]
-        return targets[f] - 1 if f < len(targets) else self.n_states
+        offsets = row[1]
+        return row[3] + offsets[f] - 1 if f < len(offsets) else self.n_states
 
     def min_prefix_with_in_at_least(self, row: Row, g: int) -> int:
         """Smallest j with at least g edges of `row`'s label into 1..j,
         1 <= g <= mult."""
-        targets = row[1]
-        if not 1 <= g <= len(targets):
-            raise ValueError(f"no prefix receives {g} of the row's {len(targets)} edges")
-        return targets[g - 1]
+        offsets = row[1]
+        if not 1 <= g <= len(offsets):
+            raise ValueError(f"no prefix receives {g} of the row's {len(offsets)} edges")
+        return row[3] + offsets[g - 1]
 
     def min_state_with_len_k_label_ge(self, k: int, alpha: bytes) -> int | None:
         """Smallest state entered by a length-k edge whose label is
@@ -176,8 +216,8 @@ class WheelerIndex:
             return None
         revs, suffix_min = row
         if len(alpha) > k:
-            return suffix_min[bisect_right(revs, alpha[: -k - 1 : -1])]
-        return suffix_min[bisect_left(revs, alpha[::-1])]
+            return suffix_min[bisect_right(revs, alpha[: -k - 1 : -1])] or None
+        return suffix_min[bisect_left(revs, alpha[::-1])] or None
 
     def max_state_with_suffix_label(self, alpha: bytes) -> int:
         """Largest state entered by an edge whose label has alpha as a
@@ -195,21 +235,29 @@ class WheelerIndex:
         """Whether the labeled edges break Wheeler axiom 3: some label
         above label B's suffix block (co-lex above B and not ending with
         it) enters a state below B's largest target."""
+        rows = [self.rows[rho] for rho in self.labels]
         # from each row on, the smallest target of that row or any later one
-        firsts = [self.rows[rho][1][0] for rho in reversed(self.labels)]
+        firsts = [row[3] for row in reversed(rows)]
         suffix_min = list(accumulate(firsts, min))[::-1] + [self.n_states + 1]
         return any(
             suffix_min[bisect_right(self._rev, suffix_block_end(rev, self.r))]
-            < self.rows[rho][1][-1]
-            for rho, rev in zip(self.labels, self._rev)
+            < row[3] + row[1][-1]
+            for row, rev in zip(rows, self._rev)
         )
 
     def unentered_states(self) -> int:
         """How many of the states 2..n no posting enters."""
         entered = bytearray(self.n_states + 1)
-        for _, targets, _ in self.rows.values():
-            for v in targets:
-                entered[v] = 1
+        for _, offsets, _, base in self.rows.values():
+            if len(offsets) == 1:
+                entered[base] = 1
+                continue
+            # the flags of the row's own span, indexed by offset
+            end = base + offsets[-1] + 1
+            flags = entered[base:end]
+            for v in offsets:
+                flags[v] = 1
+            entered[base:end] = flags
         return self.n_states - 1 - entered.count(1, 2)
 
     # -- markers and finals ------------------------------------------------
@@ -278,10 +326,12 @@ def build_index(
 
     labels = tuple(sorted(per_label, key=colex_key))
     typecode = UINT_TYPECODES[uint_width(n)]
-    postings = {
-        rho: (array(typecode, sorted(srcs)), array(typecode, sorted(tgts)))
-        for rho, (srcs, tgts) in per_label.items()
-    }
+    postings = {}
+    for rho, (srcs, tgts) in per_label.items():
+        tgts.sort()
+        base = tgts[0]
+        offsets = narrowest(array(typecode, [v - base for v in tgts]))
+        postings[rho] = (array(typecode, sorted(srcs)), offsets, base)
 
     finals_bits = bytearray(n)
     for q in a.finals:

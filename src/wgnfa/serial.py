@@ -31,9 +31,12 @@ largest gap: in Wheeler order a label's targets sit close together, so
 on the 85k-state benchmark trie 17 of the 20 target sides of more than
 one state take 4 bits per gap, and the source sides 8 or 16, where w is
 four bytes.  A side of one state has no gaps and stores no width byte,
-since the edge count is read first.  Loading rebuilds each side as an
-array of exactly c entries of the width that holds n, the arrays the
-library build makes.
+since the edge count is read first.  Loading rebuilds the arrays the
+library build makes, each of exactly c entries: the sources at the
+width that holds n, and the targets as their first state and each
+one's offset from it, summed from 0 and stored at the narrowest width
+that holds the last; serialize writes the first state and the gaps
+between the offsets, the same bytes.
 
 Only what the index cannot derive is stored.  WheelerIndex derives the
 longest label and its per-label query rows from the dictionary and
@@ -82,12 +85,11 @@ rejected; rebuild them from their .gnfa source.
 from __future__ import annotations
 
 import hashlib
-import sys
 from array import array
 from itertools import accumulate
 
-from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_width
-from .index import WheelerIndex
+from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
+from .index import WheelerIndex, narrowest
 from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
@@ -97,7 +99,7 @@ SECTION_COUNT = 6
 DIGEST_SIZE = 8
 # the sentinel build adds state 1 and the edge 1 -> 2 and shifts every
 # other state up by one, so no other edge starts or ends at state 1
-_SENTINEL_EDGE = (array("B", [1]), array("B", [2]))
+_SENTINEL_EDGE = (array("B", [1]), array("B", [0]), 2)
 # bytes.translate tables for 4-bit gaps: the gaps below 16, a gap moved
 # to the high nibble, and the high and the low nibble of a packed byte
 _NIBBLES = bytes(range(16))
@@ -115,24 +117,18 @@ def _digest(body: bytes) -> bytes:
     return hashlib.blake2b(body, digest_size=DIGEST_SIZE).digest()
 
 
-def _uints(width: int, values) -> bytes:
-    """values as little-endian `width`-byte unsigned integers."""
-    arr = array(UINT_TYPECODES[width], values)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return arr.tobytes()
-
-
-def _side(w: int, side: array) -> bytes:
+def _side(w: int, first: int, side: array) -> bytes:
     """One ascending postings side: its first state as a `w`-byte int
     and, unless that is its only state, one byte giving the gap width
-    in bits and the gaps between consecutive states at that width, the
-    smallest of 4/8/16/32/64 bits that holds every gap."""
-    first = _uints(w, side[:1])
+    in bits and the gaps between consecutive entries of `side` at that
+    width, the smallest of 4/8/16/32/64 bits that holds every gap.
+    `side` holds the side's states, or each one's offset from the
+    first: the gaps are the same."""
+    first = uint_bytes(w, [first])
     if len(side) == 1:
         return first
     iw = side.itemsize
-    raw = _uints(iw, side)
+    raw = uint_bytes(iw, side)
     # one subtraction over whole lanes: the side ascends, so no lane
     # borrows from the next, and each lane of the difference is a gap
     lanes = (
@@ -153,10 +149,7 @@ def _side(w: int, side: array) -> bytes:
         low = gaps[1::2].ljust(len(high), b"\x00")
         packed = int.from_bytes(high, "big") | int.from_bytes(low, "big")
         return first + b"\x04" + packed.to_bytes(len(high), "big")
-    gaps = bytearray(k * dw)
-    for b in range(dw):
-        gaps[b::dw] = lanes[b::iw]
-    return first + bytes([8 * dw]) + gaps
+    return first + bytes([8 * dw]) + uint_lanes(lanes, iw, dw)
 
 
 def serialize(ix: WheelerIndex) -> bytes:
@@ -169,18 +162,22 @@ def serialize(ix: WheelerIndex) -> bytes:
             eps,
             len(labels),
             ix.r,
-            max((len(sources) for sources, _, _ in ix.rows.values()), default=0),
+            max((len(row[0]) for row in ix.rows.values()), default=0),
         )
     )
 
-    sec_summary = bytes([w]) + _uints(w, (n, eps))
-    sec_dict = _uints(w, [len(labels)]) + b"".join(
-        _uints(w, [len(rho)]) + rho for rho in labels
+    sec_summary = bytes([w]) + uint_bytes(w, (n, eps))
+    sec_dict = uint_bytes(w, [len(labels)]) + b"".join(
+        uint_bytes(w, [len(rho)]) + rho for rho in labels
     )
     parts = []
     for rho in labels:
-        sources, targets, _ = ix.rows[rho]
-        parts += (_uints(w, [len(sources)]), _side(w, sources), _side(w, targets))
+        sources, offsets, _, base = ix.rows[rho]
+        parts += (
+            uint_bytes(w, [len(sources)]),
+            _side(w, sources[0], sources),
+            _side(w, base, offsets),
+        )
     sec_postings = b"".join(parts)
     # without epsilon edges every marker bit is set, and none is stored
     markers = (ix.b_max.to_bytes(), ix.b_min.to_bytes()) if eps else (b"", b"")
@@ -263,6 +260,21 @@ class _Reader:
 
     def u(self) -> int:
         return int.from_bytes(self.take(self.width), "little")
+
+    def side(self, cnt: int, typecode: str, n: int, relative: bool) -> tuple[int, array]:
+        """A side of cnt states in 1..n: its first state and an array of
+        `typecode`, the width that holds n, of its states, or with
+        `relative` of each state's offset from the first.  The gaps are
+        unsigned, so the side ascends and its last state is its largest."""
+        first = self.u()
+        gaps = self.gaps(cnt)
+        try:
+            side = array(typecode, accumulate(gaps, initial=0 if relative else first))
+        except OverflowError:
+            raise IndexFormatError("postings state out of range 1..n") from None
+        if first < 1 or side[-1] + (first if relative else 0) > n:
+            raise IndexFormatError("postings state out of range 1..n")
+        return first, side
 
     def gaps(self, cnt: int):
         """The cnt - 1 gaps of a side of cnt states, one entry each."""
@@ -353,20 +365,11 @@ def deserialize(data: bytes) -> WheelerIndex:
         cnt = rd.u()
         if cnt < 1:
             raise IndexFormatError("postings entry without edges")
-        sides = []
-        for _ in range(2):
-            first = rd.u()
-            gaps = rd.gaps(cnt)
-            try:
-                # an array grown from an iterator keeps spare room, and
-                # its [:] copy holds exactly cnt entries
-                side = array(typecode, accumulate(gaps, initial=first))[:]
-            except OverflowError:
-                raise IndexFormatError("postings state out of range 1..n") from None
-            if first < 1 or side[-1] > n:
-                raise IndexFormatError("postings state out of range 1..n")
-            sides.append(side)
-        postings[rho] = tuple(sides)
+        # an array grown from an iterator keeps spare room, and its [:]
+        # copy holds exactly cnt entries
+        sources = rd.side(cnt, typecode, n, relative=False)[1][:]
+        base, offsets = rd.side(cnt, typecode, n, relative=True)
+        postings[rho] = (sources, narrowest(offsets), base)
     rd.finish("postings")
 
     ix = WheelerIndex(
@@ -382,7 +385,7 @@ def deserialize(data: bytes) -> WheelerIndex:
         raise IndexFormatError("the sentinel flag and the reserved byte 0x01 label disagree")
     if ix.sentinel_mode and (
         postings[SENTINEL_BYTES] != _SENTINEL_EDGE
-        or any(1 in (postings[rho][0][0], postings[rho][1][0]) for rho in labels[1:])
+        or any(1 in (postings[rho][0][0], postings[rho][2]) for rho in labels[1:])
     ):
         raise IndexFormatError("state 1 needs the sentinel edge 1->2 and no other edge")
     if ix.breaks_axiom3():

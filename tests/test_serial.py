@@ -231,9 +231,15 @@ def postings_bytes(entries, w: int = 1) -> bytes:
     )
 
 
+def row_targets(row) -> list[int]:
+    """A row's targets as states: its base added back to each offset,
+    as the two prefix boundaries add it."""
+    return [row[3] + v for v in row[1]]
+
+
 def edge_lists(ix) -> list[tuple[list[int], list[int]]]:
     """Each dictionary label's sources and targets, in dictionary order."""
-    return [(list(ix.rows[rho][0]), list(ix.rows[rho][1])) for rho in ix.labels]
+    return [(list(ix.rows[rho][0]), row_targets(ix.rows[rho])) for rho in ix.labels]
 
 
 def test_load_checks(ten_state, ten_state_index):
@@ -416,10 +422,12 @@ def one_label_postings(draw):
 @example((256, [1, 16, 16, 17], [1, 1, 2, 17]))  # 4 and 4, three gaps
 @example((65536, [7], [65536]))  # single states: no gaps and no width bytes
 def test_postings_round_trip(case):
-    """A file holding one label's postings loads them into arrays of the
-    state width of n, with no spare room (a [:] copy is sized exactly),
-    and writes back the bytes it was read from, each side's gaps at the
-    narrowest width (4-bit ones packed two to a byte)."""
+    """A file holding one label's postings loads its sources into an
+    array of the state width of n and its targets' offsets from the
+    first into the narrowest array that holds their span, both with no
+    spare room (a [:] copy is sized exactly), and writes back the bytes
+    it was read from, each side's gaps at the narrowest width (4-bit
+    ones packed two to a byte)."""
     n, sources, targets = case
     w = 1 if n < 256 else 2 if n < 65536 else 4
     bits = (n + 7) // 8
@@ -434,9 +442,12 @@ def test_postings_round_trip(case):
     ]
     data = frame(b"WGNE\x04\x00", parts)
     ix = deserialize(data)
-    assert [list(side) for side in ix.rows[b"a"][:2]] == [sources, targets]
-    for side in ix.rows[b"a"][:2]:
-        assert side.itemsize == w
+    row = ix.rows[b"a"]
+    assert [list(row[0]), row_targets(row)] == [sources, targets]
+    span = targets[-1] - targets[0]
+    assert row[0].itemsize == w
+    assert row[1].itemsize == (1 if span < 256 else 2 if span < 65536 else 4)
+    for side in row[:2]:
         assert sys.getsizeof(side) == sys.getsizeof(side[:])
     assert serialize(ix) == data
 
@@ -449,7 +460,7 @@ def test_postings_take_about_a_byte_per_entry():
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
     ix = build_index(a)
-    entries = sum(len(sources) + len(targets) for sources, targets, _ in ix.rows.values())
+    entries = sum(len(row[0]) + len(row_targets(row)) for row in ix.rows.values())
     postings = split_sections(serialize(ix))[5]
     assert len(postings) <= 0.8 * entries, (len(postings), entries, len(postings) / entries)
 
