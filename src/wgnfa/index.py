@@ -77,16 +77,14 @@ def narrowest(offsets: array) -> array:
     is always the one shared array.
 
     An array stores items of one or two bytes through a slower
-    conversion than wider ones, so a long side is summed at the state
-    width and narrowed here by copying its low bytes lane by lane.
+    conversion than wider ones, so a side is summed at the state width
+    and narrowed here by copying its low bytes lane by lane.
     """
     if len(offsets) == 1:
         return _ONE_OFFSET
     iw, ow = offsets.itemsize, uint_width(offsets[-1])
     if ow == iw:
         return offsets[:]
-    if len(offsets) < 64:
-        return array(UINT_TYPECODES[ow], offsets)[:]
     return uint_array(ow, uint_lanes(uint_bytes(iw, offsets), iw, ow))
 
 
@@ -249,9 +247,6 @@ class WheelerIndex:
         """How many of the states 2..n no posting enters."""
         entered = bytearray(self.n_states + 1)
         for _, offsets, _, base in self.rows.values():
-            if len(offsets) == 1:
-                entered[base] = 1
-                continue
             # the flags of the row's own span, indexed by offset
             end = base + offsets[-1] + 1
             flags = entered[base:end]

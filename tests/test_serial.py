@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
@@ -12,12 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wgnfa.bitvec import UINT_TYPECODES, uint_width
 from wgnfa.cli import _default_battery
 from wgnfa.generate import GenerationParams, build_piece_trie, generate_instance, sample_patterns
 from wgnfa.index import NO_ROW, build_index
 from wgnfa.matcher import match_interval, match_patterns
 from wgnfa.model import GeneralizedAutomaton
+from wgnfa.oracle import brute_accepts, brute_match
 from wgnfa.serial import IndexFormatError, deserialize, payload_bits, serialize
+
+from conftest import load_index
 
 
 def probe_ops(ix, rng, count=200):
@@ -348,6 +353,93 @@ def test_postings_gap_checks(ten_state_index):
             deserialize(with_entry(5, entry))
 
 
+def one_label_file(n: int, postings: bytes) -> bytes:
+    """A file of n states, as many epsilon edges and all marker bits
+    set, whose dictionary holds the label a alone with these postings."""
+    w = uint_width(n)
+    bits = (n + 7) // 8
+    all_set = b"\xff" * (bits - 1) + bytes([0xFF00 >> (n % 8 or 8) & 0xFF])
+    parts = [
+        bytes([w]) + n.to_bytes(w, "little") * 2,
+        bytes(bits),
+        all_set,
+        all_set,
+        (1).to_bytes(w, "little") * 2 + b"a",
+        postings,
+    ]
+    return frame(b"WGNE\x04\x00", parts)
+
+
+def test_target_gaps_checked_against_n():
+    """Crafted target gaps under a valid digest, on a file of n = 300
+    states whose label a enters 290 and 291: the targets load as the
+    base 290 and one-byte offsets, and gaps that carry the last target
+    past n are refused, whether their sum fits the one byte the
+    offsets would narrow to, passes it, or passes the range of the
+    two-byte state arrays they are summed in."""
+    sources = (2).to_bytes(2, "little") + side_bytes([1, 1], 2)
+    base = (290).to_bytes(2, "little")
+    ix = deserialize(one_label_file(300, sources + base + bytes([4, 0x10])))
+    assert row_targets(ix.rows[b"a"]) == [290, 291]
+    assert ix.rows[b"a"][1].typecode == "B"
+    for gaps in (
+        bytes([8, 11]),  # 301
+        bytes([16]) + (300).to_bytes(2, "little"),  # 590, past one byte
+        bytes([16]) + (65535).to_bytes(2, "little"),  # within two bytes
+        bytes([32]) + (65536).to_bytes(4, "little"),  # past two bytes
+        bytes([64]) + (2**64 - 1).to_bytes(8, "little"),
+    ):
+        with pytest.raises(IndexFormatError, match="postings state out of range 1..n"):
+            deserialize(one_label_file(300, sources + base + gaps))
+
+
+@pytest.mark.parametrize("sentinel", [False, True])
+def test_target_side_spanning_32_bits(sentinel):
+    """Label a enters every state from 2 to 65,540, a target side whose
+    span needs 32 bits: it loads at that width, equal to the built
+    rows, and answers like the oracle."""
+    m = 65_541
+    edges = [(1, v, b"a") for v in range(2, m)] + [(2, m, b"b")]
+    a = GeneralizedAutomaton(state_count=m, edges=tuple(edges), finals=frozenset({3, m}))
+    built = build_index(a, with_sentinel=sentinel)
+    ix = deserialize(serialize(built))
+    assert_same_rows(built, ix)
+    offsets = ix.rows[b"a"][1]
+    assert offsets.itemsize == 4 and offsets[-1] == m - 3
+    for pattern in (b"a", b"b", b"aa", b"ab", b"aab", b"ba"):
+        res = match_interval(ix, pattern)
+        assert set(range(res.lo, res.hi + 1)) == brute_match(a, pattern), pattern
+        if sentinel:
+            assert res.accepted == brute_accepts(a, pattern), pattern
+
+
+def assert_same_rows(built, loaded):
+    """The loaded rows equal the built ones, typecodes included (array
+    equality compares values only): sources at the width that holds n,
+    and target offsets from 0 at the narrowest width that holds their
+    span."""
+    assert loaded.rows == built.rows
+    state_code = UINT_TYPECODES[uint_width(built.n_states)]
+    for rho, (sources, offsets, _, base) in built.rows.items():
+        again = loaded.rows[rho]
+        assert (again[0].typecode, again[1].typecode) == (sources.typecode, offsets.typecode)
+        assert sources.typecode == state_code, rho
+        assert offsets[0] == 0 and offsets.itemsize == uint_width(offsets[-1]), rho
+
+
+def test_build_and_load_give_identical_rows(all_corpus_names):
+    """On every corpus instance, plain and sentinel, and on the 85k-state
+    benchmark trie, loading gives the rows the build made."""
+    for name in all_corpus_names:
+        for sentinel in (False, True):
+            built = load_index(name, sentinel)
+            assert_same_rows(built, deserialize(serialize(built)))
+    a = build_piece_trie(random.Random(271828), 13000, 28, 2, b"abcd")
+    built = build_index(a, with_sentinel=True)
+    assert built.n_states > 80_000
+    assert_same_rows(built, deserialize(serialize(built)))
+
+
 def test_epsilon_free_file_stores_no_marker_bits():
     """An epsilon-free index stores both marker sections empty and loads
     them all set; the epsilon edge count alone decides the form, so a
@@ -646,6 +738,30 @@ def test_loaded_index_heap_within_1_5x_payload(sentinel):
         side.itemsize * len(side) for row in ix.rows.values() for side in row[:2]
     ) + 3 * ((ix.n_states + 7) // 8)
     assert heap <= 1.5 * payload, (heap, payload, heap / payload)
+
+
+def test_many_label_heap_within_23x_file():
+    """A 3,000-string trie over abcd with pieces of up to 8 bytes has
+    3,703 labels, most of them with a single edge.  On a second load in
+    the process it takes at most 23 heap bytes per file byte (21.9
+    measured; 28.7 with every target side at the state width, each in
+    an array of its own, and the per-label tables in lists).  A full
+    collection first empties CPython's free lists: the first load's
+    row tuples parked there would otherwise serve about 2,000 of the
+    second load's uncounted, and only until some collection ran."""
+    a = build_piece_trie(random.Random(271828), 3000, 28, 8, b"abcd")
+    blob = serialize(build_index(a))
+    assert len(deserialize(blob).labels) == 3703
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ix = deserialize(blob)
+        heap = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ix.r == 8
+    assert heap <= 23 * len(blob), (heap, len(blob), heap / len(blob))
 
 
 def test_long_label_heap_within_4x_file():
