@@ -67,25 +67,26 @@ Row = tuple[array, array, int | None, int]
 # label-order bound of 0, which no dictionary label has
 NO_ROW = ((), (), 0, 0)
 
-# the offsets of a target side of one state, which all such sides share
+# the offsets of a target side of one state, which all such sides share:
+# no code writes to a row's arrays
 _ONE_OFFSET = array("B", [0])
 
 
-def narrowest(offsets: array) -> array:
-    """Ascending offsets from 0 in an array of exactly their count and
-    the narrowest unsigned width that holds the last; a single offset
-    is always the one shared array.
-
-    An array stores items of one or two bytes through a slower
-    conversion than wider ones, so a side is summed at the state width
-    and narrowed here by copying its low bytes lane by lane.
-    """
-    if len(offsets) == 1:
-        return _ONE_OFFSET
-    iw, ow = offsets.itemsize, uint_width(offsets[-1])
-    if ow == iw:
-        return offsets[:]
-    return uint_array(ow, uint_lanes(uint_bytes(iw, offsets), iw, ow))
+def target_offsets(targets: array) -> tuple[array, int]:
+    """Ascending targets, in an array of the state width, as their
+    offsets from the first and that first state, the base.  The offsets
+    are found by one subtraction over whole lanes (no target is below
+    the base, so no lane borrows from the next) and take the narrowest
+    width that holds the last, with no Python int made per target; a
+    single target's offsets are the one shared array."""
+    base, k = targets[0], len(targets)
+    if k == 1:
+        return _ONE_OFFSET, base
+    iw, ow = targets.itemsize, uint_width(targets[-1] - base)
+    lanes = int.from_bytes(uint_bytes(iw, targets), "little") - int.from_bytes(
+        uint_bytes(iw, [base]) * k, "little"
+    )
+    return uint_array(ow, uint_lanes(lanes.to_bytes(k * iw, "little"), iw, ow)), base
 
 
 class WheelerIndex:
@@ -321,12 +322,10 @@ def build_index(
 
     labels = tuple(sorted(per_label, key=colex_key))
     typecode = UINT_TYPECODES[uint_width(n)]
-    postings = {}
-    for rho, (srcs, tgts) in per_label.items():
-        tgts.sort()
-        base = tgts[0]
-        offsets = narrowest(array(typecode, [v - base for v in tgts]))
-        postings[rho] = (array(typecode, sorted(srcs)), offsets, base)
+    postings = {
+        rho: (array(typecode, sorted(srcs)), *target_offsets(array(typecode, sorted(tgts))))
+        for rho, (srcs, tgts) in per_label.items()
+    }
 
     finals_bits = bytearray(n)
     for q in a.finals:

@@ -34,9 +34,9 @@ four bytes.  A side of one state has no gaps and stores no width byte,
 since the edge count is read first.  Loading rebuilds the arrays the
 library build makes, each of exactly c entries: the sources at the
 width that holds n, and the targets as their first state and each
-one's offset from it, summed from 0 and stored at the narrowest width
-that holds the last; serialize writes the first state and the gaps
-between the offsets, the same bytes.
+one's offset from it, at the narrowest width that holds the last;
+serialize writes the first state and the gaps between the offsets,
+the same bytes.
 
 Only what the index cannot derive is stored.  WheelerIndex derives the
 longest label and its per-label query rows from the dictionary and
@@ -89,7 +89,7 @@ from array import array
 from itertools import accumulate
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
-from .index import WheelerIndex, narrowest
+from .index import WheelerIndex, target_offsets
 from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
@@ -261,21 +261,6 @@ class _Reader:
     def u(self) -> int:
         return int.from_bytes(self.take(self.width), "little")
 
-    def side(self, cnt: int, typecode: str, n: int, relative: bool) -> tuple[int, array]:
-        """A side of cnt states in 1..n: its first state and an array of
-        `typecode`, the width that holds n, of its states, or with
-        `relative` of each state's offset from the first.  The gaps are
-        unsigned, so the side ascends and its last state is its largest."""
-        first = self.u()
-        gaps = self.gaps(cnt)
-        try:
-            side = array(typecode, accumulate(gaps, initial=0 if relative else first))
-        except OverflowError:
-            raise IndexFormatError("postings state out of range 1..n") from None
-        if first < 1 or side[-1] + (first if relative else 0) > n:
-            raise IndexFormatError("postings state out of range 1..n")
-        return first, side
-
     def gaps(self, cnt: int):
         """The cnt - 1 gaps of a side of cnt states, one entry each."""
         if cnt == 1:
@@ -365,11 +350,21 @@ def deserialize(data: bytes) -> WheelerIndex:
         cnt = rd.u()
         if cnt < 1:
             raise IndexFormatError("postings entry without edges")
-        # an array grown from an iterator keeps spare room, and its [:]
-        # copy holds exactly cnt entries
-        sources = rd.side(cnt, typecode, n, relative=False)[1][:]
-        base, offsets = rd.side(cnt, typecode, n, relative=True)
-        postings[rho] = (sources, narrowest(offsets), base)
+        sides = []
+        for _ in range(2):
+            first = rd.u()
+            gaps = rd.gaps(cnt)
+            try:
+                # an array grown from an iterator keeps spare room, and
+                # its [:] copy holds exactly cnt entries
+                side = array(typecode, accumulate(gaps, initial=first))[:]
+            except OverflowError:
+                raise IndexFormatError("postings state out of range 1..n") from None
+            if first < 1 or side[-1] > n:
+                raise IndexFormatError("postings state out of range 1..n")
+            sides.append(side)
+        sources, targets = sides
+        postings[rho] = (sources, *target_offsets(targets))
     rd.finish("postings")
 
     ix = WheelerIndex(
