@@ -30,7 +30,8 @@ run exits non-zero, else "ok".  "verdicts" lists every workload and
 metric (or failures) that is not "ok".  With --claim, it also applies
 the claim rule: the change wins at least nine tenths of the pairs, and
 the medians differ, in the metric's better direction, by more than the
-parent's interquartile range.  Every run is kept under "runs", and the
+parent's interquartile range; and the change's run beats the parent's
+on every held-out seed.  Every run is kept under "runs", and the
 file is rewritten after each run, so an interrupted run leaves what it
 measured.
 """
@@ -157,6 +158,31 @@ def verdicts(summary: dict) -> dict[str, str]:
             for name, res in by_metric.items() if res["verdict"] != "ok"}
 
 
+def claim_result(summary: dict, runs: list[dict], workload: str, metric: str,
+                 higher_is_better: bool, held_out: list[int]) -> dict:
+    """The claim rule for `metric` on `workload`: the summary's entry
+    with "met", true when the change wins at least nine tenths of the
+    pairs and the medians differ, in the better direction, by more than
+    the parent's interquartile range; "held_out", for each held-out seed
+    both sides have run untraced, whether the change's run beat the
+    parent's in the better direction; and "held_out_met", true when
+    every one of `held_out` has run and the change beat the parent on
+    each."""
+    res = summary[workload][metric]
+    sign = 1 if higher_is_better else -1
+    gap = sign * (res["change_median"] - res["parent_median"])
+    value = {(r["side"], r["seed"]): r["metrics"][metric] for r in runs
+             if r["trace"] == 0 and r["workload"] == workload and "metrics" in r}
+    beat = {seed: sign * (value["change", seed] - value["parent", seed]) > 0
+            for seed in held_out if ("parent", seed) in value and ("change", seed) in value}
+    return {
+        **res,
+        "met": 10 * res["change_wins"] >= 9 * res["pairs"] and gap > res["parent_iqr"],
+        "held_out": beat,
+        "held_out_met": len(beat) == len(held_out) > 0 and all(beat.values()),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -209,17 +235,13 @@ def main(argv: list[str] | None = None) -> int:
             out["machine"] = machine
         out["summary"] = summarize(runs, args.seeds, workloads, metrics)
         out["verdicts"] = verdicts(out["summary"])
+        held_out = [s for s in args.held_out if s not in args.seeds]
         if claim and claim[1] in out["summary"].get(claim[0], {}):
-            res = out["summary"][claim[0]][claim[1]]
-            sign = 1 if better[claim[1]] == "higher" else -1
-            gap = sign * (res["change_median"] - res["parent_median"])
             out["claim"] = {"workload": claim[0], "metric": claim[1]}
-            out["claim_result"] = {
-                **res,
-                "met": 10 * res["change_wins"] >= 9 * res["pairs"] and gap > res["parent_iqr"],
-            }
-        held = [r for r in runs if r["trace"] == 0 and r["seed"] in args.held_out
-                and r["seed"] not in args.seeds and "metrics" in r]
+            out["claim_result"] = claim_result(out["summary"], runs, *claim,
+                                               better[claim[1]] == "higher", held_out)
+        held = [r for r in runs if r["trace"] == 0 and r["seed"] in held_out
+                and "metrics" in r]
         out["held_out"] = {
             wl: {name: {s: [r["metrics"][name] for r in held
                             if r["workload"] == wl and r["side"] == s] for s in sides}

@@ -26,19 +26,19 @@ target of a label lies in the label's own query interval, so a label
 of length k spans about n / sigma^k states, and the offsets take the
 narrowest of 1, 2, 4 or 8 bytes that holds that span, not the width n
 needs (on the 85k-state benchmark trie 2 bytes where the sources take
-4).  Sources have no such bound and keep the state width.  The three
-counting operations take such a row, not a label, so a matching step
-looks each chunk up once; NO_ROW stands for a chunk the dictionary does
-not hold.  Besides the rows there are rank/select bitvectors for the
-finals and the two closure markers the epsilon edges add, each holding
-only the positions of its rarer bit (none for a marker of an
-epsilon-free automaton), and two more tables with one entry per
-dictionary label, never one per edge, both arrays of the state width
-with 0 for "none": per label length, the reversed labels with a suffix
-minimum over each label's smallest target, whose entry just past a
-label's own is that label's bound; and all reversed labels in
-dictionary order with a range-maximum sparse table over each label's
-largest target.
+4).  Sources have no such bound and keep the state width.  out_count
+takes such a row, not a label, and a matching step reads the two
+prefix boundaries off its targets, so it looks each chunk up once;
+NO_ROW stands for a chunk the dictionary does not hold.  Besides the
+rows there are rank/select bitvectors for the finals and the two
+closure markers the epsilon edges add, each holding only the positions
+of its rarer bit (none for a marker of an epsilon-free automaton), and
+two more tables with one entry per dictionary label, never one per
+edge, both arrays of the state width with 0 for "none": per label
+length, the reversed labels with a suffix minimum over each label's
+smallest target, whose entry just past a label's own is that label's
+bound; and all reversed labels in dictionary order with a
+range-maximum sparse table over each label's largest target.
 """
 
 from __future__ import annotations
@@ -100,17 +100,17 @@ class WheelerIndex:
     their first state and each one's offset from it, in the narrowest
     unsigned array that holds the last offset).  The postings are kept
     only inside `rows`, which maps each dictionary label object to
-    (sources, offsets, bound, base): bound is the smallest state
-    entered by a label of the same length sorting strictly above it
-    (None if there is none), which is what
+    (sources, offsets, bound, base): bound is the smallest state entered
+    by a label of the same length sorting strictly above it (None if
+    there is none), which is what
     min_state_with_len_k_label_ge(len(rho), x + rho) returns for any
-    byte x.  out_count and the two prefix boundaries take such a row
-    and add the base back.  The target sides of a single state, most of
-    them on a trie with thousands of labels, share one offsets array.
-    No Python object is held per edge or per state, but each label
-    costs about 350 bytes of heap on top of its file bytes, so an index
-    with thousands of labels loads to about twenty heap bytes per file
-    byte.
+    byte x.  out_count takes such a row, and so do the two prefix
+    boundaries, which the matcher reads off the row itself.  The target
+    sides of a single state, most of them on a trie with thousands of
+    labels, share one offsets array.  No Python object is held per edge
+    or per state, but each label costs about 350 bytes of heap on top of
+    its file bytes, so an index with thousands of labels loads to about
+    twenty heap bytes per file byte.
 
     Every other table holds one entry per dictionary label, never one
     per edge.  Because the targets ascend, a label's smallest and

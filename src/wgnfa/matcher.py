@@ -11,21 +11,23 @@ by two counters per pattern prefix,
 
 c and d are advanced one pattern symbol at a time, both in one loop
 (run_steps), which looks each chunk's row up in the index once per
-chunk length and passes that row to the counting operations.  The
-lower bound combines, for each chunk length k up to r, a cap on how
-many length-k edges may enter the candidate block (counted out of the
-interval already known for the l-k prefix) with a co-lexicographic cap
-on the labels themselves, then rounds down to a closure marker.  Once the prefix is longer than the chunk, the label
-cap depends on the chunk alone, and for a chunk that is a dictionary
-label the index keeps it in the chunk's row (the third slot); the
-bisecting query runs only for other chunks and, within the first r
-symbols, for the label lengths the prefix does not exceed.  The upper
-bound is pushed up past forced edge targets and suffix-labeled edges;
-when nothing forces it past c[l] the suffixed block is empty and
-d[l] = c[l], otherwise the boundary rounds up to the next closure
-marker.  The loop keeps a per-symbol StepRecord of these
-internals only when asked to trace; interval and membership queries
-run it without, and `wgnfa query --trace` runs it again with them.
+chunk length, passes that row to the edge count and reads the two
+prefix boundaries off its targets.  The lower bound combines, for each
+chunk length k up to r, a cap on how many length-k edges may enter the
+candidate block (counted out of the interval already known for the l-k
+prefix) with a co-lexicographic cap on the labels themselves, then
+rounds down to a closure marker.  Once the prefix is longer than the
+chunk, the label cap depends on the chunk alone, and for a chunk that
+is a dictionary label the index keeps it in the chunk's row (the third
+slot); the bisecting query runs only for other chunks and, within the
+first r symbols, for the label lengths the prefix does not exceed.
+The upper bound is pushed up past forced edge targets and
+suffix-labeled edges; when nothing forces it past c[l] the suffixed
+block is empty and d[l] = c[l], otherwise the boundary rounds up to
+the next closure marker.  The loop keeps a per-symbol StepRecord of
+these internals only when asked to trace; interval and membership
+queries run it without, and `wgnfa query --trace` runs it again with
+them.
 
 Indexes built with the sentinel carry one extra lead state, so reported
 intervals are shifted back down; membership (accepts) runs the same
@@ -109,6 +111,12 @@ class QueryResult:
     trace: MatchTrace
 
 
+def _step_queries(r: int, steps: int) -> int:
+    """The queries steps 1..`steps` make whatever the data, 3 min(r, l-1) + r + 2 at l."""
+    q = min(r, steps)
+    return 3 * (q * (q - 1) // 2 + r * (steps - q)) + (r + 2) * steps
+
+
 def run_steps(
     ix: WheelerIndex, pattern: bytes, trace: bool = True, resume: MatchTrace | None = None
 ) -> MatchTrace:
@@ -126,22 +134,24 @@ def run_steps(
     empty and d[l] = c[l], otherwise it rounds up to the next marker.
 
     Each chunk's row is looked up once (NO_ROW when the chunk is not a
-    dictionary label) and passed to the three counting operations.
-    For k < l the prefix is longer than the chunk, so "at or above the
-    prefix" is "strictly above the chunk": a chunk that is a dictionary
-    label reads that bound off its row, and any other chunk asks
-    min_state_with_len_k_label_ge with the chunk and the byte before
-    it.  The lengths k >= l, which exist only while l <= r, ask
-    it with the whole prefix, and so does the suffix query; past r no
-    prefix is a label suffix and i* is 0.
+    dictionary label) and passed to out_count; the two prefix boundaries
+    are read off its targets, the (f_k+1)-th less one (n when there is
+    none) and the g_k-th.  For k < l the prefix is longer than the
+    chunk, so "at or above the prefix" is "strictly above the chunk": a
+    chunk that is a dictionary label reads that bound off its row, and
+    any other chunk asks min_state_with_len_k_label_ge with the chunk
+    and the byte before it.  The lengths k >= l, which exist only while
+    l <= r, ask it with the whole prefix, and so does the suffix query;
+    past r no prefix is a label suffix and i* is 0.
 
     When the l-k cuts coincide the block between them is empty and g_k
     is f_k, so out_count is asked once for that chunk.  `ops` counts
-    the recursion's index queries all the same: a g_k taken from f_k,
-    a label bound read off the row, the suffix query past r and a
-    marker floor that returns its argument are each counted as the
-    query they stand for, r + 2 label, suffix and floor queries per
-    step, so `ops` stays a function of the pattern and the index.
+    the recursion's index queries all the same, each answer read off a
+    row or taken from f_k, the suffix query past r and a marker floor
+    that returns its argument as the query it stands for, so it stays
+    a function of the pattern and the index.  It is counted once per
+    run: the 3 min(r, l-1) + r + 2 queries every step l makes, plus one
+    per g_k > f_k and one per marker ceiling, which the loop counts.
 
     Only with `trace` is a StepRecord kept per symbol; the counters and
     the `ops` total are the same either way.
@@ -153,8 +163,6 @@ def run_steps(
     `ops` counting the steps actually run.  A traced run starts fresh.
     """
     out_count = ix.out_count
-    max_prefix_with_in_at_most = ix.max_prefix_with_in_at_most
-    min_prefix_with_in_at_least = ix.min_prefix_with_in_at_least
     min_state_with_len_k_label_ge = ix.min_state_with_len_k_label_ge
     max_state_with_suffix_label = ix.max_state_with_suffix_label
     marker_floor = ix.marker_floor
@@ -172,7 +180,7 @@ def run_steps(
             keep += 1
         del out.c[keep + 1 :], out.d[keep + 1 :]
     c, d, steps = out.c, out.d, out.steps
-    ops = 0
+    ops = _step_queries(r, len(pattern)) - _step_queries(r, keep)
     for ell in range(keep + 1, len(pattern) + 1):
         j = n
         forced = 0
@@ -180,29 +188,31 @@ def run_steps(
             f: dict[int, int] = {}
             g: dict[int, int] = {}
         for k in lengths if ell > r else range(1, ell):
-            row = rows_get(pattern[ell - k : ell], NO_ROW)
-            cut, wide = c[ell - k], d[ell - k]
+            i = ell - k
+            row = rows_get(pattern[i:ell], NO_ROW)
+            cut = c[i]
             fk = out_count(row, cut)
-            bound = max_prefix_with_in_at_most(row, fk)
-            if bound < j:
-                j = bound
+            _, offsets, hit, base = row
+            # the largest prefix that receives at most f_k of the chunk's edges
+            if fk < len(offsets):
+                bound = base + offsets[fk] - 1
+                if bound < j:
+                    j = bound
             # the prefix is longer than the chunk, so the label-order bound
             # compares strictly and depends on the chunk alone
-            hit = row[2]
             if hit == 0:
-                hit = min_state_with_len_k_label_ge(k, pattern[ell - k - 1 : ell])
-            if hit is not None and hit - 1 < j:
+                hit = min_state_with_len_k_label_ge(k, pattern[i - 1 : ell])
+            if hit is not None and hit <= j:
                 j = hit - 1
-            gk = fk if wide == cut else out_count(row, wide)
-            ops += 3
+            gk = fk if d[i] == cut else out_count(row, d[i])
+            # the smallest prefix that receives g_k of them
             if gk > fk:
-                pos = min_prefix_with_in_at_least(row, gk)
                 ops += 1
+                pos = base + offsets[gk - 1]
                 if pos > forced:
                     forced = pos
             if trace:
-                f[k] = fk
-                g[k] = gk
+                f[k], g[k] = fk, gk
         # within the first r symbols, the label lengths k >= l compare
         # against the whole prefix, and some label may end with it; past
         # them no prefix is a label suffix, so i* is 0
@@ -211,11 +221,10 @@ def run_steps(
             prefix = pattern[:ell]
             for k in range(ell, r + 1):
                 hit = min_state_with_len_k_label_ge(k, prefix)
-                if hit is not None and hit - 1 < j:
+                if hit is not None and hit <= j:
                     j = hit - 1
             i_star = max_state_with_suffix_label(prefix)
         t = marker_floor(j)
-        ops += r + 2
         h = i_star if i_star > forced else forced
         if h <= t:
             h = top = t

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -175,24 +176,26 @@ def test_criterion_09_query_linearity():
     ix = build_index(a)
     prng = random.Random(314159)
     base = bytes(prng.choice(b"abcd") for _ in range(1 << 14))
-    # each size's time is read against a fixed reference match timed next
-    # to it, so that a host speed level common to both cancels
+    # each repetition times a size against a fixed reference match next to
+    # it, and its figure is the median of those ratios, so that a host
+    # speed level common to the two cancels; which of them runs first
+    # alternates, so that a drift within a repetition favours neither
     reference = base[: 1 << 11]
     best = {}
     ops = {}
     for exp in range(8, 15):
         m = 1 << exp
         pat = base[:m]
-        times, reference_times = [], []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            res = match_interval(ix, pat)
-            t1 = time.perf_counter()
-            match_interval(ix, reference)
-            times.append(t1 - t0)
-            reference_times.append(time.perf_counter() - t1)
-        best[m] = min(times) / min(reference_times)
-        ops[m] = res.trace.ops
+        ratios = []
+        for rep in range(5):
+            took = [0.0, 0.0]
+            for side in (0, 1) if rep % 2 == 0 else (1, 0):
+                t0 = time.perf_counter()
+                match_interval(ix, (pat, reference)[side])
+                took[side] = time.perf_counter() - t0
+            ratios.append(took[0] / took[1])
+        best[m] = statistics.median(ratios)
+        ops[m] = match_interval(ix, pat).trace.ops
         assert ops[m] <= 16 * ix.r * m, (m, ops[m])
     ratios = [best[1 << (e + 1)] / best[1 << e] for e in range(8, 14)]
     for ratio in ratios:

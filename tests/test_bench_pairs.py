@@ -112,3 +112,77 @@ def test_failures_count_untraced_runs_only_and_reach_verdicts():
     summary = bench_pairs.summarize(runs, [1], ["w"], METRICS)
     assert list(summary["w"]) == ["failures"]
     assert bench_pairs.verdicts(summary) == {"w:failures": "regressed"}
+
+
+def _claim_runs(parent, change, held_parent, held_change):
+    """Untraced runs of the pairs at seeds 1.. and of held-out seeds
+    101.., one per side and seed, plus a traced run that must not count."""
+    pairs, held = list(range(1, len(parent) + 1)), list(range(101, 101 + len(held_parent)))
+    runs = []
+    for seeds, p_values, c_values in ((pairs, parent, change), (held, held_parent, held_change)):
+        for seed, p, c in zip(seeds, p_values, c_values):
+            for side, value in (("parent", p), ("change", c)):
+                runs.append({**_run(side, seed), "metrics": {"symbols_per_s": value}})
+    runs.append({**_run("change", 101, trace=1), "metrics": {"symbols_per_s": 0.0}})
+    return runs, pairs, held
+
+
+def _claim(parent, change, held_parent, held_change, better="higher", drop=None):
+    runs, pairs, held = _claim_runs(parent, change, held_parent, held_change)
+    runs = [r for r in runs if (r["side"], r["seed"], r["trace"]) != drop]
+    summary = bench_pairs.summarize(runs, pairs, ["w"], {"symbols_per_s": (better, 0.25)})
+    return bench_pairs.claim_result(summary, runs, "w", "symbols_per_s", better == "higher", held)
+
+
+TEN = [1.0, 1.01, 0.99, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0, 1.0]
+FASTER = [x * 1.1 for x in TEN]
+
+
+def test_claim_met_and_held_out_met():
+    res = _claim(TEN, FASTER, [1.0, 1.0], [1.1, 1.05])
+    assert res["met"] and res["change_wins"] == 10
+    assert res["held_out"] == {101: True, 102: True}
+    assert res["held_out_met"]
+
+
+def test_claim_held_out_fails_on_one_seed():
+    # the pairs meet the claim, but the change loses one held-out seed and
+    # ties the other: a tie is not a win
+    res = _claim(TEN, FASTER, [1.0, 1.0], [0.9, 1.0])
+    assert res["met"]
+    assert res["held_out"] == {101: False, 102: False}
+    assert not res["held_out_met"]
+    res = _claim(TEN, FASTER, [1.0, 1.0], [1.1, 0.99])
+    assert res["held_out"] == {101: True, 102: False} and not res["held_out_met"]
+
+
+def test_claim_held_out_follows_the_better_direction():
+    # lower is better: the change's lower values beat the parent
+    slower = [x * 0.9 for x in TEN]
+    res = _claim(TEN, slower, [1.0], [0.95], better="lower")
+    assert res["met"] and res["held_out"] == {101: True} and res["held_out_met"]
+    res = _claim(TEN, slower, [1.0], [1.05], better="lower")
+    assert res["held_out"] == {101: False} and not res["held_out_met"]
+
+
+def test_claim_not_met_on_eight_wins_or_a_small_gap():
+    change = list(FASTER)
+    change[0] = change[1] = 0.5
+    res = _claim(TEN, change, [1.0], [1.1])
+    assert res["change_wins"] == 8 and not res["met"]
+    # ten wins, but by less than the parent's interquartile range; the
+    # held-out verdict is reported on its own
+    res = _claim(TEN, [x + 0.001 for x in TEN], [1.0], [1.1])
+    assert res["change_wins"] == 10 and res["parent_iqr"] > 0.001 and not res["met"]
+    assert res["held_out_met"]
+
+
+def test_claim_held_out_not_met_until_every_seed_ran():
+    assert _claim(TEN, FASTER, [1.0, 1.0], [1.1, 1.1])["held_out_met"]
+    # the change's run at seed 102 is missing, as while the runs go on or
+    # when it failed: seed 101 alone does not meet the held-out check
+    res = _claim(TEN, FASTER, [1.0, 1.0], [1.1, 1.1], drop=("change", 102, 0))
+    assert res["held_out"] == {101: True} and not res["held_out_met"]
+    # no held-out seed at all: nothing held out was shown
+    res = _claim(TEN, FASTER, [], [])
+    assert res["held_out"] == {} and not res["held_out_met"]

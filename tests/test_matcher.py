@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wgnfa import matcher
 from wgnfa.generate import GenerationParams, generate_instance, sample_patterns
-from wgnfa.index import build_index
+from wgnfa.index import NO_ROW, build_index
 from wgnfa.matcher import (
     SentinelInPatternError,
     accepts,
@@ -238,6 +238,95 @@ def test_untraced_recursion_equals_traced(all_corpus_names):
             assert len(full.steps) == len(pat)
             runs += 1
     assert runs > 60_000
+
+
+def _reference_steps(ix, pattern: bytes):
+    """The recursion with every WheelerIndex query asked where the step
+    needs it and nothing read off a row: both out-counts and the
+    at-most boundary per chunk, the label-order query with the whole
+    prefix and the suffix query at every length and step, the floor
+    every step, and the at-least boundary and the ceiling where the
+    data call for them.  Returns c, d, the StepRecords and each step's
+    query count, one per call."""
+    n, r = ix.n_states, ix.r
+    c, d, steps, step_ops = [0], [n], [], []
+    for ell in range(1, len(pattern) + 1):
+        prefix, j, forced, f, g, ops = pattern[:ell], n, 0, {}, {}, 0
+        for k in range(1, min(r, ell - 1) + 1):
+            row = ix.rows.get(pattern[ell - k : ell], NO_ROW)
+            f[k], g[k] = ix.out_count(row, c[ell - k]), ix.out_count(row, d[ell - k])
+            j = min(j, ix.max_prefix_with_in_at_most(row, f[k]))
+            ops += 3
+            if g[k] > f[k]:
+                forced = max(forced, ix.min_prefix_with_in_at_least(row, g[k]))
+                ops += 1
+        for k in range(1, r + 1):
+            hit = ix.min_state_with_len_k_label_ge(k, prefix)
+            if hit is not None:
+                j = min(j, hit - 1)
+        i_star = ix.max_state_with_suffix_label(prefix)
+        t = ix.marker_floor(j)
+        ops += r + 2
+        h = max(i_star, forced)
+        if h <= t:
+            h = top = t
+        else:
+            top = ix.marker_ceiling(h)
+            ops += 1
+        c.append(t)
+        d.append(top)
+        steps.append(matcher.StepRecord(ell, f, g, j, i_star, h, t, c=t, d=top))
+        step_ops.append(ops)
+    return c, d, steps, step_ops
+
+
+def _check_against_reference(ix, patterns) -> int:
+    """Fresh traced and untraced runs of each pattern, and an untraced
+    walk over them in sorted order, each resuming from the one before,
+    against _reference_steps.  Returns how many steps the walk ran."""
+    walk, ran = run_steps(ix, b"", trace=False), 0
+    for pat in sorted(patterns):
+        c, d, steps, step_ops = _reference_steps(ix, pat)
+        traced = run_steps(ix, pat, trace=True)
+        assert (traced.c, traced.d, traced.steps, traced.ops) == (c, d, steps, sum(step_ops))
+        bare = run_steps(ix, pat, trace=False)
+        assert (bare.c, bare.d, bare.ops) == (c, d, sum(step_ops))
+        keep = len(os.path.commonprefix([walk.pattern, pat]))
+        run_steps(ix, pat, trace=False, resume=walk)
+        assert (walk.c, walk.d, walk.ops) == (c, d, sum(step_ops[keep:])), pat
+        ran += len(pat) - keep
+    return ran
+
+
+def test_fused_step_equals_reference_on_the_corpus(all_corpus_names):
+    # the sidecar patterns, and every fifth with a byte no label holds
+    # spliced in, on plain and sentinel indexes, sentinel-prefixed on the
+    # latter
+    ran = no_row = 0
+    for name in all_corpus_names:
+        pats = list(load_sidecar_patterns(name))
+        pats += [p[:2] + b"z" + p[2:] for p in pats[::5]]
+        plain, sent = load_index(name), load_index(name, with_sentinel=True)
+        no_row += sum(b"z" in p for p in pats)
+        ran += _check_against_reference(plain, pats)
+        ran += _check_against_reference(sent, pats + [SENTINEL_BYTES + p for p in pats])
+    assert ran > 100_000 and no_row > 4000, (ran, no_row)
+
+
+def test_fused_step_equals_reference_with_marker_zeros():
+    # epsilon-rich generated instances whose b_max has a zero bit, so the
+    # floor rounds down, on plain and sentinel indexes
+    checked = 0
+    for max_piece_len in (2, 3):
+        params = GenerationParams(epsilon_attempts=40, max_piece_len=max_piece_len)
+        for seed in range(60):
+            a = generate_instance(seed, params)
+            pats = sample_patterns(random.Random(seed), a, 30) + [b"z", b"az", b"zab"]
+            for ix in (build_index(a), build_index(a, with_sentinel=True)):
+                if ix.b_max.ones < ix.b_max.n:
+                    _check_against_reference(ix, pats)
+                    checked += 1
+    assert checked > 150, checked
 
 
 @pytest.fixture
