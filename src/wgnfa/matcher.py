@@ -112,7 +112,7 @@ class QueryResult:
 
 
 def _step_queries(r: int, steps: int) -> int:
-    """The queries steps 1..`steps` make whatever the data, 3 min(r, l-1) + r + 2 at l."""
+    """Index queries steps 1..`steps` make whatever the data: 3 min(r, l-1) + r + 2 at l."""
     q = min(r, steps)
     return 3 * (q * (q - 1) // 2 + r * (steps - q)) + (r + 2) * steps
 
