@@ -25,35 +25,40 @@ The upper bound is pushed up past forced edge targets and
 suffix-labeled edges; when nothing forces it past c[l] the suffixed
 block is empty and d[l] = c[l], otherwise the boundary rounds up to
 the next closure marker.  The loop keeps a per-symbol StepRecord of
-these internals only when asked to trace; interval and membership
-queries run it without, and `wgnfa query --trace` runs it again with
-them.
+these internals only when asked to trace; interval queries run it
+without, and `wgnfa query --trace` runs it again with them.
 
 Indexes built with the sentinel carry one extra lead state, so reported
-intervals are shifted back down; membership (accepts) runs the same
-recursion on sentinel-prefixed input and checks for final states,
-without translating.  match_interval runs accepts only when the
-pattern's own block (c[m]+1..d[m], index numbering) holds a final
-state: every state the pattern reaches from the initial state is
-reached by a string ending in the pattern, so it lies inside that
-block, and a block without a final state answers False exactly.
+intervals are shifted back down.  Membership of P is the recursion on
+0x01.P, whose suffixed block is exactly the states P enters from the
+initial state.  Every string entering a state other than 1 starts with
+0x01, which no label but the sentinel's holds, so no state is entered
+by a string co-lexicographically in [alpha, 0x01.alpha): c(0x01.alpha)
+= c(alpha) for nonempty alpha (1 for the empty one, state 1 being the
+one state the empty string enters), and no label ends with 0x01.alpha,
+so i* is 0 past the sentinel.  accepts thus reuses P's own c and runs
+only the upper counter e[l] = d(0x01.P[:l]), with g_k > f_k read as
+the chunk's g_k-th source lying above the cut.  match_interval runs
+accepts only when the pattern's own block (c[m]+1..d[m], index
+numbering) holds a final state: every state the pattern reaches from
+the initial state lies inside it, so a block without one answers False.
 
 Since c[l] and d[l] depend only on the first l pattern symbols (the
 closure markers only round them), a batch of patterns is matched as
 one walk (match_patterns): sorted, each pattern resuming from its
 predecessor's counter lists cut back to their longest common prefix,
 so only the symbols past it run the recursion.  A pattern equal to
-the one before it reuses that answer and runs nothing.  The membership
-walk resumes from the last pattern that actually ran it, since a
-pattern the block check answers leaves it untouched.
+the one before it reuses that answer and runs nothing.  The walk also
+keeps e, cut back with c and d, so a pattern that runs accepts resumes
+e from the prefix it shares with the last one that did.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .index import NO_ROW, WheelerIndex
-from .model import SENTINEL, SENTINEL_BYTES, escape_label
+from .model import SENTINEL, escape_label
 
 
 class SentinelInPatternError(ValueError):
@@ -81,6 +86,8 @@ class MatchTrace:
     d: list[int]
     steps: list[StepRecord]  # empty unless run with trace
     ops: int  # the recursion's index queries, a g_k taken from f_k included
+    # e[0..] of the sentinel walk as far as accepts ran it (see accepts)
+    e: list[int] = field(default_factory=list)
 
     def dump_tsv(self) -> str:
         """One row per consumed symbol: l, prefix, f_1..f_r, g_1..g_r,
@@ -178,7 +185,7 @@ def run_steps(
         last = min(len(out.pattern), len(pattern))
         while keep < last and out.pattern[keep] == pattern[keep]:
             keep += 1
-        del out.c[keep + 1 :], out.d[keep + 1 :]
+        del out.c[keep + 1 :], out.d[keep + 1 :], out.e[keep + 1 :]
     c, d, steps = out.c, out.d, out.steps
     ops = _step_queries(r, len(pattern)) - _step_queries(r, keep)
     for ell in range(keep + 1, len(pattern) + 1):
@@ -240,30 +247,27 @@ def run_steps(
 
 
 def match_interval(
-    ix: WheelerIndex, pattern: bytes, resume: tuple[MatchTrace, MatchTrace] | None = None
+    ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None
 ) -> QueryResult:
     """States reachable by some string ending in `pattern`.
 
     On a sentinel index the reported interval is translated back to the
     original numbering and `accepted` reports exact membership; on a
-    plain index `accepted` is None.  Membership runs accepts only when
-    the pattern's block, before translation, holds a final state, since
-    every state the pattern reaches from the initial state lies in it;
-    otherwise `accepted` is False.  The empty pattern consumes no
-    symbol, so its interval is (1, n) without a step.  `resume` holds
-    the untraced traces of an earlier pattern, one for the interval and
-    one for membership, which run_steps then continues; the membership
-    trace is left as the last pattern that ran accepts left it, and the
-    next one that runs it resumes from there.
+    plain index `accepted` is None.  Membership runs accepts on this
+    pattern's walk only when its block, before translation, holds a
+    final state, since every state the pattern reaches from the initial
+    state lies in it; otherwise `accepted` is False.  The empty pattern
+    consumes no symbol, so its interval is (1, n) without a step.
+    `resume` is the untraced walk of an earlier pattern, which run_steps
+    continues and accepts extends (see the module docstring).
     """
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
-    walk, sentinel_walk = resume or (None, None)
-    trace = run_steps(ix, pattern, trace=False, resume=walk)
+    trace = run_steps(ix, pattern, trace=False, resume=resume)
     lo, hi = trace.c[-1] + 1, trace.d[-1]
     accepted = None
     if ix.sentinel_mode:
-        accepted = ix.finals_in(lo, hi) and accepts(ix, pattern, sentinel_walk)
+        accepted = ix.finals_in(lo, hi) and accepts(ix, pattern, trace)
         lo, hi = max(lo - 1, 1), hi - 1
     count = max(0, hi - lo + 1)
     return QueryResult(lo=lo, hi=hi, count=count, accepted=accepted, trace=trace)
@@ -279,11 +283,11 @@ def match_patterns(
     one before, so a prefix shared by neighbours is run once.  Sorting
     puts a repeated pattern right after its twin, and it reuses that
     answer's tuple: match_interval runs once per distinct pattern.  On
-    a sentinel index the membership walk runs only for the distinct
-    patterns whose block holds a final state, each resuming from the
-    last such pattern before it.
+    a sentinel index accepts runs only for the distinct patterns whose
+    block holds a final state, each resuming e from the last such
+    pattern before it.
     """
-    walk = (run_steps(ix, b"", trace=False), run_steps(ix, b"", trace=False))
+    walk = run_steps(ix, b"", trace=False)
     answers: list = [None] * len(patterns)
     prev = answer = None
     for i in sorted(range(len(patterns)), key=patterns.__getitem__):
@@ -299,18 +303,34 @@ def match_patterns(
 def accepts(ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None) -> bool:
     """Exact membership of `pattern` in the automaton's language.
 
-    Requires a sentinel index: the recursion runs on the pattern with
-    the sentinel prepended, whose suffixed block is exactly the set of
-    states whose incoming strings equal the pattern, and acceptance is
-    a final-state check on that block.  That block lies inside the
-    pattern's own block, so match_interval calls this only when the
-    latter holds a final state.  `resume` is an untraced trace of an
-    earlier sentinel-prefixed pattern, continued as in run_steps; it
-    need not be the pattern matched just before.
+    Requires a sentinel index: acceptance is a final-state check on the
+    suffixed block of 0x01.pattern, whose upper counters e run on top
+    of the pattern's own lower counters c (see the module docstring).
+    `resume` is the untraced walk of `pattern`, run (or continued) first
+    when absent or of another pattern.  It keeps e, which run_steps cuts
+    back with c and d, so only the symbols e does not yet cover are run.
     """
     if not ix.sentinel_mode:
         raise ValueError("membership needs an index built with the sentinel")
     if SENTINEL in pattern:
         raise SentinelInPatternError("pattern contains the reserved byte 0x01")
-    trace = run_steps(ix, SENTINEL_BYTES + pattern, trace=False, resume=resume)
-    return ix.finals_in(trace.c[-1] + 1, trace.d[-1])
+    if resume is None or resume.pattern != pattern:
+        resume = run_steps(ix, pattern, trace=False, resume=resume)
+    out_count, rows_get, marker_ceiling = ix.out_count, ix.rows.get, ix.marker_ceiling
+    r, c, e = ix.r, resume.c, resume.e
+    if not e:
+        e.append(marker_ceiling(2))
+    for ell in range(len(e), len(pattern) + 1):
+        forced = 0
+        for i in range(ell - r if ell > r else 0, ell):
+            cut = c[i] if i else 1  # c(0x01.P[:i])
+            top = e[i]
+            if top != cut:
+                row = rows_get(pattern[i:ell], NO_ROW)
+                g = out_count(row, top)
+                if g and row[0][g - 1] > cut:
+                    pos = row[3] + row[1][g - 1]
+                    if pos > forced:
+                        forced = pos
+        e.append(c[ell] if forced <= c[ell] else marker_ceiling(forced))
+    return ix.finals_in((c[-1] if pattern else 1) + 1, e[-1])

@@ -329,6 +329,97 @@ def test_fused_step_equals_reference_with_marker_zeros():
     assert checked > 150, checked
 
 
+def _check_membership_pass(ix, patterns) -> int:
+    """accepts against the recursion run on the sentinel-prefixed
+    pattern: that walk's lower counters past the sentinel are the
+    pattern's own (c[2:] == c[1:]), and the upper counters e that
+    accepts keeps on the walk are its d[1:].  Checked fresh, with and
+    without the pattern's walk, and resumed over the patterns (and the
+    empty one) in sorted order, where every third pattern skips accepts
+    and every other one hands accepts the walk still holding the pattern
+    before it.  Returns how many prefix positions were compared."""
+    walk, checked = run_steps(ix, b"", trace=False), 0
+    for n, pat in enumerate(sorted(set(patterns) | {b""})):
+        sent = run_steps(ix, SENTINEL_BYTES + pat, trace=False)
+        want = ix.finals_in(sent.c[-1] + 1, sent.d[-1])
+        fresh = run_steps(ix, pat, trace=False)
+        assert sent.c[2:] == fresh.c[1:], pat
+        assert accepts(ix, pat, fresh) is want and fresh.e == sent.d[1:], pat
+        assert accepts(ix, pat) is want, pat
+        if n % 3 == 1:
+            run_steps(ix, pat, trace=False, resume=walk)
+            continue
+        if n % 2:
+            run_steps(ix, pat, trace=False, resume=walk)
+        assert accepts(ix, pat, walk) is want, pat
+        assert walk.pattern == pat and (walk.c, walk.e) == (fresh.c, sent.d[1:]), pat
+        checked += len(pat) + 1
+    return checked
+
+
+def test_membership_pass_equals_sentinel_walk_on_the_corpus(all_corpus_names):
+    # the sidecar patterns and the exhaustive short sweep on every
+    # corpus instance's sentinel index
+    checked = 0
+    for name in all_corpus_names:
+        pats = list(load_sidecar_patterns(name)) + _sweep_patterns(name)
+        checked += _check_membership_pass(load_index(name, with_sentinel=True), pats)
+    assert checked > 50_000, checked
+
+
+def test_membership_pass_equals_sentinel_walk_with_epsilon():
+    # epsilon-rich generated instances, some of whose b_min has a zero
+    # bit, so the upper counter rounds up past its forced target
+    checked = rounded = 0
+    for max_piece_len in (2, 3):
+        params = GenerationParams(epsilon_attempts=40, max_piece_len=max_piece_len)
+        for seed in range(60):
+            a = generate_instance(seed, params)
+            ix = build_index(a, with_sentinel=True)
+            pats = sample_patterns(random.Random(seed), a, 30) + [b"z", b"az", b"zab"]
+            checked += _check_membership_pass(ix, pats)
+            rounded += ix.b_min.ones < ix.b_min.n
+    assert checked > 8000 and rounded > 100, (checked, rounded)
+
+
+class _SliceLog(bytes):
+    """A pattern that records the length of every slice taken of it."""
+
+    lengths: list[int] = []
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        if isinstance(key, slice):
+            _SliceLog.lengths.append(len(item))
+        return item
+
+
+def test_steps_slice_at_most_r_plus_one_bytes(all_corpus_names):
+    # a step may look at the last r + 1 bytes of the prefix and no more,
+    # so no slice of a long pattern grows with it: run_steps traced,
+    # untraced and resumed, and accepts fresh and resumed, on plain and
+    # sentinel indexes, with patterns up to 64 symbols long
+    _SliceLog.lengths = lengths = []
+    for name in all_corpus_names[::10]:
+        symbols = sorted({b for _, _, rho in load_instance(name).edges for b in rho})
+        rng = random.Random(name)
+        pats = [bytes(rng.choices(symbols, k=rng.randint(20, 64))) for _ in range(6)]
+        pats += [p[:10] + p for p in pats[:3]] + [p for p in load_sidecar_patterns(name) if p]
+        for sentinel in (False, True):
+            ix = load_index(name, with_sentinel=sentinel)
+            walk = run_steps(ix, b"", trace=False)
+            for pat in map(_SliceLog, sorted(pats)):
+                del lengths[:]
+                run_steps(ix, pat)
+                run_steps(ix, pat, trace=False)
+                run_steps(ix, pat, trace=False, resume=walk)
+                if sentinel:
+                    run_steps(ix, _SliceLog(SENTINEL_BYTES + pat), trace=False)
+                    accepts(ix, pat)
+                    accepts(ix, pat, walk)
+                assert lengths and max(lengths) <= ix.r + 1, (name, pat, lengths)
+
+
 @pytest.fixture
 def accepts_calls(monkeypatch) -> list[bytes]:
     """The patterns matcher.accepts is called with, in call order."""
