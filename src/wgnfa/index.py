@@ -6,8 +6,9 @@ queries against the edge multiset, phrased against the state numbering:
 * how many edges with a given label leave / enter states 1..j,
 * the largest prefix of states receiving at most f copies of a label,
   and the smallest prefix receiving at least g copies,
-* the first state whose length-k in-label is co-lexicographically at
-  or above a query string,
+* the first state entered by a length-k label co-lexicographically at
+  or above a query string (a plain scan; the matcher reads the minimum
+  over all lengths off suffix_min instead),
 * the largest state entered by a single edge whose label ends with the
   query string,
 * rounding a candidate boundary down / up to the nearest closure marker,
@@ -32,13 +33,13 @@ prefix boundaries off its targets, so it looks each chunk up once;
 NO_ROW stands for a chunk the dictionary does not hold.  Besides the
 rows there are rank/select bitvectors for the finals and the two
 closure markers the epsilon edges add, each holding only the positions
-of its rarer bit (none for a marker of an epsilon-free automaton), and
-two more tables with one entry per dictionary label, never one per
-edge, both arrays of the state width with 0 for "none": per label
-length, the reversed labels with a suffix minimum over each label's
-smallest target, whose entry just past a label's own is that label's
-bound; and all reversed labels in dictionary order with a
-range-maximum sparse table over each label's largest target.
+of its rarer bit (none for a marker of an epsilon-free automaton), the
+reversed labels in dictionary order, and two tables over them with one
+entry per dictionary label, never one per edge, both arrays of the
+state width with 0 for "none": a suffix minimum over each label's
+smallest target (suffix_min), whose entry just past a label's own is
+that label's bound, and a range-maximum sparse table over each label's
+largest target.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from .model import (
 # label: its targets are base + offset for each offset
 Row = tuple[array, array, int | None, int]
 
-# the row of a chunk the dictionary does not hold: no edges, and a
-# label-order bound of 0, which no dictionary label has
-NO_ROW = ((), (), 0, 0)
+# the row of a chunk the dictionary does not hold: no edges, and no
+# label-order bound (None), which a dictionary label always has
+NO_ROW = ((), (), None, 0)
 
 # the offsets of a target side of one state, which all such sides share:
 # no code writes to a row's arrays
@@ -101,24 +102,26 @@ class WheelerIndex:
     unsigned array that holds the last offset).  The postings are kept
     only inside `rows`, which maps each dictionary label object to
     (sources, offsets, bound, base): bound is the smallest state entered
-    by a label of the same length sorting strictly above it (None if
-    there is none), which is what
-    min_state_with_len_k_label_ge(len(rho), x + rho) returns for any
-    byte x.  out_count takes such a row, and so do the two prefix
-    boundaries, which the matcher reads off the row itself.  The target
-    sides of a single state, most of them on a trie with thousands of
-    labels, share one offsets array.  No Python object is held per edge
-    or per state, but each label costs about 350 bytes of heap on top of
+    by any label sorting co-lexicographically above it (0 if there is
+    none), suffix_min's entry just past the label's own.  out_count
+    takes such a row, and so do the two prefix boundaries, which the
+    matcher reads off the row itself.  The target sides of a single
+    state, most of them on a trie with thousands of labels, share one
+    offsets array.  No Python object is held per edge
+    or per state, but each label costs about 345 bytes of heap on top of
     its file bytes, so an index with thousands of labels loads to about
     twenty heap bytes per file byte.
 
     Every other table holds one entry per dictionary label, never one
-    per edge.  Because the targets ascend, a label's smallest and
-    largest target are base and base + offsets[-1]; a minimum or
-    maximum over a block of labels is then the same as over all their
-    edges.  These rows, r (the longest label) and sentinel_mode
-    (whether the dictionary holds the sentinel label) are derived here
-    and nowhere else.
+    per edge: revs holds the reversed labels in dictionary order, and
+    suffix_min, one entry longer, from each label on the smallest state
+    entered by that label or a later one (0 past the end), which serves
+    both the matcher's label-order bound and breaks_axiom3.  Because the
+    targets ascend, a label's smallest and largest target are base and
+    base + offsets[-1]; a minimum or maximum over a block of labels is
+    then the same as over all their edges.  These rows, r (the longest
+    label) and sentinel_mode (whether the dictionary holds the sentinel
+    label) are derived here and nowhere else.
     """
 
     def __init__(
@@ -142,27 +145,19 @@ class WheelerIndex:
 
         # co-lex order is the order of reversed labels, so the dictionary
         # already lists the rows sorted
-        self._rev = [rho[::-1] for rho in labels]
-        by_len: dict[int, tuple[list[bytes], list[bytes]]] = {}
-        for rho, rev in zip(labels, self._rev):
-            rhos, revs = by_len.setdefault(len(rho), ([], []))
-            rhos.append(rho)
-            revs.append(rev)
+        self.revs = [rho[::-1] for rho in labels]
         typecode = UINT_TYPECODES[uint_width(state_count)]
-        # per length: reversed labels and, from each row on, the smallest
-        # target of that row or any later one (0 past the end)
-        self._by_len = {}
+        # from each label on, the smallest target of that label or any
+        # later one (0 past the end)
+        self.suffix_min = suffix_min = array(typecode, [0]) * (len(labels) + 1)
+        firsts = (postings[rho][2] for rho in reversed(labels))
+        suffix_min[-2::-1] = array(typecode, accumulate(firsts, min))
         # per label: its postings and the suffix minimum just past its
         # own row, keyed by the dictionary's own label objects
         self.rows: dict[bytes, Row] = {}
-        for k, (rhos, revs) in by_len.items():
-            suffix_min = array(typecode, [0]) * (len(rhos) + 1)
-            firsts = (postings[rho][2] for rho in reversed(rhos))
-            suffix_min[-2::-1] = array(typecode, accumulate(firsts, min))
-            self._by_len[k] = (revs, suffix_min)
-            for rho, bound in zip(rhos, suffix_min[1:]):
-                sources, offsets, base = postings[rho]
-                self.rows[rho] = (sources, offsets, bound or None, base)
+        for rho, bound in zip(labels, suffix_min[1:]):
+            sources, offsets, base = postings[rho]
+            self.rows[rho] = (sources, offsets, bound, base)
         # sparse table: level i holds the largest target over the 2^i
         # rows starting at each row; an array grown from an iterator
         # over-allocates, and its [:] copy is sized exactly
@@ -174,7 +169,7 @@ class WheelerIndex:
             level = array(typecode, map(max, level, level[span:]))[:]
             self._max_levels.append(level)
             span *= 2
-        self.r = max(by_len, default=0)
+        self.r = max(map(len, labels), default=0)
         # b_max has no zero bit on every epsilon-free index
         self._floor_is_identity = b_max.ones == b_max.n
 
@@ -205,25 +200,21 @@ class WheelerIndex:
         """Smallest state entered by a length-k edge whose label is
         co-lexicographically >= alpha, or None if there is none.
 
-        Only the last min(k, len(alpha)) bytes of alpha are inspected:
-        when alpha is longer than k, a length-k label ties with alpha's
-        tail exactly when it is a proper suffix of alpha, and a proper
-        suffix sorts strictly below, so the comparison becomes strict.
-        """
-        row = self._by_len.get(k)
-        if row is None:
-            return None
-        revs, suffix_min = row
-        if len(alpha) > k:
-            return suffix_min[bisect_right(revs, alpha[: -k - 1 : -1])] or None
-        return suffix_min[bisect_left(revs, alpha[::-1])] or None
+        A plain scan over the labels, the reference for the matcher,
+        which reads the minimum over all k off suffix_min."""
+        rev = alpha[::-1]
+        return min(
+            (self.rows[rho][3] for rho, back in zip(self.labels, self.revs)
+             if len(rho) == k and back >= rev),
+            default=None,
+        )
 
     def max_state_with_suffix_label(self, alpha: bytes) -> int:
         """Largest state entered by an edge whose label has alpha as a
         suffix; 0 if no edge label does (always so once |alpha| > r)."""
         rev = alpha[::-1]
-        lo = bisect_left(self._rev, rev)
-        hi = bisect_right(self._rev, suffix_block_end(rev, self.r), lo)
+        lo = bisect_left(self.revs, rev)
+        hi = bisect_right(self.revs, suffix_block_end(rev, self.r), lo)
         if lo >= hi:
             return 0
         k = (hi - lo).bit_length() - 1
@@ -233,15 +224,13 @@ class WheelerIndex:
     def breaks_axiom3(self) -> bool:
         """Whether the labeled edges break Wheeler axiom 3: some label
         above label B's suffix block (co-lex above B and not ending with
-        it) enters a state below B's largest target."""
+        it) enters a state below B's largest target, which is a
+        suffix_min entry past that block other than the 0 past the end."""
         rows = [self.rows[rho] for rho in self.labels]
-        # from each row on, the smallest target of that row or any later one
-        firsts = [row[3] for row in reversed(rows)]
-        suffix_min = list(accumulate(firsts, min))[::-1] + [self.n_states + 1]
         return any(
-            suffix_min[bisect_right(self._rev, suffix_block_end(rev, self.r))]
+            0 < self.suffix_min[bisect_right(self.revs, suffix_block_end(rev, self.r))]
             < row[3] + row[1][-1]
-            for row, rev in zip(rows, self._rev)
+            for row, rev in zip(rows, self.revs)
         )
 
     def unentered_states(self) -> int:

@@ -15,18 +15,16 @@ chunk length, passes that row to the edge count and reads the two
 prefix boundaries off its targets.  The lower bound combines, for each
 chunk length k up to r, a cap on how many length-k edges may enter the
 candidate block (counted out of the interval already known for the l-k
-prefix) with a co-lexicographic cap on the labels themselves, then
-rounds down to a closure marker.  Once the prefix is longer than the
-chunk, the label cap depends on the chunk alone, and for a chunk that
-is a dictionary label the index keeps it in the chunk's row (the third
-slot); the bisecting query runs only for other chunks and, within the
-first r symbols, for the label lengths the prefix does not exceed.
-The upper bound is pushed up past forced edge targets and
-suffix-labeled edges; when nothing forces it past c[l] the suffixed
-block is empty and d[l] = c[l], otherwise the boundary rounds up to
-the next closure marker.  The loop keeps a per-symbol StepRecord of
-these internals only when asked to trace; interval queries run it
-without, and `wgnfa query --trace` runs it again with them.
+prefix) with one co-lexicographic cap on the labels themselves, one
+entry of the index's suffix_min (the length-r chunk's row holds it
+when that chunk is a label, and one bisect finds it otherwise), then
+rounds down to a closure marker.  The upper bound is pushed up past
+forced edge targets and suffix-labeled edges; when nothing forces it
+past c[l] the suffixed block is empty and d[l] = c[l], otherwise the
+boundary rounds up to the next closure marker.  The loop keeps a
+per-symbol StepRecord of these internals only when asked to trace;
+interval queries run it without, and `wgnfa query --trace` runs it
+again with them.
 
 Indexes built with the sentinel carry one extra lead state, so reported
 intervals are shifted back down.  Membership of P is the recursion on
@@ -55,6 +53,7 @@ e from the prefix it shares with the last one that did.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .index import NO_ROW, WheelerIndex
@@ -133,7 +132,7 @@ def run_steps(
     to min(r, l-1), f_k counts the chunk's edges leaving the strict
     interval for the l-k cut and g_k those leaving the wider one.  The
     strictly-below boundary c[l] is the tightest j that receives no
-    more than f_k chunk edges and no length-k edge whose label sorts at
+    more than f_k edges of any chunk and no edge whose label sorts at
     or above the current prefix, rounded down to a closure marker.  The
     at-or-suffixed boundary d[l] must reach the g_k-th smallest chunk
     target wherever g_k > f_k, and any edge whose whole label ends with
@@ -143,22 +142,26 @@ def run_steps(
     Each chunk's row is looked up once (NO_ROW when the chunk is not a
     dictionary label) and passed to out_count; the two prefix boundaries
     are read off its targets, the (f_k+1)-th less one (n when there is
-    none) and the g_k-th.  For k < l the prefix is longer than the
-    chunk, so "at or above the prefix" is "strictly above the chunk": a
-    chunk that is a dictionary label reads that bound off its row, and
-    any other chunk asks min_state_with_len_k_label_ge with the chunk
-    and the byte before it.  The lengths k >= l, which exist only while
-    l <= r, ask it with the whole prefix, and so does the suffix query;
-    past r no prefix is a label suffix and i* is 0.
+    none) and the g_k-th.  The paper bounds j by r label-order queries,
+    one per label length (min_state_with_len_k_label_ge); their minimum
+    is one entry of ix.suffix_min.  Past r every label is shorter than
+    the prefix, so it sorts at or above the prefix exactly when its
+    reversal sorts strictly above the last r bytes reversed: the
+    length-r chunk's row holds that entry when the chunk is a label,
+    and a bisect_right finds it otherwise.  Within the first r symbols
+    a bisect_left of the reversed prefix finds it, and the suffix query
+    asks with the whole prefix; past r no prefix is a label suffix and
+    i* is 0.
 
     When the l-k cuts coincide the block between them is empty and g_k
     is f_k, so out_count is asked once for that chunk.  `ops` counts
     the recursion's index queries all the same, each answer read off a
-    row or taken from f_k, the suffix query past r and a marker floor
-    that returns its argument as the query it stands for, so it stays
-    a function of the pattern and the index.  It is counted once per
-    run: the 3 min(r, l-1) + r + 2 queries every step l makes, plus one
-    per g_k > f_k and one per marker ceiling, which the loop counts.
+    row or taken from f_k, the r label-order queries that one entry
+    answers, the suffix query past r and a marker floor that returns its
+    argument as the query it stands for, so it stays a function of the
+    pattern and the index.  It is counted once per run: the
+    3 min(r, l-1) + r + 2 queries every step l makes, plus one per
+    g_k > f_k and one per marker ceiling, which the loop counts.
 
     Only with `trace` is a StepRecord kept per symbol; the counters and
     the `ops` total are the same either way.
@@ -170,11 +173,11 @@ def run_steps(
     `ops` counting the steps actually run.  A traced run starts fresh.
     """
     out_count = ix.out_count
-    min_state_with_len_k_label_ge = ix.min_state_with_len_k_label_ge
     max_state_with_suffix_label = ix.max_state_with_suffix_label
     marker_floor = ix.marker_floor
     marker_ceiling = ix.marker_ceiling
     rows_get = ix.rows.get
+    revs, suffix_min = ix.revs, ix.suffix_min
     n, r = ix.n_states, ix.r
     lengths = range(1, r + 1)
     keep = 0
@@ -191,6 +194,7 @@ def run_steps(
     for ell in range(keep + 1, len(pattern) + 1):
         j = n
         forced = 0
+        hit = None
         if trace:
             f: dict[int, int] = {}
             g: dict[int, int] = {}
@@ -205,12 +209,6 @@ def run_steps(
                 bound = base + offsets[fk] - 1
                 if bound < j:
                     j = bound
-            # the prefix is longer than the chunk, so the label-order bound
-            # compares strictly and depends on the chunk alone
-            if hit == 0:
-                hit = min_state_with_len_k_label_ge(k, pattern[i - 1 : ell])
-            if hit is not None and hit <= j:
-                j = hit - 1
             gk = fk if d[i] == cut else out_count(row, d[i])
             # the smallest prefix that receives g_k of them
             if gk > fk:
@@ -220,17 +218,18 @@ def run_steps(
                     forced = pos
             if trace:
                 f[k], g[k] = fk, gk
-        # within the first r symbols, the label lengths k >= l compare
-        # against the whole prefix, and some label may end with it; past
-        # them no prefix is a label suffix, so i* is 0
+        # the smallest state a label co-lex at or above the prefix enters;
+        # only within the first r symbols may a label end with the prefix
         i_star = 0
-        if ell <= r:
+        if ell > r:
+            if hit is None:
+                hit = suffix_min[bisect_right(revs, pattern[ell - 1 : ell - r - 1 : -1])]
+        else:
             prefix = pattern[:ell]
-            for k in range(ell, r + 1):
-                hit = min_state_with_len_k_label_ge(k, prefix)
-                if hit is not None and hit <= j:
-                    j = hit - 1
+            hit = suffix_min[bisect_left(revs, prefix[::-1])]
             i_star = max_state_with_suffix_label(prefix)
+        if 0 < hit <= j:
+            j = hit - 1
         t = marker_floor(j)
         h = i_star if i_star > forced else forced
         if h <= t:

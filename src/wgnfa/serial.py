@@ -70,8 +70,9 @@ must agree, and the edge 1 -> 2 that the sentinel build adds under that
 label must be the only edge at state 1.  Last, the labeled edges must
 keep Wheeler axiom 3: no label co-lexicographically above label B,
 other than one ending with B, enters a state below B's largest target
-(WheelerIndex.breaks_axiom3: one suffix minimum over the labels'
-smallest targets and one bisect per label), and the states 2..n that no
+(WheelerIndex.breaks_axiom3: one bisect per label into suffix_min, the
+index's one suffix minimum over the labels' smallest targets, which the
+matcher's label-order bound reads too), and the states 2..n that no
 posting enters must be at most the epsilon-edge count, since each such
 state needs an epsilon edge of its own (WheelerIndex.unentered_states:
 one bytearray of n + 1 flags).  Axiom 4 holds by construction, since

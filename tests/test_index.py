@@ -116,20 +116,24 @@ def test_properties(ten_state_index, four_state_index):
 
 
 
-def test_min_state_above_is_the_strict_label_bound(all_corpus_names):
-    """Each label's row holds the label-order bound for that label read
-    behind a longer prefix (any byte before it; 0x02 is below every label
-    byte but the sentinel), keyed by the dictionary's own label objects,
-    built and loaded back."""
+def test_min_state_above_is_the_colex_suffix_minimum(all_corpus_names):
+    """Each label's row holds the smallest state entered by any label
+    co-lexicographically above it (0 if none), found by a direct scan of
+    the edges, keyed by the dictionary's own label objects, built and
+    loaded back."""
     rows = 0
     for name in all_corpus_names:
+        a = load_instance(name)
         for sentinel in (False, True):
+            lead = int(sentinel)
+            led = [(v + lead, rho) for _, v, rho in a.edges if rho]
+            led += [(2, SENTINEL_BYTES)] * sentinel
             built = load_index(name, sentinel)
             for ix in (built, deserialize(serialize(built))):
                 assert {id(rho) for rho in ix.rows} == {id(rho) for rho in ix.labels}
                 for rho in ix.labels:
-                    want = ix.min_state_with_len_k_label_ge(len(rho), b"\x02" + rho)
-                    assert ix.rows[rho][2] == want, (name, sentinel, rho)
+                    above = [v for v, r2 in led if colex_key(r2) > colex_key(rho)]
+                    assert ix.rows[rho][2] == min(above, default=0), (name, sentinel, rho)
                     rows += 1
     assert rows > 1000
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wgnfa import matcher
 from wgnfa.generate import GenerationParams, generate_instance, sample_patterns
-from wgnfa.index import NO_ROW, build_index
+from wgnfa.index import NO_ROW, WheelerIndex, build_index
 from wgnfa.matcher import (
     SentinelInPatternError,
     accepts,
@@ -56,41 +56,38 @@ def test_trace_cba(ten_state_index, monkeypatch):
     assert tr.ops == 22
 
 
-def test_label_queries_only_in_the_first_r_symbols(ten_state_index, monkeypatch):
-    # every 1- and 2-byte window of "bbbbba" is a label (r = 2), so past
-    # the first two symbols each chunk reads its bound off its row and no
-    # prefix can be a label suffix; a chunk no label matches ("z", "bz")
-    # still asks the label-order query, with one byte before the chunk
+def test_label_queries_only_in_the_first_r_symbols(ten_state, ten_state_index, monkeypatch):
+    # each step reads its label-order bound off one suffix_min entry: past
+    # the first r = 2 symbols the length-2 chunk's row holds it ("ba",
+    # "bb"), or one bisect finds it for a chunk that is not a label
+    # ("bz"), so neither run_steps nor accepts asks the per-length query,
+    # and past r no prefix can be a label suffix; the counters, the trace
+    # and ops still equal the reference, which asks both at every step
     ix = ten_state_index
-    assert ix.r == 2
-    want = {pat: run_steps(ix, pat) for pat in (b"bbbbba", b"bbbbbz")}
+    sent = build_index(ten_state, with_sentinel=True)
+    assert ix.r == sent.r == 2 and b"bz" not in ix.rows
+    pats = (b"bbbbba", b"bbbbbz")
+    want = {pat: _reference_steps(ix, pat) for pat in pats}
     calls = []
     for name in ("min_state_with_len_k_label_ge", "max_state_with_suffix_label"):
-        def counted(*args, name=name, fn=getattr(ix, name)):
+        def counted(self, *args, name=name, fn=getattr(WheelerIndex, name)):
             calls.append((name, args))
-            return fn(*args)
+            return fn(self, *args)
 
-        monkeypatch.setattr(ix, name, counted)
-    first_two = [
-        ("min_state_with_len_k_label_ge", (1, b"b")),
-        ("min_state_with_len_k_label_ge", (2, b"b")),
-        ("max_state_with_suffix_label", (b"b",)),
-        ("min_state_with_len_k_label_ge", (2, b"bb")),
-        ("max_state_with_suffix_label", (b"bb",)),
-    ]
-    tr = run_steps(ix, b"bbbbba")
-    assert calls == first_two
-    assert (tr.c, tr.d, tr.dump_tsv()) == (want[b"bbbbba"].c, want[b"bbbbba"].d,
-                                           want[b"bbbbba"].dump_tsv())
-    # still r + 2 label, suffix and floor queries counted per step
-    assert tr.ops == want[b"bbbbba"].ops == 53
-    calls.clear()
-    tr = run_steps(ix, b"bbbbbz")
-    assert calls == first_two + [
-        ("min_state_with_len_k_label_ge", (1, b"bz")),
-        ("min_state_with_len_k_label_ge", (2, b"bbz")),
-    ]
-    assert (tr.c, tr.d, tr.ops) == (want[b"bbbbbz"].c, want[b"bbbbbz"].d, want[b"bbbbbz"].ops)
+        monkeypatch.setattr(WheelerIndex, name, counted)
+    for pat in pats:
+        calls.clear()
+        tr = run_steps(ix, pat)
+        assert calls == [("max_state_with_suffix_label", (pat[:ell],)) for ell in (1, 2)]
+        c, d, steps, step_ops = want[pat]
+        ref = matcher.MatchTrace(pat, ix.r, c, d, steps, sum(step_ops))
+        assert (tr.c, tr.d, tr.dump_tsv()) == (c, d, ref.dump_tsv())
+        # still r label-order queries counted per step, as the paper's
+        # step makes them
+        assert tr.ops == ref.ops == 53
+        calls.clear()
+        accepts(sent, pat)
+        assert calls == [("max_state_with_suffix_label", (pat[:ell],)) for ell in (1, 2)]
 
 
 def test_trace_cba_golden(ten_state_index):
@@ -302,15 +299,24 @@ def test_fused_step_equals_reference_on_the_corpus(all_corpus_names):
     # the sidecar patterns, and every fifth with a byte no label holds
     # spliced in, on plain and sentinel indexes, sentinel-prefixed on the
     # latter
-    ran = no_row = 0
+    ran = no_row = fallback = shorter = 0
     for name in all_corpus_names:
         pats = list(load_sidecar_patterns(name))
         pats += [p[:2] + b"z" + p[2:] for p in pats[::5]]
         plain, sent = load_index(name), load_index(name, with_sentinel=True)
         no_row += sum(b"z" in p for p in pats)
-        ran += _check_against_reference(plain, pats)
-        ran += _check_against_reference(sent, pats + [SENTINEL_BYTES + p for p in pats])
+        for ix, ix_pats in ((plain, pats), (sent, pats + [SENTINEL_BYTES + p for p in pats])):
+            ran += _check_against_reference(ix, ix_pats)
+            # the steps past r whose length-r chunk is not a label bisect
+            # for the label-order bound; in most a shorter chunk is a label
+            r = ix.r
+            for p in ix_pats:
+                for ell in range(r + 1, len(p) + 1):
+                    if p[ell - r : ell] not in ix.rows:
+                        fallback += 1
+                        shorter += any(p[ell - k : ell] in ix.rows for k in range(1, r))
     assert ran > 100_000 and no_row > 4000, (ran, no_row)
+    assert fallback > 60_000 and shorter > 50_000, (fallback, shorter)
 
 
 def test_fused_step_equals_reference_with_marker_zeros():

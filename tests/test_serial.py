@@ -733,7 +733,7 @@ def test_loaded_index_heap_within_1_5x_payload(sentinel):
 def test_many_label_heap_within_23x_file():
     """A 3,000-string trie over abcd with pieces of up to 8 bytes has
     3,703 labels, most of them with a single edge.  On a second load in
-    the process it takes at most 23 heap bytes per file byte (22.1
+    the process it takes at most 23 heap bytes per file byte (21.7
     measured; 28.7 with every target side at the state width, each in
     an array of its own, and the per-label tables in lists).  A full
     collection first empties CPython's free lists: the first load's
