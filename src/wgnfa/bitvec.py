@@ -2,17 +2,22 @@
 integer arrays the loaded index is made of.
 
 Positions are 1-based to match the state numbering used everywhere
-else.  rank1(i) counts set bits in positions 1..i and select1(k) finds
-the position of the k-th set bit.  A bitvector keeps n, its count of
-ones and the ascending positions of its rarer bit (the ones on a tie),
-each in the smallest of 1, 2, 4 or 8 bytes that holds n, and nothing
-else: to_bytes packs the bits, eight to a byte as the container holds
-them, from those positions.  With the ones stored, rank1(i) is a bisect
-over their positions and select1(k) is the k-th of them.  With the
-zeros stored, rank1(i) is i less the zeros up to i, and select1(k) is k
-plus the zeros ahead of the k-th one, found by a bisect over a second
-array that holds, for each zero, the number of ones before it.  A
-bitvector with m rarer bits thus takes one or two arrays of m entries.
+else.  rank1(i) counts set bits in positions 1..i, select1(k) finds
+the position of the k-th set bit and any1(lo, hi) tells whether a set
+bit lies in lo..hi.  A bitvector keeps n, its count of ones and the
+ascending positions of its rarer bit (the ones on a tie), each in the
+smallest of 1, 2, 4 or 8 bytes that holds n, and nothing else: to_bytes
+packs the bits, eight to a byte as the container holds them, from those
+positions.  With the ones stored, rank1(i) is a bisect over their
+positions, select1(k) is the k-th of them, and any1(lo, hi) holds when
+the first of them at or past lo is at most hi.  With the zeros stored,
+rank1(i) is i less the zeros up to i, select1(k) is k plus the zeros
+ahead of the k-th one, found by a bisect over a second array that
+holds, for each zero, the number of ones before it, and lo..hi is all
+zeros when the first stored zero at or past lo is lo and the one
+hi - lo further on is hi, so any1 takes one bisect where
+rank1(hi) - rank1(lo - 1) takes two.  A bitvector with m rarer bits
+thus takes one or two arrays of m entries.
 The closure markers have at most one zero per epsilon edge, so on an
 epsilon-free index both arrays are empty, both operations bisect
 nothing and each marker takes under 300 bytes of heap: on the
@@ -119,6 +124,22 @@ class RankSelectBits:
             zeros = self._rare
             return i - bisect_right(zeros, i) if zeros else i
         return bisect_right(self._rare, i)
+
+    def any1(self, lo: int, hi: int) -> bool:
+        """Whether a set bit lies among positions lo..hi, that is whether
+        rank1(hi) - rank1(lo - 1) > 0, with the same range checks."""
+        if not (1 <= lo <= self.n + 1 and 0 <= hi <= self.n):
+            raise IndexError(f"interval {lo}..{hi} out of range 1..{self.n}")
+        if lo > hi:
+            return False
+        rare = self._rare
+        i = bisect_left(rare, lo)
+        if self._zeros_stored:
+            # lo..hi is all zeros iff the stored zeros from lo on run
+            # unbroken to hi
+            end = i + hi - lo
+            return end >= len(rare) or rare[i] != lo or rare[end] != hi
+        return i < len(rare) and rare[i] <= hi
 
     def select1(self, k: int) -> int:
         """Position of the k-th set bit, 1 <= k <= ones."""

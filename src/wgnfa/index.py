@@ -10,9 +10,12 @@ queries against the edge multiset, phrased against the state numbering:
   or above a query string (a plain scan; the matcher reads the minimum
   over all lengths off suffix_min instead),
 * the largest state entered by a single edge whose label ends with the
-  query string,
+  query string, asked with the query reversed and the position where
+  the matcher's bisect for its label-order bound put it among the
+  reversed labels, which is where the block of such labels starts,
 * rounding a candidate boundary down / up to the nearest closure marker,
-* and a final-state count over a state interval.
+* and whether a state interval holds a final state, one bisect into
+  the finals' stored positions.
 
 All label comparisons only ever touch the last r bytes of the query
 prefix (r = longest label), which keeps a matching step independent of
@@ -45,7 +48,7 @@ largest target.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
@@ -170,6 +173,8 @@ class WheelerIndex:
             self._max_levels.append(level)
             span *= 2
         self.r = max(map(len, labels), default=0)
+        # suffix_block_end(rev, r) is rev followed by this pad
+        self._block_pad = suffix_block_end(b"", self.r)
         # b_max has no zero bit on every epsilon-free index
         self._floor_is_identity = b_max.ones == b_max.n
 
@@ -209,17 +214,22 @@ class WheelerIndex:
             default=None,
         )
 
-    def max_state_with_suffix_label(self, alpha: bytes) -> int:
+    def max_state_with_suffix_label(self, rev: bytes, lo: int) -> int:
         """Largest state entered by an edge whose label has alpha as a
-        suffix; 0 if no edge label does (always so once |alpha| > r)."""
-        rev = alpha[::-1]
-        lo = bisect_left(self.revs, rev)
-        hi = bisect_right(self.revs, suffix_block_end(rev, self.r), lo)
+        suffix; 0 if no edge label does (always so once |alpha| > r).
+
+        Asked with rev, alpha reversed, and lo = bisect_left(revs, rev),
+        where the block of labels ending with alpha starts: the matcher
+        bisects there once for its label-order bound as well, so only
+        the block end is bisected here, against rev padded as in
+        suffix_block_end."""
+        hi = bisect_right(self.revs, rev + self._block_pad, lo)
         if lo >= hi:
             return 0
         k = (hi - lo).bit_length() - 1
         level = self._max_levels[k]
-        return max(level[lo], level[hi - (1 << k)])
+        a, b = level[lo], level[hi - (1 << k)]
+        return a if a > b else b
 
     def breaks_axiom3(self) -> bool:
         """Whether the labeled edges break Wheeler axiom 3: some label
@@ -263,10 +273,12 @@ class WheelerIndex:
         return self.b_min.select1(k + 1) - 1
 
     def finals_in(self, lo: int, hi: int) -> bool:
-        """Any final state in the interval lo..hi (empty if lo > hi)."""
+        """Any final state in the interval lo..hi (empty if lo > hi,
+        read from 1 if lo < 1; IndexError if a non-empty one ends past n),
+        one bisect into the finals' stored positions."""
         if lo > hi:
             return False
-        return self.finals.rank1(hi) - self.finals.rank1(max(lo - 1, 0)) > 0
+        return self.finals.any1(max(lo, 1), hi)
 
 
 def build_index(
@@ -299,7 +311,11 @@ def build_index(
         if not rho:
             epsilon_edge_count += 1
             continue
-        srcs, tgts = per_label.setdefault(rho, ([], []))
+        # setdefault would build a row's lists and tuple on every edge
+        sides = per_label.get(rho)
+        if sides is None:
+            sides = per_label[rho] = ([], [])
+        srcs, tgts = sides
         srcs.append(u + lead)
         tgts.append(v + lead)
     if any(0x00 in rho or SENTINEL in rho for rho in per_label):

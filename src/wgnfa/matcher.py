@@ -150,8 +150,9 @@ def run_steps(
     length-r chunk's row holds that entry when the chunk is a label,
     and a bisect_right finds it otherwise.  Within the first r symbols
     a bisect_left of the reversed prefix finds it, and the suffix query
-    asks with the whole prefix; past r no prefix is a label suffix and
-    i* is 0.
+    asks with the reversed prefix and that bisect's position, where the
+    block of labels ending with the prefix starts; past r no prefix is
+    a label suffix and i* is 0.
 
     When the l-k cuts coincide the block between them is empty and g_k
     is f_k, so out_count is asked once for that chunk.  `ops` counts
@@ -190,7 +191,9 @@ def run_steps(
             keep += 1
         del out.c[keep + 1 :], out.d[keep + 1 :], out.e[keep + 1 :]
     c, d, steps = out.c, out.d, out.steps
-    ops = _step_queries(r, len(pattern)) - _step_queries(r, keep)
+    ops = _step_queries(r, len(pattern))
+    if keep:
+        ops -= _step_queries(r, keep)
     for ell in range(keep + 1, len(pattern) + 1):
         j = n
         forced = 0
@@ -225,9 +228,12 @@ def run_steps(
             if hit is None:
                 hit = suffix_min[bisect_right(revs, pattern[ell - 1 : ell - r - 1 : -1])]
         else:
-            prefix = pattern[:ell]
-            hit = suffix_min[bisect_left(revs, prefix[::-1])]
-            i_star = max_state_with_suffix_label(prefix)
+            # one bisect of the reversed prefix starts both the bound and
+            # the block of labels ending with the prefix
+            rev = pattern[ell - 1 :: -1]
+            lo = bisect_left(revs, rev)
+            hit = suffix_min[lo]
+            i_star = max_state_with_suffix_label(rev, lo)
         if 0 < hit <= j:
             j = hit - 1
         t = marker_floor(j)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,13 @@ def load_sidecar_patterns(name: str) -> tuple[bytes, ...]:
 @functools.lru_cache(maxsize=None)
 def load_index(name: str, with_sentinel: bool = False) -> WheelerIndex:
     return build_index(load_instance(name), with_sentinel=with_sentinel)
+
+
+def suffix_label_max(ix: WheelerIndex, alpha: bytes) -> int:
+    """ix.max_state_with_suffix_label for alpha, asked as the matcher asks
+    it: with alpha reversed and where that sorts among the reversed labels."""
+    rev = alpha[::-1]
+    return ix.max_state_with_suffix_label(rev, bisect_left(ix.revs, rev))
 
 
 def invalid_paths() -> list[Path]:

@@ -28,6 +28,7 @@ from conftest import (
     load_index,
     load_instance,
     load_sidecar_patterns,
+    suffix_label_max,
 )
 
 
@@ -246,7 +247,7 @@ def _probe_transcript(ix, seed: int, probes: int = 1000) -> list:
         out.append(ix.max_prefix_with_in_at_most(ix.rows[rho], rng.randrange(0, 4)))
         k = rng.randrange(1, ix.r + 1)
         out.append(ix.min_state_with_len_k_label_ge(k, rho * 2))
-        out.append(ix.max_state_with_suffix_label(rho[-1:]))
+        out.append(suffix_label_max(ix, rho[-1:]))
         out.append(ix.marker_floor(j))
         out.append(ix.marker_ceiling(j))
         out.append(ix.finals_in(rng.randrange(1, n + 1), rng.randrange(1, n + 1)))

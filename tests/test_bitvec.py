@@ -118,6 +118,28 @@ def test_tie_against_prefix_sums(bits):
     _check_against_prefix_sums(bits, RankSelectBits.from_bytes(bv.to_bytes(), len(bits)))
 
 
+@example([])
+@example([1] * 300)
+@example([0] * 300)
+@example([1, 0] * 150)
+@example([0] * 150 + [1] * 150)
+@given(st.one_of(skewed_bitlists(), tied_bitlists()))
+def test_any1_is_a_rank_difference(bits):
+    # skewed lists store whichever bit is rarer, tied ones the ones, and
+    # the examples cover all ones and all zeros: every interval lo..hi,
+    # the empty ones lo = hi + 1 included, and IndexError outside 1..n
+    # as rank1 raises it
+    n = len(bits)
+    bv = RankSelectBits(bytes(bits))
+    ranks = [bv.rank1(i) for i in range(n + 1)]
+    for lo in range(1, n + 2):
+        for hi in range(lo - 1, n + 1):
+            assert bv.any1(lo, hi) == (ranks[hi] - ranks[lo - 1] > 0), (lo, hi)
+    for lo, hi in ((0, 0), (0, n), (1, n + 1), (n + 2, n + 1), (n + 2, n), (1, -1)):
+        with pytest.raises(IndexError):
+            bv.any1(lo, hi)
+
+
 def test_all_ones_and_all_zeros():
     for n in (1, 7, 8, 9, 300):
         for bit in (0, 1):

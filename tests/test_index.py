@@ -20,7 +20,7 @@ from wgnfa.model import (
 )
 from wgnfa.serial import IndexFormatError, deserialize, serialize
 
-from conftest import corpus_names, load_index, load_instance
+from conftest import corpus_names, load_index, load_instance, suffix_label_max
 
 
 def test_out_count_ten(ten_state_index):
@@ -68,11 +68,11 @@ def test_label_lower_bound_ten(ten_state_index):
 
 def test_suffix_label_max_ten(ten_state_index):
     ix = ten_state_index
-    assert ix.max_state_with_suffix_label(b"a") == 5
-    assert ix.max_state_with_suffix_label(b"ba") == 4
-    assert ix.max_state_with_suffix_label(b"bb") == 9
-    assert ix.max_state_with_suffix_label(b"d") == 0
-    assert ix.max_state_with_suffix_label(b"cba") == 0  # longer than r
+    assert suffix_label_max(ix, b"a") == 5
+    assert suffix_label_max(ix, b"ba") == 4
+    assert suffix_label_max(ix, b"bb") == 9
+    assert suffix_label_max(ix, b"d") == 0
+    assert suffix_label_max(ix, b"cba") == 0  # longer than r
 
 
 def test_markers_ten(ten_state_index):
@@ -104,8 +104,8 @@ def test_four_state_ops(four_state_index):
     assert ix.max_prefix_with_in_at_most(ix.rows[b"b"], 1) == 4
     assert ix.min_state_with_len_k_label_ge(1, b"b") == 3
     assert ix.min_state_with_len_k_label_ge(1, b"bb") == 4
-    assert ix.max_state_with_suffix_label(b"b") == 3
-    assert ix.max_state_with_suffix_label(b"c") == 4
+    assert suffix_label_max(ix, b"b") == 3
+    assert suffix_label_max(ix, b"c") == 4
 
 
 def test_properties(ten_state_index, four_state_index):
@@ -222,7 +222,7 @@ def _scan_checks(a, ix):
             want = min(hits) if hits else None
             assert ix.min_state_with_len_k_label_ge(k, alpha) == want
         suff = [v for _, v, r2 in led if r2.endswith(alpha)]
-        assert ix.max_state_with_suffix_label(alpha) == max(suff, default=0)
+        assert suffix_label_max(ix, alpha) == max(suff, default=0)
 
 
 def test_ops_match_scans_on_samples(ten_state, four_state):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -61,12 +62,20 @@ def test_label_queries_only_in_the_first_r_symbols(ten_state, ten_state_index, m
     # the first r = 2 symbols the length-2 chunk's row holds it ("ba",
     # "bb"), or one bisect finds it for a chunk that is not a label
     # ("bz"), so neither run_steps nor accepts asks the per-length query,
-    # and past r no prefix can be a label suffix; the counters, the trace
-    # and ops still equal the reference, which asks both at every step
+    # and past r no prefix can be a label suffix; within the first r the
+    # suffix query is asked once per step, with the reversed prefix and
+    # the position the step's own bisect found for it; the counters, the
+    # trace and ops still equal the reference, which scans for both at
+    # every step
     ix = ten_state_index
     sent = build_index(ten_state, with_sentinel=True)
     assert ix.r == sent.r == 2 and b"bz" not in ix.rows
     pats = (b"bbbbba", b"bbbbbz")
+
+    def head_calls(idx, pat):
+        revs = [pat[:ell][::-1] for ell in (1, 2)]
+        return [("max_state_with_suffix_label", (rev, bisect_left(idx.revs, rev))) for rev in revs]
+
     want = {pat: _reference_steps(ix, pat) for pat in pats}
     calls = []
     for name in ("min_state_with_len_k_label_ge", "max_state_with_suffix_label"):
@@ -78,7 +87,7 @@ def test_label_queries_only_in_the_first_r_symbols(ten_state, ten_state_index, m
     for pat in pats:
         calls.clear()
         tr = run_steps(ix, pat)
-        assert calls == [("max_state_with_suffix_label", (pat[:ell],)) for ell in (1, 2)]
+        assert calls == head_calls(ix, pat)
         c, d, steps, step_ops = want[pat]
         ref = matcher.MatchTrace(pat, ix.r, c, d, steps, sum(step_ops))
         assert (tr.c, tr.d, tr.dump_tsv()) == (c, d, ref.dump_tsv())
@@ -87,7 +96,7 @@ def test_label_queries_only_in_the_first_r_symbols(ten_state, ten_state_index, m
         assert tr.ops == ref.ops == 53
         calls.clear()
         accepts(sent, pat)
-        assert calls == [("max_state_with_suffix_label", (pat[:ell],)) for ell in (1, 2)]
+        assert calls == head_calls(sent, pat)
 
 
 def test_trace_cba_golden(ten_state_index):
@@ -241,10 +250,11 @@ def _reference_steps(ix, pattern: bytes):
     """The recursion with every WheelerIndex query asked where the step
     needs it and nothing read off a row: both out-counts and the
     at-most boundary per chunk, the label-order query with the whole
-    prefix and the suffix query at every length and step, the floor
-    every step, and the at-least boundary and the ceiling where the
-    data call for them.  Returns c, d, the StepRecords and each step's
-    query count, one per call."""
+    prefix at every length and step, the floor every step, and the
+    at-least boundary and the ceiling where the data call for them.
+    i* comes from a scan over the labels that end with the prefix, not
+    from the suffix query, which the step still counts.  Returns c, d,
+    the StepRecords and each step's query count, one per call."""
     n, r = ix.n_states, ix.r
     c, d, steps, step_ops = [0], [n], [], []
     for ell in range(1, len(pattern) + 1):
@@ -261,7 +271,10 @@ def _reference_steps(ix, pattern: bytes):
             hit = ix.min_state_with_len_k_label_ge(k, prefix)
             if hit is not None:
                 j = min(j, hit - 1)
-        i_star = ix.max_state_with_suffix_label(prefix)
+        i_star = max(
+            (row[3] + row[1][-1] for rho, row in ix.rows.items() if rho.endswith(prefix)),
+            default=0,
+        )
         t = ix.marker_floor(j)
         ops += r + 2
         h = max(i_star, forced)

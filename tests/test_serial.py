@@ -22,7 +22,7 @@ from wgnfa.model import GeneralizedAutomaton
 from wgnfa.oracle import brute_accepts, brute_match
 from wgnfa.serial import IndexFormatError, deserialize, payload_bits, serialize
 
-from conftest import load_index
+from conftest import load_index, suffix_label_max
 
 
 def probe_ops(ix, rng, count=200):
@@ -38,7 +38,7 @@ def probe_ops(ix, rng, count=200):
         k = rng.randrange(1, ix.r + 1) if ix.r else 1
         tail = rho[-1:] if rho else b"a"
         out.append(ix.min_state_with_len_k_label_ge(k, tail * rng.randrange(1, 4)))
-        out.append(ix.max_state_with_suffix_label(rho))
+        out.append(suffix_label_max(ix, rho))
         out.append(ix.marker_floor(j))
         out.append(ix.marker_ceiling(j))
         lo = rng.randrange(1, n + 1)
@@ -769,6 +769,6 @@ def test_long_label_heap_within_4x_file():
         heap = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert ix.max_state_with_suffix_label(label[-5000:]) == 2
-    assert ix.max_state_with_suffix_label(b"e" + label) == 0
+    assert suffix_label_max(ix, label[-5000:]) == 2
+    assert suffix_label_max(ix, b"e" + label) == 0
     assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
