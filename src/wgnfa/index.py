@@ -273,9 +273,9 @@ class WheelerIndex:
         return self.b_min.select1(k + 1) - 1
 
     def finals_in(self, lo: int, hi: int) -> bool:
-        """Any final state in the interval lo..hi (empty if lo > hi,
-        read from 1 if lo < 1; IndexError if a non-empty one ends past n),
-        one bisect into the finals' stored positions."""
+        """Any final state in the interval lo..hi: False if lo > hi, read
+        from 1 if lo < 1, IndexError if a non-empty one ends below 0 or
+        past n.  One bisect into the finals' stored positions."""
         if lo > hi:
             return False
         return self.finals.any1(max(lo, 1), hi)
