@@ -93,16 +93,25 @@ def _state_offset(q: int) -> int:
 def state_column(n: int) -> Callable[[int, int], str]:
     """The comma-joined states lo..hi of 1..n, as slices of one text.
 
-    The text is built once, a block of 4,096 states at a time so that no
-    list of n strings is ever held, each block formatted by one "%d,"
-    template.  A row, which cmd_query writes with its slice in one
+    The text is built once.  The thousand states p000..p999 of a
+    thousands prefix p are one str.join of the suffixes "000,".."999,"
+    with str(p), so that no list of n strings is ever held; states
+    1..999 and the last, partial thousand are formatted by one "%d,"
+    template each.  A row, which cmd_query writes with its slice in one
     write, then costs time in proportion to the bytes it prints; a
     repeated pattern reuses its neighbour's answer, and its row is cut
     again from the same text.  An empty interval (lo > hi) gives "", and
     a non-empty one outside 1..n raises ValueError.
     """
-    blocks = (range(start, min(start + 4096, n + 1)) for start in range(1, n + 1, 4096))
-    text = "".join("%d," * len(block) % tuple(block) for block in blocks)
+    full = (n + 1) // 1000  # the thousands below full * 1000 are complete
+    head = range(1, min(n, 999) + 1)
+    tail = range(max(full, 1) * 1000, n + 1)
+    suffixes = ["", *(f"{i:03d}," for i in range(1000))]
+    text = "".join([
+        "%d," * len(head) % tuple(head),
+        *(str(p).join(suffixes) for p in range(1, full)),
+        "%d," * len(tail) % tuple(tail),
+    ])
 
     def states(lo: int, hi: int) -> str:
         if lo > hi:

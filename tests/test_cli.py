@@ -341,8 +341,7 @@ def test_state_column_slices():
             assert states(lo, hi) == ",".join(map(str, range(lo, hi + 1))), (lo, hi)
     assert states(1, n) == ",".join(map(str, range(1, n + 1)))
     assert states(5000, 4999) == ""
-    # the text is built 4,096 states at a time: a full last block, a
-    # one-state last block and two full blocks
+    # n and interval ends away from the digit-width boundaries
     for n in (4096, 4097, 8192):
         states = state_column(n)
         ends = [q for q in near + [4095, 4096, 4097, 4098, 8191] if q <= n] + [1, n]
@@ -354,6 +353,16 @@ def test_state_column_slices():
         for lo in range(1, n + 2):
             for hi in range(lo - 2, n + 1):
                 assert states(lo, hi) == ",".join(map(str, range(lo, hi + 1))), (n, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 9, 10, 999, 1000, 1001, 9999, 10000, 10001, 85492]
+)
+def test_state_column_text(n):
+    # the whole text, with a last thousand that is absent, one state
+    # long, full or partial
+    want = "".join(f"{i}," for i in range(1, n + 1))
+    assert state_column(n)(1, n) == want[:-1]
 
 
 def test_state_column_rejects_outside_interval():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,63 @@ def test_ascending_chain():
     assert all(cl.a_max[i] == i for i in range(1, n + 1))
     assert cl.b_max == b"\x00" + b"\x01" * n
     assert cl.b_min == b"\x00\x01" + bytes(n - 1)
+
+
+def test_epsilon_free_states_are_their_own_extrema():
+    n = 10
+    a = GeneralizedAutomaton(
+        state_count=n,
+        edges=tuple((i, i + 1, b"ab"[i % 2 : i % 2 + 1]) for i in range(1, n)),
+        finals=frozenset({n}),
+    )
+    cl = build_closure_arrays(a)
+    assert cl.fold_max == cl.fold_min == [0]
+    assert list(cl.a_max) == list(cl.a_min) == list(range(n + 1))
+    assert cl.b_max == cl.b_min == b"\x00" + b"\x01" * n
+    assert cl.edge_visits == 0
+
+
+def test_states_above_last_epsilon_state_are_their_own_extrema():
+    # epsilon edges only among states 1..5, one of them a self-loop
+    n = 50
+    eps = [(2, 3), (4, 3), (5, 4), (1, 2), (5, 5)]
+    labeled = [(i, i + 1, b"a") for i in range(5, n)]
+    a = GeneralizedAutomaton(
+        state_count=n,
+        edges=tuple([(u, v, b"") for u, v in eps] + labeled),
+        finals=frozenset({n}),
+    )
+    cl = build_closure_arrays(a)
+    assert len(cl.fold_max) == len(cl.fold_min) == 6
+    assert list(cl.a_max) == [0, 1, 2, 5, 5, 5] + list(range(6, n + 1))
+    assert list(cl.a_min) == [0, 1, 1, 1, 4, 5] + list(range(6, n + 1))
+    assert list(cl.b_max) == [0, 1, 1, 0, 0, 1] + [1] * (n - 5)
+    assert list(cl.b_min) == [0, 1, 0, 0, 1, 1] + [1] * (n - 5)
+    assert cl.edge_visits == 4
+
+
+def _closure_peak_bytes(a):
+    tracemalloc.start()
+    try:
+        build_closure_arrays(a)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("eps", [[], [(2, 3), (3, 5), (4, 5)]], ids=["no-eps", "eps-2-5"])
+def test_closure_allocates_little_per_state(eps):
+    """Apart from the two n-byte markers, the closure allocates in
+    proportion to the epsilon edges and the largest state they touch,
+    not to n."""
+    n = 10**6
+    labeled = [(i, i + 1, b"a") for i in range(1, n, 1000)]
+    a = GeneralizedAutomaton(
+        state_count=n,
+        edges=tuple([(u, v, b"") for u, v in eps] + labeled),
+        finals=frozenset({n}),
+    )
+    assert _closure_peak_bytes(a) <= 4 * n
 
 
 def test_matches_brute_on_samples(ten_state, four_state):
