@@ -15,6 +15,9 @@ parent runs first when i is even and the change first when it is odd.
 The --held-out seeds then run the same way, and last one traced run
 per side and workload at --trace-seed, the parent first.
 
+Each side's commit is asked of git in its checkout (which also reads a
+.git file, as a worktree has), or else read from the run's record.
+
 The summary gives, per workload and end-to-end metric, each side's
 median and quartiles over the pairs, the change's wins and losses
 (ties count for neither), the change-over-parent ratio and a verdict.
@@ -70,6 +73,21 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
     out.update({k: result[k] for k in ("correct", "attempted", "failed")})
     out["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     return out
+
+
+def git_head(checkout: Path) -> str | None:
+    """The commit checked out at `checkout`, from `git rev-parse`; None
+    when git is missing or `checkout` is not the top of a work tree (a
+    directory inside another repository would report that one's HEAD)."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--show-toplevel", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != checkout.resolve():
+        return None
+    return lines[1]
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -206,6 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--claim must be WORKLOAD:METRIC over {workloads} and {sorted(better)}")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: git_head(path) for side, path in sides.items()}
     plan = []
     for wl in workloads:
         for i, seed in enumerate(args.seeds + args.held_out):
@@ -231,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         if "machine" in run:
             machine = run.pop("machine")
-            out[f"{side}_commit"] = machine.pop("commit", "unknown")
+            recorded = machine.pop("commit", "unknown")
+            out[f"{side}_commit"] = commits[side] or recorded
             out["machine"] = machine
         out["summary"] = summarize(runs, args.seeds, workloads, metrics)
         out["verdicts"] = verdicts(out["summary"])

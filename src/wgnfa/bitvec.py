@@ -26,6 +26,12 @@ all of it the positions of the 10,094 final states.  The price is a
 bisect where a directory of n+1 running counts would answer with one
 lookup: once a marker holds a thousand zeros or more, each marker
 rounding costs one to two microseconds more (2-vCPU Xeon, Python 3.11).
+The index samples such counts for its label sources, every 2^s-th state
+with about 32 sources a block (index.rank_samples), which the matcher
+counts in up to 2r times a symbol, but not for these bitvectors: the
+finals are asked once per pattern, and the markers bisect nothing
+unless the automaton has epsilon edges, which no benchmark workload
+has.
 """
 
 from __future__ import annotations

@@ -72,18 +72,25 @@ class EpsilonClosureArrays:
         return [x or i for i, x in enumerate(fold)] + list(range(len(fold), len(self.b_max)))
 
 
-def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
+def build_closure_arrays(
+    a: GeneralizedAutomaton, eps: list[tuple[int, int]] | None = None
+) -> EpsilonClosureArrays:
     """One topological fold over the epsilon edges, carrying max and min.
+
+    eps is a's epsilon edges other than self-loops, as (u, v) pairs in
+    input order, when the caller has already picked them out of a.edges
+    (build_index does, in its own pass over the edges); without it they
+    are picked out here.
 
     A state is released once all its epsilon predecessors are, and then
     passes its extrema along each of its out-edges, so every epsilon edge
     is examined exactly once and the pass is linear in the edges.  A
     state that no epsilon edge enters keeps a_max[i] = a_min[i] = i, so
     each marker starts as all ones and only the edges' targets are
-    compared.  The cost is one O(E) filter for the epsilon edges, an
-    O(epsilon) fold over lists that end at the largest state an epsilon
-    edge touches, and two n-byte markers; a_max and a_min are expanded
-    to n + 1 entries only when read.
+    compared.  The cost is one O(E) filter for the epsilon edges unless
+    eps is given, an O(epsilon) fold over lists that end at the largest
+    state an epsilon edge touches, and two n-byte markers; a_max and
+    a_min are expanded to n + 1 entries only when read.
 
     If states remain unreleased, raises EpsilonCycleError(u, v) for the
     first repeat on the walk that starts at the smallest unreleased state
@@ -92,7 +99,8 @@ def build_closure_arrays(a: GeneralizedAutomaton) -> EpsilonClosureArrays:
     axiom 4; this check serves callers that skip validation.
     """
     n = a.state_count
-    eps = [(u, v) for u, v, rho in a.edges if not rho and u != v]
+    if eps is None:
+        eps = [(u, v) for u, v, rho in a.edges if not rho and u != v]
     top = max(chain.from_iterable(eps), default=0)
     pending = [0] * (top + 1)  # unreleased epsilon predecessors per state
     offs = [0] * (top + 2)

@@ -30,10 +30,15 @@ target of a label lies in the label's own query interval, so a label
 of length k spans about n / sigma^k states, and the offsets take the
 narrowest of 1, 2, 4 or 8 bytes that holds that span, not the width n
 needs (on the 85k-state benchmark trie 2 bytes where the sources take
-4).  Sources have no such bound and keep the state width.  out_count
-takes such a row, not a label, and a matching step reads the two
-prefix boundaries off its targets, so it looks each chunk up once;
-NO_ROW stands for a chunk the dictionary does not hold.  Besides the
+4).  Sources have no such bound and keep the state width.  A label
+with many sources also gets a sampled rank directory over them, the
+only table derived per label that grows with its edges: the count of
+its sources at every 2^s-th state, with blocks of about 32 sources, so
+that out_count bisects one block, not all of them; at most 2E/32 + 2L
+entries over all labels, and no array per state.  out_count takes such
+a row, not a label, and a matching step reads the two prefix
+boundaries off its targets, so it looks each chunk up once; NO_ROW
+stands for a chunk the dictionary does not hold.  Besides the
 rows there are rank/select bitvectors for the finals and the two
 closure markers the epsilon edges add, each holding only the positions
 of its rarer bit (none for a marker of an epsilon-free automaton), the
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
 from .closure import build_closure_arrays
@@ -63,13 +68,23 @@ from .model import (
 )
 
 
-# (sources, target offsets, label-order bound, base) of one dictionary
-# label: its targets are base + offset for each offset
-Row = tuple[array, array, int | None, int]
+# (sources, target offsets, label-order bound, base, shift, samples) of
+# one dictionary label: its targets are base + offset for each offset,
+# and samples[b] counts the sources at most b << shift
+Row = tuple[array, array, int | None, int, int, array | tuple[int, None]]
+
+# a label with fewer sources than this keeps a whole-array bisect
+_SAMPLED_MIN = 256
+# a sampled label's blocks hold about this many of its sources each
+_BLOCK_SOURCES = 32
+# the samples of a label with no block table: j >> _WHOLE is 0 for
+# every state j, so out_count bisects between 0 and the end (None)
+_WHOLE = 64
+_WHOLE_SAMPLES = (0, None)
 
 # the row of a chunk the dictionary does not hold: no edges, and no
 # label-order bound (None), which a dictionary label always has
-NO_ROW = ((), (), None, 0)
+NO_ROW = ((), (), None, 0, _WHOLE, _WHOLE_SAMPLES)
 
 # the offsets of a target side of one state, which all such sides share:
 # no code writes to a row's arrays
@@ -93,6 +108,28 @@ def target_offsets(targets: array) -> tuple[array, int]:
     return uint_array(ow, uint_lanes(lanes.to_bytes(k * iw, "little"), iw, ow)), base
 
 
+def rank_samples(sources: array, n: int) -> tuple[int, array | tuple[int, None]]:
+    """The shift and the block counts that narrow out_count's bisect
+    over a label's ascending sources, states 1..n.
+
+    A block is 2^shift states wide, chosen so that it holds about
+    _BLOCK_SOURCES of the label's m sources on average (over half that
+    and at most that, unless one state averages more), and samples[b]
+    counts the sources at most b << shift
+    for b in 0..(n >> shift) + 1, one bisect each at C level: at most
+    m / 16 + 2 entries, in the narrowest array that holds m.  A label
+    with fewer than _SAMPLED_MIN sources gets the shared
+    (_WHOLE, _WHOLE_SAMPLES), so it costs no array of its own."""
+    m = len(sources)
+    if m < _SAMPLED_MIN:
+        return _WHOLE, _WHOLE_SAMPLES
+    shift = max(0, (_BLOCK_SOURCES * n // m).bit_length() - 1)
+    cuts = range(0, ((n >> shift) + 2) << shift, 1 << shift)
+    # an array grown from an iterator over-allocates; its [:] copy does not
+    samples = array(UINT_TYPECODES[uint_width(m)], map(bisect_right, repeat(sources), cuts))
+    return shift, samples[:]
+
+
 class WheelerIndex:
     """Built via build_index() or deserialize(); states are 1..n.
 
@@ -104,16 +141,18 @@ class WheelerIndex:
     their first state and each one's offset from it, in the narrowest
     unsigned array that holds the last offset).  The postings are kept
     only inside `rows`, which maps each dictionary label object to
-    (sources, offsets, bound, base): bound is the smallest state entered
-    by any label sorting co-lexicographically above it (0 if there is
-    none), suffix_min's entry just past the label's own.  out_count
-    takes such a row, and so do the two prefix boundaries, which the
-    matcher reads off the row itself.  The target sides of a single
-    state, most of them on a trie with thousands of labels, share one
-    offsets array.  No Python object is held per edge
-    or per state, but each label costs about 345 bytes of heap on top of
-    its file bytes, so an index with thousands of labels loads to about
-    twenty heap bytes per file byte.
+    (sources, offsets, bound, base, shift, samples): bound is the
+    smallest state entered by any label sorting co-lexicographically
+    above it (0 if there is none), suffix_min's entry just past the
+    label's own, and shift and samples are rank_samples' block table
+    over the sources.  out_count takes such a row, and so do the two
+    prefix boundaries, which the matcher reads off the row itself.  The
+    target sides of a single state, most of them on a trie with
+    thousands of labels, share one offsets array, and the labels with
+    too few sources for a block table share one samples object.  No
+    Python object is held per edge or per state, but each label costs
+    about 360 bytes of heap on top of its file bytes, so an index with
+    thousands of labels loads to about twenty heap bytes per file byte.
 
     Every other table holds one entry per dictionary label, never one
     per edge: revs holds the reversed labels in dictionary order, and
@@ -160,7 +199,7 @@ class WheelerIndex:
         self.rows: dict[bytes, Row] = {}
         for rho, bound in zip(labels, suffix_min[1:]):
             sources, offsets, base = postings[rho]
-            self.rows[rho] = (sources, offsets, bound, base)
+            self.rows[rho] = (sources, offsets, bound, base, *rank_samples(sources, state_count))
         # sparse table: level i holds the largest target over the 2^i
         # rows starting at each row; an array grown from an iterator
         # over-allocates, and its [:] copy is sized exactly
@@ -181,8 +220,14 @@ class WheelerIndex:
     # -- counting ----------------------------------------------------------
 
     def out_count(self, row: Row, j: int) -> int:
-        """Edges of `row`'s label leaving states 1..j."""
-        return bisect_right(row[0], j)
+        """Edges of `row`'s label leaving states 1..j, for 0 <= j <= n.
+
+        Counted by a bisect over the sources in j's block alone, between
+        the row's two block counts around j (rank_samples); a row
+        without a block table bisects all of its sources."""
+        sources, _, _, _, shift, samples = row
+        b = j >> shift
+        return bisect_right(sources, j, samples[b], samples[b + 1])
 
     # -- boundaries --------------------------------------------------------
 
@@ -246,7 +291,7 @@ class WheelerIndex:
     def unentered_states(self) -> int:
         """How many of the states 2..n no posting enters."""
         entered = bytearray(self.n_states + 1)
-        for _, offsets, _, base in self.rows.values():
+        for _, offsets, _, base, _, _ in self.rows.values():
             # the flags of the row's own span, indexed by offset
             end = base + offsets[-1] + 1
             flags = entered[base:end]
@@ -287,7 +332,8 @@ def build_index(
     """Build the index, trusting the state numbering to be Wheeler.
 
     One pass over the edges groups the labeled ones by label and counts
-    the epsilon edges, and the epsilon closure gives the marker bits.
+    the epsilon edges, and the epsilon closure, handed the ones that are
+    not self-loops, gives the marker bits.
     with_sentinel indexes the automaton with a fresh initial state
     prepended, joined by a sentinel-labeled edge, which is what
     membership queries need: every state i becomes i+1, the new state 1
@@ -307,9 +353,12 @@ def build_index(
 
     per_label: dict[bytes, tuple[list[int], list[int]]] = {}
     epsilon_edge_count = 0
+    eps = []  # the epsilon edges the closure folds: all but self-loops
     for u, v, rho in a.edges:
         if not rho:
             epsilon_edge_count += 1
+            if u != v:
+                eps.append((u, v))
             continue
         # setdefault would build a row's lists and tuple on every edge
         sides = per_label.get(rho)
@@ -323,7 +372,7 @@ def build_index(
     if with_sentinel:
         per_label[SENTINEL_BYTES] = ([1], [2])
 
-    closure = build_closure_arrays(a)
+    closure = build_closure_arrays(a, eps)
 
     labels = tuple(sorted(per_label, key=colex_key))
     typecode = UINT_TYPECODES[uint_width(n)]

@@ -206,7 +206,7 @@ def run_steps(
             row = rows_get(pattern[i:ell], NO_ROW)
             cut = c[i]
             fk = out_count(row, cut)
-            _, offsets, hit, base = row
+            _, offsets, hit, base, _, _ = row
             # the largest prefix that receives at most f_k of the chunk's edges
             if fk < len(offsets):
                 bound = base + offsets[fk] - 1

@@ -173,7 +173,7 @@ def serialize(ix: WheelerIndex) -> bytes:
     )
     parts = []
     for rho in labels:
-        sources, offsets, _, base = ix.rows[rho]
+        sources, offsets, _, base, _, _ = ix.rows[rho]
         parts += (
             uint_bytes(w, [len(sources)]),
             _side(w, sources[0], sources),

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -186,3 +192,57 @@ def test_claim_held_out_not_met_until_every_seed_ran():
     # no held-out seed at all: nothing held out was shown
     res = _claim(TEN, FASTER, [], [])
     assert res["held_out"] == {} and not res["held_out_met"]
+
+
+# -- the commits a summary records -------------------------------------------
+
+# prints the two lines perfbench/run.py ends with: the run record, whose
+# machine.commit reads "recorded", and the result
+_FAKE_RUN = """import json
+print(json.dumps({"machine": {"commit": "recorded", "python": "3"}}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"query_s": {"value": 1.0}}}))
+"""
+
+
+def _git(*args, cwd):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def _checkout(path):
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "fake_run.py"], "run_seconds": 0.1,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "query_s", "better": "lower", "bound": 0.25}],
+    }))
+    (path / "fake_run.py").write_text(_FAKE_RUN)
+    return path
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_commits_asked_of_git_then_read_from_the_run(tmp_path):
+    """A repository's HEAD is recorded, also for a checkout whose .git is
+    a file naming the git directory (as a worktree's is, which
+    perfbench/run.py's reader of .git/HEAD reports as unknown); a
+    directory that is no work tree's top falls back to the run record."""
+    repo = _checkout(tmp_path / "repo")
+    _git("init", "-q", cwd=repo)
+    _git("add", "-A", cwd=repo)
+    _git("commit", "-q", "-m", "one", cwd=repo)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    linked = _checkout(tmp_path / "linked")
+    (linked / ".git").write_text(f"gitdir: {repo / '.git'}\n")
+    plain = _checkout(repo / "plain")  # inside the repository, not its top
+    assert bench_pairs.git_head(repo) == bench_pairs.git_head(linked) == head
+    assert bench_pairs.git_head(plain) is None
+    assert bench_pairs.git_head(tmp_path / "missing") is None
+
+    for parent, change, want in ((repo, linked, (head, head)), (plain, repo, ("recorded", head))):
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main([str(parent), str(change), "--seeds", "1", "-o", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        assert (summary["parent_commit"], summary["change_commit"]) == want
+        assert "commit" not in summary["machine"]

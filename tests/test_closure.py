@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgnfa.bitvec import RankSelectBits
 from wgnfa.closure import EpsilonCycleError, build_closure_arrays
+from wgnfa.index import build_index
 from wgnfa.model import GeneralizedAutomaton, validate
 from wgnfa.oracle import brute_closure
 
@@ -261,6 +263,9 @@ def _brute_cycle_witness(a):
 @settings(max_examples=500)
 @given(random_eps_graph())
 def test_cycle_witness_matches_brute(a):
+    """Also through build_index, plain and sentinel, which hands the
+    closure the epsilon edges its own pass picks out: the same markers,
+    or the same witness, and every epsilon edge counted, self-loops too."""
     witness = _brute_cycle_witness(a)
     if witness is None:
         cl = build_closure_arrays(a)
@@ -270,10 +275,19 @@ def test_cycle_witness_matches_brute(a):
         bmax, bmin = brute_closure(a)
         assert list(cl.a_max) == bmax
         assert list(cl.a_min) == bmin
+        for lead in (0, 1):
+            ix = build_index(a, with_sentinel=bool(lead))
+            assert ix.epsilon_edge_count == sum(1 for _, _, rho in a.edges if not rho)
+            assert ix.b_max.to_bytes() == RankSelectBits(b"\x01" * lead + cl.b_max[1:]).to_bytes()
+            assert ix.b_min.to_bytes() == RankSelectBits(b"\x01" * lead + cl.b_min[1:]).to_bytes()
     else:
         with pytest.raises(EpsilonCycleError) as exc:
             build_closure_arrays(a)
         assert (exc.value.u, exc.value.v) == witness
+        for sentinel in (False, True):
+            with pytest.raises(EpsilonCycleError) as exc:
+                build_index(a, with_sentinel=sentinel)
+            assert (exc.value.u, exc.value.v) == witness
 
 
 @st.composite

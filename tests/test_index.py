@@ -4,13 +4,16 @@ ops checked against direct scans of the edge list on corpus instances."""
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_right
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wgnfa.index import NO_ROW, build_index
+from wgnfa.generate import build_piece_trie
+from wgnfa.index import _SAMPLED_MIN, NO_ROW, build_index
 from wgnfa.model import (
     SENTINEL_BYTES,
     GeneralizedAutomaton,
@@ -344,3 +347,104 @@ def test_ops_match_scans_on_edge_multisets(a):
                 deserialize(blob)
         else:
             _scan_checks(b, deserialize(blob))
+
+
+# -- block-sampled rank ----------------------------------------------------
+
+
+def _criterion09_trie():
+    return build_piece_trie(random.Random(271828), 1300, 28, 2, b"abcd")
+
+
+def _many_label_trie():
+    """3,703 labels, most of them with a single edge."""
+    return build_piece_trie(random.Random(271828), 3000, 28, 8, b"abcd")
+
+
+def _assert_rank_is_a_plain_bisect(ix, every_j=True):
+    """out_count(row, j) == bisect_right(sources, j) for every row and
+    NO_ROW, at every j in 0..n; with every_j False, a row without a
+    block table of its own is checked only where the plain count can
+    change (0, n and each source less one, itself and plus one)."""
+    n, out_count = ix.n_states, ix.out_count
+    for row in (*ix.rows.values(), NO_ROW):
+        sources = row[0]
+        if every_j or row[5] is not NO_ROW[5]:
+            js = range(n + 1)
+        else:
+            js = sorted({0, n}.union(*((s - 1, s, min(s + 1, n)) for s in sources)))
+        got = list(map(out_count, repeat(row), js))
+        assert got == list(map(bisect_right, repeat(sources), js)), (len(sources), n)
+
+
+def test_sampled_rank_is_a_plain_bisect(all_corpus_names):
+    """On every corpus index, plain and sentinel, on the criterion-09
+    trie and on the 3,703-label trie (every j on its three rows with
+    tables and on NO_ROW, the others where their count can change: every
+    j over all of them takes seconds)."""
+    for name in all_corpus_names:
+        for sentinel in (False, True):
+            _assert_rank_is_a_plain_bisect(load_index(name, sentinel))
+    for sentinel in (False, True):
+        ix = build_index(_criterion09_trie(), with_sentinel=sentinel)
+        assert sum(row[5] is not NO_ROW[5] for row in ix.rows.values()) >= 19
+        _assert_rank_is_a_plain_bisect(ix)
+    ix = build_index(_many_label_trie())
+    assert len(ix.labels) == 3703
+    _assert_rank_is_a_plain_bisect(ix, every_j=False)
+
+
+@st.composite
+def _sorted_sources(draw):
+    """(n, ascending sources in 1..n): drawn with replacement, so a state
+    may be the source of several edges with one label, and with the
+    count just below, at or just above the sampling threshold."""
+    n = draw(st.integers(1, 3000))
+    m = draw(
+        st.one_of(st.integers(1, 3 * _SAMPLED_MIN), st.integers(_SAMPLED_MIN - 2, _SAMPLED_MIN + 2))
+    )
+    rng = draw(st.randoms(use_true_random=False))
+    lo = rng.randint(1, n)  # a skew: most sources in lo..n
+    sources = [rng.randint(rng.choice((1, lo)), n) for _ in range(m)]
+    if draw(st.booleans()):
+        sources[0] = n
+    return n, sorted(sources)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sorted_sources())
+@example((1, [1] * _SAMPLED_MIN))
+@example((5000, [5000] * _SAMPLED_MIN))
+@example((5000, list(range(4745, 5001))))
+def test_sampled_rank_property(case):
+    """out_count equals a plain bisect at every j in 0..n, with repeats,
+    sources at n and the count on either side of the threshold."""
+    n, sources = case
+    edges = tuple((u, n, b"a") for u in sources)
+    ix = build_index(GeneralizedAutomaton(state_count=n, edges=edges, finals=frozenset()))
+    row = ix.rows[b"a"]
+    assert list(row[0]) == sources
+    assert (row[5] is NO_ROW[5]) == (len(sources) < _SAMPLED_MIN)
+    _assert_rank_is_a_plain_bisect(ix)
+
+
+def test_block_tables_within_space_bound(all_corpus_names):
+    """The block tables of an index hold at most 2E/32 + 2L entries in
+    all (E labeled edges, L labels), and every label under the threshold
+    shares NO_ROW's one samples object instead of an array of its own."""
+    indexes = [load_index(name, sentinel) for name in all_corpus_names for sentinel in (0, 1)]
+    indexes += [build_index(_criterion09_trie()), build_index(_many_label_trie())]
+    indexes.append(build_index(build_piece_trie(random.Random(271828), 13000, 28, 2, b"abcd")))
+    sampled = 0
+    for ix in indexes:
+        rows = ix.rows.values()
+        edges = sum(len(row[0]) for row in rows)
+        tables = [row[5] for row in rows if row[5] is not NO_ROW[5]]
+        assert sum(map(len, tables)) <= 2 * edges / 32 + 2 * len(rows)
+        for row in rows:
+            if len(row[0]) < _SAMPLED_MIN:
+                assert row[5] is NO_ROW[5]
+            else:
+                assert row[5] is not NO_ROW[5] and row[5][0] == 0 and row[5][-1] == len(row[0])
+        sampled += len(tables)
+    assert sampled >= 40

@@ -420,7 +420,7 @@ def assert_same_rows(built, loaded):
     span."""
     assert loaded.rows == built.rows
     state_code = UINT_TYPECODES[uint_width(built.n_states)]
-    for rho, (sources, offsets, _, base) in built.rows.items():
+    for rho, (sources, offsets, _, base, _, _) in built.rows.items():
         again = loaded.rows[rho]
         assert (again[0].typecode, again[1].typecode) == (sources.typecode, offsets.typecode)
         assert sources.typecode == state_code, rho
@@ -733,9 +733,10 @@ def test_loaded_index_heap_within_1_5x_payload(sentinel):
 def test_many_label_heap_within_23x_file():
     """A 3,000-string trie over abcd with pieces of up to 8 bytes has
     3,703 labels, most of them with a single edge.  On a second load in
-    the process it takes at most 23 heap bytes per file byte (21.7
-    measured; 28.7 with every target side at the state width, each in
-    an array of its own, and the per-label tables in lists).  A full
+    the process it takes at most 23 heap bytes per file byte (22.5
+    measured with the rows' block-rank slots, 21.7 without; 28.7 with
+    every target side at the state width, each in an array of its own,
+    and the per-label tables in lists).  A full
     collection first empties CPython's free lists: the first load's
     row tuples parked there would otherwise serve about 2,000 of the
     second load's uncounted, and only until some collection ran."""
