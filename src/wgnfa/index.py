@@ -70,21 +70,17 @@ from .model import (
 
 # (sources, target offsets, label-order bound, base, shift, samples) of
 # one dictionary label: its targets are base + offset for each offset,
-# and samples[b] counts the sources at most b << shift
-Row = tuple[array, array, int | None, int, int, array | tuple[int, None]]
+# and samples[b] counts the sources at most b << shift, or is None
+Row = tuple[array, array, int | None, int, int, array | None]
 
 # a label with fewer sources than this keeps a whole-array bisect
 _SAMPLED_MIN = 256
 # a sampled label's blocks hold about this many of its sources each
 _BLOCK_SOURCES = 32
-# the samples of a label with no block table: j >> _WHOLE is 0 for
-# every state j, so out_count bisects between 0 and the end (None)
-_WHOLE = 64
-_WHOLE_SAMPLES = (0, None)
 
 # the row of a chunk the dictionary does not hold: no edges, and no
 # label-order bound (None), which a dictionary label always has
-NO_ROW = ((), (), None, 0, _WHOLE, _WHOLE_SAMPLES)
+NO_ROW = ((), (), None, 0, 0, None)
 
 # the offsets of a target side of one state, which all such sides share:
 # no code writes to a row's arrays
@@ -108,21 +104,21 @@ def target_offsets(targets: array) -> tuple[array, int]:
     return uint_array(ow, uint_lanes(lanes.to_bytes(k * iw, "little"), iw, ow)), base
 
 
-def rank_samples(sources: array, n: int) -> tuple[int, array | tuple[int, None]]:
+def rank_samples(sources: array, n: int) -> tuple[int, array | None]:
     """The shift and the block counts that narrow out_count's bisect
     over a label's ascending sources, states 1..n.
 
     A block is 2^shift states wide, chosen so that it holds about
     _BLOCK_SOURCES of the label's m sources on average (over half that
     and at most that, unless one state averages more), and samples[b]
-    counts the sources at most b << shift
-    for b in 0..(n >> shift) + 1, one bisect each at C level: at most
-    m / 16 + 2 entries, in the narrowest array that holds m.  A label
-    with fewer than _SAMPLED_MIN sources gets the shared
-    (_WHOLE, _WHOLE_SAMPLES), so it costs no array of its own."""
+    counts the sources at most b << shift for b in 0..(n >> shift) + 1,
+    one bisect each at C level: at most m / 16 + 2 entries, in the
+    narrowest array that holds m.  A label with fewer than _SAMPLED_MIN
+    sources gets (0, None) and no array: a bisect over its few sources
+    costs less than reading two samples."""
     m = len(sources)
     if m < _SAMPLED_MIN:
-        return _WHOLE, _WHOLE_SAMPLES
+        return 0, None
     shift = max(0, (_BLOCK_SOURCES * n // m).bit_length() - 1)
     cuts = range(0, ((n >> shift) + 2) << shift, 1 << shift)
     # an array grown from an iterator over-allocates; its [:] copy does not
@@ -148,8 +144,8 @@ class WheelerIndex:
     over the sources.  out_count takes such a row, and so do the two
     prefix boundaries, which the matcher reads off the row itself.  The
     target sides of a single state, most of them on a trie with
-    thousands of labels, share one offsets array, and the labels with
-    too few sources for a block table share one samples object.  No
+    thousands of labels, share one offsets array, and a label with too
+    few sources for a block table holds None for its samples.  No
     Python object is held per edge or per state, but each label costs
     about 360 bytes of heap on top of its file bytes, so an index with
     thousands of labels loads to about twenty heap bytes per file byte.
@@ -226,6 +222,8 @@ class WheelerIndex:
         the row's two block counts around j (rank_samples); a row
         without a block table bisects all of its sources."""
         sources, _, _, _, shift, samples = row
+        if samples is None:
+            return bisect_right(sources, j)
         b = j >> shift
         return bisect_right(sources, j, samples[b], samples[b + 1])
 

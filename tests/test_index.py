@@ -369,7 +369,7 @@ def _assert_rank_is_a_plain_bisect(ix, every_j=True):
     n, out_count = ix.n_states, ix.out_count
     for row in (*ix.rows.values(), NO_ROW):
         sources = row[0]
-        if every_j or row[5] is not NO_ROW[5]:
+        if every_j or row[5] is not None:
             js = range(n + 1)
         else:
             js = sorted({0, n}.union(*((s - 1, s, min(s + 1, n)) for s in sources)))
@@ -387,7 +387,7 @@ def test_sampled_rank_is_a_plain_bisect(all_corpus_names):
             _assert_rank_is_a_plain_bisect(load_index(name, sentinel))
     for sentinel in (False, True):
         ix = build_index(_criterion09_trie(), with_sentinel=sentinel)
-        assert sum(row[5] is not NO_ROW[5] for row in ix.rows.values()) >= 19
+        assert sum(row[5] is not None for row in ix.rows.values()) >= 19
         _assert_rank_is_a_plain_bisect(ix)
     ix = build_index(_many_label_trie())
     assert len(ix.labels) == 3703
@@ -424,14 +424,15 @@ def test_sampled_rank_property(case):
     ix = build_index(GeneralizedAutomaton(state_count=n, edges=edges, finals=frozenset()))
     row = ix.rows[b"a"]
     assert list(row[0]) == sources
-    assert (row[5] is NO_ROW[5]) == (len(sources) < _SAMPLED_MIN)
+    assert (row[5] is None) == (len(sources) < _SAMPLED_MIN)
     _assert_rank_is_a_plain_bisect(ix)
 
 
 def test_block_tables_within_space_bound(all_corpus_names):
     """The block tables of an index hold at most 2E/32 + 2L entries in
-    all (E labeled edges, L labels), and every label under the threshold
-    shares NO_ROW's one samples object instead of an array of its own."""
+    all (E labeled edges, L labels), their blocks hold at most 32
+    sources on average, and every label under the threshold holds None,
+    as NO_ROW does, instead of an array of its own."""
     indexes = [load_index(name, sentinel) for name in all_corpus_names for sentinel in (0, 1)]
     indexes += [build_index(_criterion09_trie()), build_index(_many_label_trie())]
     indexes.append(build_index(build_piece_trie(random.Random(271828), 13000, 28, 2, b"abcd")))
@@ -439,12 +440,14 @@ def test_block_tables_within_space_bound(all_corpus_names):
     for ix in indexes:
         rows = ix.rows.values()
         edges = sum(len(row[0]) for row in rows)
-        tables = [row[5] for row in rows if row[5] is not NO_ROW[5]]
+        tables = [row[5] for row in rows if row[5] is not None]
         assert sum(map(len, tables)) <= 2 * edges / 32 + 2 * len(rows)
         for row in rows:
             if len(row[0]) < _SAMPLED_MIN:
-                assert row[5] is NO_ROW[5]
+                assert row[5] is None
             else:
-                assert row[5] is not NO_ROW[5] and row[5][0] == 0 and row[5][-1] == len(row[0])
+                assert row[5] is not None and row[5][0] == 0 and row[5][-1] == len(row[0])
+                # len - 1 blocks cover the states 0..n
+                assert len(row[0]) <= 32 * (len(row[5]) - 1)
         sampled += len(tables)
     assert sampled >= 40
