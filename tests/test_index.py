@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_right
-from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -373,8 +372,8 @@ def _assert_rank_is_a_plain_bisect(ix, every_j=True):
             js = range(n + 1)
         else:
             js = sorted({0, n}.union(*((s - 1, s, min(s + 1, n)) for s in sources)))
-        got = list(map(out_count, repeat(row), js))
-        assert got == list(map(bisect_right, repeat(sources), js)), (len(sources), n)
+        got = list(map(out_count, itertools.repeat(row), js))
+        assert got == list(map(bisect_right, itertools.repeat(sources), js)), (len(sources), n)
 
 
 def test_sampled_rank_is_a_plain_bisect(all_corpus_names):
