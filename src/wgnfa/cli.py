@@ -127,7 +127,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     ix = deserialize(_read_bytes(args.index))
     patterns = parse_patterns(_read_bytes(args.patterns))
     answers = match_patterns(ix, patterns)
-    states = state_column(ix.n_states - (1 if ix.sentinel_mode else 0))
+    states = state_column(ix.n_states)
     write = sys.stdout.write  # print would write each newline separately
     for p, (lo, hi, count, accepted) in zip(patterns, answers):
         if args.trace and p:

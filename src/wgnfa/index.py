@@ -332,22 +332,17 @@ def build_index(
     One pass over the edges groups the labeled ones by label and counts
     the epsilon edges, and the epsilon closure, handed the ones that are
     not self-loops, gives the marker bits.
-    with_sentinel indexes the automaton with a fresh initial state
-    prepended, joined by a sentinel-labeled edge, which is what
-    membership queries need: every state i becomes i+1, the new state 1
-    is initial, and the single new edge (1, 2, 0x01) feeds the old
-    initial state.  Since the sentinel byte sorts below every allowed
-    label byte and never occurs elsewhere, the shifted numbering is
-    still a Wheeler order, and every nonempty query interval is the old
-    interval shifted up by one.  The new state has no epsilon edges, so
-    it is its own closure extremum and both its marker bits are set.
+    with_sentinel adds the one edge (1, 1, 0x01) that membership
+    queries need, a sentinel loop on the initial state, and keeps the
+    numbering: the sentinel byte sorts below every allowed label byte
+    and labels no other edge, so the order stays Wheeler, and every
+    query interval and marker bit is the plain build's.
 
     Raises SentinelInLabelError if a label holds one of the reserved
     bytes 0x00 and 0x01, which no container could load, and
     EpsilonCycleError if the epsilon edges are cyclic.
     """
-    lead = 1 if with_sentinel else 0
-    n = lead + a.state_count
+    n = a.state_count
 
     per_label: dict[bytes, tuple[list[int], list[int]]] = {}
     epsilon_edge_count = 0
@@ -363,12 +358,12 @@ def build_index(
         if sides is None:
             sides = per_label[rho] = ([], [])
         srcs, tgts = sides
-        srcs.append(u + lead)
-        tgts.append(v + lead)
+        srcs.append(u)
+        tgts.append(v)
     if any(0x00 in rho or SENTINEL in rho for rho in per_label):
         raise SentinelInLabelError("reserved byte 0x00 or 0x01 in a label")
     if with_sentinel:
-        per_label[SENTINEL_BYTES] = ([1], [2])
+        per_label[SENTINEL_BYTES] = ([1], [1])
 
     closure = build_closure_arrays(a, eps)
 
@@ -381,14 +376,14 @@ def build_index(
 
     finals_bits = bytearray(n)
     for q in a.finals:
-        finals_bits[lead + q - 1] = 1
+        finals_bits[q - 1] = 1
 
     return WheelerIndex(
         state_count=n,
         epsilon_edge_count=epsilon_edge_count,
         finals=RankSelectBits(bytes(finals_bits)),
-        b_max=RankSelectBits(b"\x01" * lead + closure.b_max[1:]),
-        b_min=RankSelectBits(b"\x01" * lead + closure.b_min[1:]),
+        b_max=RankSelectBits(closure.b_max[1:]),
+        b_min=RankSelectBits(closure.b_min[1:]),
         labels=labels,
         postings=postings,
     )

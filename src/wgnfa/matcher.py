@@ -26,20 +26,22 @@ per-symbol StepRecord of these internals only when asked to trace;
 interval queries run it without, and `wgnfa query --trace` runs it
 again with them.
 
-Indexes built with the sentinel carry one extra lead state, so reported
-intervals are shifted back down.  Membership of P is the recursion on
-0x01.P, whose suffixed block is exactly the states P enters from the
-initial state.  Every string entering a state other than 1 starts with
-0x01, which no label but the sentinel's holds, so no state is entered
-by a string co-lexicographically in [alpha, 0x01.alpha): c(0x01.alpha)
-= c(alpha) for nonempty alpha (1 for the empty one, state 1 being the
-one state the empty string enters), and no label ends with 0x01.alpha,
-so i* is 0 past the sentinel.  accepts thus reuses P's own c and runs
-only the upper counter e[l] = d(0x01.P[:l]), with g_k > f_k read as
-the chunk's g_k-th source lying above the cut.  match_interval runs
-accepts only when the pattern's own block (c[m]+1..d[m], index
-numbering) holds a final state: every state the pattern reaches from
-the initial state lies inside it, so a block without one answers False.
+An index built with the sentinel holds one more edge, the loop 0x01 on
+the initial state 1, and numbers the states as the plain index does.
+Membership of P is the recursion on 0x01.P, whose suffixed block is
+exactly the states P enters from the initial state.  The only string
+co-lexicographically in [alpha, 0x01.alpha) is alpha itself, since no
+label holds 0x00, and every state alpha enters is entered by
+0x01.alpha too, through the loop: c(0x01.alpha) = c(alpha) for every
+alpha, the empty one included.  No label but the sentinel's holds
+0x01, so none ends with 0x01.alpha for nonempty alpha, and i* is 0
+past the sentinel.  accepts thus reuses P's own c and runs only the
+upper counter e[l] = d(0x01.P[:l]), from e[0] = marker_ceiling(1),
+with g_k > f_k read as the chunk's g_k-th source lying above the cut.
+match_interval runs accepts only when the pattern's own block
+(c[m]+1..d[m]) holds a final state: every state the pattern reaches
+from the initial state lies inside it, so a block without one answers
+False.
 
 Since c[l] and d[l] depend only on the first l pattern symbols (the
 closure markers only round them), a batch of patterns is matched as
@@ -256,10 +258,9 @@ def match_interval(
 ) -> QueryResult:
     """States reachable by some string ending in `pattern`.
 
-    On a sentinel index the reported interval is translated back to the
-    original numbering and `accepted` reports exact membership; on a
-    plain index `accepted` is None.  Membership runs accepts on this
-    pattern's walk only when its block, before translation, holds a
+    On a sentinel index `accepted` reports exact membership; on a plain
+    index it is None.  The interval is the same on both.  Membership
+    runs accepts on this pattern's walk only when its block holds a
     final state, since every state the pattern reaches from the initial
     state lies in it; otherwise `accepted` is False.  The empty pattern
     consumes no symbol, so its interval is (1, n) without a step.
@@ -273,7 +274,6 @@ def match_interval(
     accepted = None
     if ix.sentinel_mode:
         accepted = ix.finals_in(lo, hi) and accepts(ix, pattern, trace)
-        lo, hi = max(lo - 1, 1), hi - 1
     count = max(0, hi - lo + 1)
     return QueryResult(lo=lo, hi=hi, count=count, accepted=accepted, trace=trace)
 
@@ -310,7 +310,8 @@ def accepts(ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None) 
 
     Requires a sentinel index: acceptance is a final-state check on the
     suffixed block of 0x01.pattern, whose upper counters e run on top
-    of the pattern's own lower counters c (see the module docstring).
+    of the pattern's own lower counters c, c(0x01.alpha) being c(alpha)
+    (see the module docstring).
     `resume` is the untraced walk of `pattern`, run (or continued) first
     when absent or of another pattern.  It keeps e, which run_steps cuts
     back with c and d, so only the symbols e does not yet cover are run.
@@ -324,11 +325,11 @@ def accepts(ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None) 
     out_count, rows_get, marker_ceiling = ix.out_count, ix.rows.get, ix.marker_ceiling
     r, c, e = ix.r, resume.c, resume.e
     if not e:
-        e.append(marker_ceiling(2))
+        e.append(marker_ceiling(1))
     for ell in range(len(e), len(pattern) + 1):
         forced = 0
         for i in range(ell - r if ell > r else 0, ell):
-            cut = c[i] if i else 1  # c(0x01.P[:i])
+            cut = c[i]
             top = e[i]
             if top != cut:
                 row = rows_get(pattern[i:ell], NO_ROW)
@@ -338,4 +339,4 @@ def accepts(ix: WheelerIndex, pattern: bytes, resume: MatchTrace | None = None) 
                     if pos > forced:
                         forced = pos
         e.append(c[ell] if forced <= c[ell] else marker_ceiling(forced))
-    return ix.finals_in((c[-1] if pattern else 1) + 1, e[-1])
+    return ix.finals_in(c[-1] + 1, e[-1])

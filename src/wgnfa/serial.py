@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
   magic   "WGNE" (4 bytes)
-  version 0x04   (1 byte)
+  version 0x05   (1 byte)
   flags   1 byte, bit 0 set when the index was built with the sentinel
   6 sections, each an 8-byte payload length followed by the payload:
     1 summary        width byte w in {1,2,4,8}, then two w-byte ints:
@@ -66,21 +66,24 @@ edge and each of its sides of more than one state a gap width in
 {4,8,16,32,64}, a clear padding nibble and states in 1..n (the states
 ascend by construction, since the gaps are unsigned).  The index is a
 sentinel index iff its dictionary holds the label 0x01; the flag bit
-must agree, and the edge 1 -> 2 that the sentinel build adds under that
-label must be the only edge at state 1.  Last, the labeled edges must
-keep Wheeler axiom 3: no label co-lexicographically above label B,
-other than one ending with B, enters a state below B's largest target
-(WheelerIndex.breaks_axiom3: one bisect per label into suffix_min, the
-index's one suffix minimum over the labels' smallest targets, which the
-matcher's label-order bound reads too), and the states 2..n that no
+must agree, and that label's postings must be exactly the loop 1 -> 1
+the sentinel build adds, so that membership walks start at state 1
+alone.  Last, the labeled edges must keep Wheeler axiom 3: no label
+co-lexicographically above label B, other than one ending with B,
+enters a state below B's largest target (WheelerIndex.breaks_axiom3:
+one bisect per label into suffix_min, the index's one suffix minimum
+over the labels' smallest targets, which the matcher's label-order
+bound reads too), and the states 2..n that no
 posting enters must be at most the epsilon-edge count, since each such
 state needs an epsilon edge of its own (WheelerIndex.unentered_states:
 one bytearray of n + 1 flags).  Axiom 4 holds by construction, since
 each label pairs its ascending sources with its ascending targets.
 Version 1 files, which also stored derived tables, version 2 files,
-which stored every posting w bytes wide, and version 3 files, which
-stored gap widths in bytes and every marker section in full, are
-rejected; rebuild them from their .gnfa source.
+which stored every posting w bytes wide, version 3 files, which stored
+gap widths in bytes and every marker section in full, and version 4
+files, whose sentinel was an extra state 1 with the edge 1 -> 2 ahead
+of every other state, are rejected; rebuild them from their .gnfa
+source.
 """
 
 from __future__ import annotations
@@ -94,13 +97,13 @@ from .index import WheelerIndex, target_offsets
 from .model import SENTINEL, SENTINEL_BYTES
 
 MAGIC = b"WGNE"
-VERSION = 4
+VERSION = 5
 FLAG_SENTINEL = 0x01
 SECTION_COUNT = 6
 DIGEST_SIZE = 8
-# the sentinel build adds state 1 and the edge 1 -> 2 and shifts every
-# other state up by one, so no other edge starts or ends at state 1
-_SENTINEL_EDGE = (array("B", [1]), array("B", [0]), 2)
+# the postings of the sentinel label: the one loop 1 -> 1 that the
+# sentinel build adds, so that membership walks start at state 1 alone
+_SENTINEL_EDGE = (array("B", [1]), array("B", [0]), 1)
 # bytes.translate tables for 4-bit gaps: the gaps below 16, a gap moved
 # to the high nibble, and the high and the low nibble of a packed byte
 _NIBBLES = bytes(range(16))
@@ -379,11 +382,8 @@ def deserialize(data: bytes) -> WheelerIndex:
     )
     if ix.sentinel_mode != bool(flags & FLAG_SENTINEL):
         raise IndexFormatError("the sentinel flag and the reserved byte 0x01 label disagree")
-    if ix.sentinel_mode and (
-        postings[SENTINEL_BYTES] != _SENTINEL_EDGE
-        or any(1 in (postings[rho][0][0], postings[rho][2]) for rho in labels[1:])
-    ):
-        raise IndexFormatError("state 1 needs the sentinel edge 1->2 and no other edge")
+    if ix.sentinel_mode and postings[SENTINEL_BYTES] != _SENTINEL_EDGE:
+        raise IndexFormatError("the sentinel label 0x01 must be the one edge 1->1")
     if ix.breaks_axiom3():
         raise IndexFormatError("the stored edges break Wheeler axiom 3")
     # each state but 1 needs an in-edge, and an epsilon edge enters one state

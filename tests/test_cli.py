@@ -16,6 +16,8 @@ from wgnfa.index import build_index
 from wgnfa.matcher import match_interval, run_steps
 from wgnfa.model import escape_label, format_gnfa, parse_patterns
 
+from conftest import CORPUS_DIR
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -308,9 +310,33 @@ def test_query_rows_out_of_sorted_order(tmp_path, gnfa_file, ten_state, capsys, 
         acc = "-" if res.accepted is None else ("1" if res.accepted else "0")
         want.append(f"{escape_label(p)}\t{res.lo}\t{res.hi}\t{res.count}\t{states}\t{acc}\n")
     assert out == "".join(want)
-    if trace and not sentinel:
+    if trace:
+        # the sentinel index numbers its states as the plain one does
         golden = (GOLDEN / "ten_state_cba.trace.tsv").read_text()
-        assert out.startswith(golden + "cba\t3\t2\t0\t\t-\n")
+        acc = "0" if sentinel else "-"
+        assert out.startswith(golden + f"cba\t3\t2\t0\t\t{acc}\n")
+
+
+def test_sentinel_trace_rows_equal_plain(tmp_path, capsys, all_corpus_names):
+    """`query --trace` on a --sentinel build prints the plain build's
+    output line for line, on every corpus file and its sidecar
+    patterns; only an answer row's last column, the membership, differs."""
+    for name in all_corpus_names:
+        outs = []
+        for flags in ([], ["--sentinel"]):
+            wgx = tmp_path / f"{name}{len(flags)}.wgx"
+            assert main(["build", str(CORPUS_DIR / f"{name}.gnfa"), "-o", str(wgx)] + flags) == 0
+            capsys.readouterr()
+            patterns = str(CORPUS_DIR / f"{name}.patterns")
+            assert main(["query", str(wgx), "--patterns", patterns, "--trace"]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        plain, sent = outs
+        assert len(plain) == len(sent), name
+        for want, got in zip(plain, sent):
+            if want.endswith("\t-"):
+                assert got[:-1] == want[:-1] and got[-1] in "01", (name, want, got)
+            else:
+                assert got == want, (name, want)
 
 
 def test_exit_code_usage(capsys):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wgnfa.crosscheck import crosscheck_instance
 from wgnfa.generate import GenerationError, GenerationParams, generate_instance, sample_patterns
-from wgnfa.model import GeneralizedAutomaton
+from wgnfa.index import build_index
+from wgnfa.matcher import match_patterns
+from wgnfa.model import GeneralizedAutomaton, validate
+from wgnfa.oracle import brute_accepts
 
 
 def test_samples_agree(ten_state, four_state):
@@ -63,3 +68,24 @@ def test_detects_planted_divergence(ten_state, scrambled_ten_state):
     # so agreement still holds; what must flag instead is a wrong order
     assert crosscheck_instance(lying, [b"a", b"bba"]) == []
     assert crosscheck_instance(scrambled_ten_state, [b"", b"a", b"b", b"ba", b"bba"]) != []
+
+
+@pytest.mark.parametrize(
+    "edges, finals",
+    [
+        (((2, 1, b"a"), (1, 2, b"b")), {1}),
+        (((2, 1, b"a"), (1, 2, b"b")), {2}),
+        (((1, 1, b"a"), (1, 2, b"b")), {2}),
+    ],
+)
+def test_labeled_cycles_through_state_1_agree(edges, finals):
+    # cycles that spell a nonempty string, through an edge into state 1
+    # or a loop at state 1 beside the sentinel's own: the numbering stays
+    # Wheeler, and sentinel membership matches the oracle on every
+    # pattern over {a, b} up to length 5
+    a = GeneralizedAutomaton(state_count=2, edges=edges, finals=frozenset(finals))
+    assert validate(a, 6).ok
+    patterns = [bytes(p) for k in range(6) for p in itertools.product(b"ab", repeat=k)]
+    assert crosscheck_instance(a, patterns) == []
+    answers = match_patterns(build_index(a, with_sentinel=True), patterns)
+    assert [acc for _, _, _, acc in answers] == [brute_accepts(a, p) for p in patterns]

@@ -127,9 +127,8 @@ def test_min_state_above_is_the_colex_suffix_minimum(all_corpus_names):
     for name in all_corpus_names:
         a = load_instance(name)
         for sentinel in (False, True):
-            lead = int(sentinel)
-            led = [(v + lead, rho) for _, v, rho in a.edges if rho]
-            led += [(2, SENTINEL_BYTES)] * sentinel
+            led = [(v, rho) for _, v, rho in a.edges if rho]
+            led += [(1, SENTINEL_BYTES)] * sentinel
             built = load_index(name, sentinel)
             for ix in (built, deserialize(serialize(built))):
                 assert {id(rho) for rho in ix.rows} == {id(rho) for rho in ix.labels}
@@ -149,24 +148,22 @@ def test_summary_derived_from_postings():
             assert ix.r == a.max_label_len, name
 
 
-def _augment(a, lead_label=SENTINEL_BYTES):
-    """Reference for the sentinel build: prepend the state and edge."""
-    edges = [(1, 2, lead_label)]
-    edges.extend((u + 1, v + 1, rho) for u, v, rho in a.edges)
+def _augment(a, loop_label=SENTINEL_BYTES):
+    """Reference for the sentinel build: add the loop on state 1."""
     return GeneralizedAutomaton(
-        state_count=a.state_count + 1,
-        edges=tuple(edges),
-        finals=frozenset(q + 1 for q in a.finals),
+        state_count=a.state_count,
+        edges=((1, 1, loop_label), *a.edges),
+        finals=a.finals,
     )
 
 
 def test_sentinel_build_matches_augmented(ten_state, four_state):
-    """The sentinel build indexes the automaton with the sentinel state and
-    edge prepended, which keeps the numbering Wheeler."""
+    """The sentinel build indexes the automaton with the sentinel loop
+    added on state 1 and the numbering unchanged, which stays Wheeler."""
     assert validate(_augment(ten_state), axiom1_depth=5).ok
     instances = [ten_state, four_state] + [load_instance(name) for name in corpus_names()]
     # a plain build refuses the reserved sentinel byte, so the reference
-    # leads with 0x02, which also sorts below every corpus label byte
+    # loops on 0x02, which also sorts below every corpus label byte
     stand_in = {SENTINEL_BYTES: b"\x02"}
     for a in instances:
         got = build_index(a, with_sentinel=True)

@@ -174,6 +174,20 @@ def test_sentinel_index_translation(ten_state, four_state):
             assert (rs.lo, rs.hi, rs.count) == (rp.lo, rp.hi, rp.count)
 
 
+def test_sentinel_trace_equals_plain_trace(all_corpus_names):
+    """A sentinel index numbers its states as the plain index does, so
+    on every corpus instance and sidecar pattern the traced recursion
+    prints the same rows and counts the same ops on both."""
+    runs = 0
+    for name in all_corpus_names:
+        plain, sent = load_index(name), load_index(name, with_sentinel=True)
+        for p in load_sidecar_patterns(name):
+            want, got = run_steps(plain, p), run_steps(sent, p)
+            assert (got.dump_tsv(), got.ops) == (want.dump_tsv(), want.ops), (name, p)
+            runs += 1
+    assert runs > 10_000
+
+
 def test_acceptance_ten_state(ten_state):
     ix = build_index(ten_state, with_sentinel=True)
     for pat in (b"", b"a", b"ba", b"cba"):

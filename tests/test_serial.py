@@ -20,7 +20,8 @@ from wgnfa.index import NO_ROW, build_index
 from wgnfa.matcher import match_interval, match_patterns
 from wgnfa.model import GeneralizedAutomaton
 from wgnfa.oracle import brute_accepts, brute_match
-from wgnfa.serial import IndexFormatError, deserialize, payload_bits, serialize
+from wgnfa.crosscheck import crosscheck_instance
+from wgnfa.serial import MAGIC, VERSION, IndexFormatError, deserialize, payload_bits, serialize
 
 from conftest import load_index, suffix_label_max
 
@@ -69,7 +70,7 @@ def test_round_trip_sentinel(ten_state):
 def test_header_bytes(four_state, four_state_index):
     data = serialize(four_state_index)
     assert data[:4] == b"WGNE"
-    assert data[4] == 4
+    assert data[4] == 5
     assert data[5] == 0
     data_s = serialize(build_index(four_state, with_sentinel=True))
     assert data_s[5] == 1
@@ -93,8 +94,8 @@ def test_bad_magic(four_state_index):
 
 
 def test_bad_version(four_state_index):
-    # version 1, 2 and 3 files are rejected cleanly; they have to be rebuilt
-    for version in (1, 2, 3):
+    # version 1 to 4 files are rejected cleanly; they have to be rebuilt
+    for version in (1, 2, 3, 4):
         data = bytearray(serialize(four_state_index))
         data[4] = version
         with pytest.raises(IndexFormatError, match=f"unsupported index version {version}"):
@@ -367,7 +368,7 @@ def one_label_file(n: int, postings: bytes) -> bytes:
         (1).to_bytes(w, "little") * 2 + b"a",
         postings,
     ]
-    return frame(b"WGNE\x04\x00", parts)
+    return frame(MAGIC + bytes([VERSION, 0]), parts)
 
 
 def test_target_gaps_checked_against_n():
@@ -548,9 +549,11 @@ def test_postings_take_about_a_byte_per_entry():
 
 
 def test_sentinel_flag_must_agree_with_dictionary(ten_state, ten_state_index):
-    """The flag bit alone does not make a sentinel index: set on a plain
-    file it would shift every interval down by one ('a' would answer
-    1..4, not 2..5), so the file is refused."""
+    """The flag bit alone does not make a sentinel index, and the label
+    0x01 alone does not either: the two must agree, or the file is
+    refused.  A sentinel index numbers its states as the plain one does,
+    so a stray flag would change no interval ('a' answers 2..5 on both);
+    the flag is a checked redundancy."""
     res = match_interval(ten_state_index, b"a")
     assert (res.lo, res.hi) == (2, 5)
     data = serialize(ten_state_index)
@@ -563,26 +566,41 @@ def test_sentinel_flag_must_agree_with_dictionary(ten_state, ten_state_index):
         deserialize(reframe(cleared, 4, split_sections(data)[4]))
 
 
-def test_sentinel_edge_is_the_only_edge_at_state_1(ten_state):
-    """A sentinel edge 1 -> 3 would make membership start at state 2
-    ('ca' accepted, 'bba' and 'aca' refused), and another edge at state 1
-    has no edge of the automaton to stand for, so the file is refused."""
+def test_sentinel_posting_is_the_loop_on_state_1(ten_state):
+    """The label 0x01 must hold exactly the loop 1 -> 1 that the sentinel
+    build adds: any other sentinel edge, or a second one, would start
+    membership walks somewhere other than the initial state alone, so
+    the file is refused."""
     ix = build_index(ten_state, with_sentinel=True)
     data = serialize(ix)
     sentinel, a, *rest = edge_lists(ix)
-    # label 0x01: edge 1 -> 2; label a: sources 2, 9, 10 and targets 3, 4, 5
-    assert (sentinel, a) == (([1], [2]), ([2, 9, 10], [3, 4, 5]))
+    # label 0x01: edge 1 -> 1; label a: sources 1, 8, 9 and targets 2, 3, 4
+    assert (sentinel, a) == (([1], [1]), ([1, 8, 9], [2, 3, 4]))
     assert split_sections(data)[5] == postings_bytes([sentinel, a, *rest])
-    for edges in (
-        [([1], [3]), ([2, 9, 10], [3, 4, 5])],
-        [([2], [2]), ([2, 9, 10], [3, 4, 5])],
-        [([1, 1], [2, 3]), ([2, 9, 10], [3, 4, 5])],
-        [([1], [2]), ([1, 9, 10], [3, 4, 5])],
-        [([1], [2]), ([2, 9, 10], [1, 4, 5])],
-    ):
-        crafted = postings_bytes(edges + rest)
-        with pytest.raises(IndexFormatError, match="sentinel edge"):
+    for edge in (([1], [2]), ([2], [2]), ([2], [1]), ([1, 1], [1, 2]), ([1, 1], [1, 1])):
+        crafted = postings_bytes([edge, a, *rest])
+        with pytest.raises(IndexFormatError, match="sentinel label"):
             deserialize(reframe(data, 5, crafted))
+
+
+def test_other_labels_may_start_or_end_at_state_1():
+    """Besides the sentinel loop, a sentinel file may hold edges that
+    leave or enter state 1, here 1 -> 2 'b' and 2 -> 1 'a'.  It loads,
+    and answers every pattern over {a, b} up to length 4 as the plain
+    index does, with the membership crosscheck_instance checks against
+    the brute-force oracle."""
+    a = GeneralizedAutomaton(
+        state_count=2, edges=((2, 1, b"a"), (1, 2, b"b")), finals=frozenset({1})
+    )
+    loaded = deserialize(serialize(build_index(a, with_sentinel=True)))
+    assert edge_lists(loaded) == [([1], [1]), ([2], [1]), ([1], [2])]
+    patterns = [bytes(p) for k in range(5) for p in itertools.product(b"ab", repeat=k)]
+    assert crosscheck_instance(a, patterns) == []
+    answers = match_patterns(loaded, patterns)
+    for p, got, want in zip(patterns, answers, match_patterns(build_index(a), patterns)):
+        assert got == (*want[:3], brute_accepts(a, p)), p
+    # the accepted ones: the empty pattern, ba and baba
+    assert sum(accepted for _, _, _, accepted in answers) == 3
 
 
 def test_file_breaking_axiom3_refused():
@@ -700,7 +718,7 @@ def test_loaded_index_heap_within_4x_file(sentinel):
         heap = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert ix.n_states == a.state_count + sentinel
+    assert ix.n_states == a.state_count
     assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
 
 
