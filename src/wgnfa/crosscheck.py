@@ -5,8 +5,8 @@ runs it (match_patterns, a sorted walk that resumes shared prefixes);
 besides raw equality this also asserts the structural facts the whole
 design rests on, namely that the matching states always form one
 contiguous block placed directly after the strictly-below block, and
-that a sentinel index, whose states are numbered as the plain index's,
-gives the plain intervals.
+that a sentinel index, which stores the plain index's edges, gives the
+plain intervals.
 """
 
 from __future__ import annotations

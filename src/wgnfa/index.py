@@ -58,14 +58,7 @@ from itertools import accumulate, repeat
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
 from .closure import build_closure_arrays
-from .model import (
-    SENTINEL,
-    SENTINEL_BYTES,
-    GeneralizedAutomaton,
-    SentinelInLabelError,
-    colex_key,
-    suffix_block_end,
-)
+from .model import SENTINEL, GeneralizedAutomaton, SentinelInLabelError, colex_key, suffix_block_end
 
 
 # (sources, target offsets, label-order bound, base, shift, samples) of
@@ -130,25 +123,27 @@ class WheelerIndex:
     """Built via build_index() or deserialize(); states are 1..n.
 
     Both pass the same inputs: the state and epsilon-edge counts, the
-    finals and marker bits, the dictionary (non-empty labels strictly
-    increasing in co-lex order) and its postings (label -> (sources,
-    offsets, base), at least one edge per label: the ascending sources
-    in an array of the width that holds n, and the ascending targets as
-    their first state and each one's offset from it, in the narrowest
-    unsigned array that holds the last offset).  The postings are kept
-    only inside `rows`, which maps each dictionary label object to
-    (sources, offsets, bound, base, shift, samples): bound is the
-    smallest state entered by any label sorting co-lexicographically
-    above it (0 if there is none), suffix_min's entry just past the
-    label's own, and shift and samples are rank_samples' block table
-    over the sources.  out_count takes such a row, and so do the two
-    prefix boundaries, which the matcher reads off the row itself.  The
-    target sides of a single state, most of them on a trie with
-    thousands of labels, share one offsets array, and a label with too
-    few sources for a block table holds None for its samples.  No
-    Python object is held per edge or per state, but each label costs
-    about 360 bytes of heap on top of its file bytes, so an index with
-    thousands of labels loads to about twenty heap bytes per file byte.
+    finals and marker bits, sentinel_mode (whether membership queries
+    may run, for which the index stores nothing else), the dictionary
+    (non-empty labels strictly increasing in co-lex order) and its
+    postings (label -> (sources, offsets, base), at least one edge per
+    label: the ascending sources in an array of the width that holds n,
+    and the ascending targets as their first state and each one's offset
+    from it, in the narrowest unsigned array that holds the last
+    offset).  The postings are kept only inside `rows`, which maps each
+    dictionary label object to (sources, offsets, bound, base, shift,
+    samples): bound is the smallest state entered by any label sorting
+    co-lexicographically above it (0 if there is none), suffix_min's
+    entry just past the label's own, and shift and samples are
+    rank_samples' block table over the sources.  out_count takes such a
+    row, and so do the two prefix boundaries, which the matcher reads
+    off the row itself.  The target sides of a single state, most of them
+    on a trie with thousands of labels, share one offsets array, and a
+    label with too few sources for a block table holds None for its
+    samples.  No Python object is held per edge or per state, but each
+    label costs about 360 bytes of heap on top of its file bytes, so an
+    index with thousands of labels loads to about twenty heap bytes per
+    file byte.
 
     Every other table holds one entry per dictionary label, never one
     per edge: revs holds the reversed labels in dictionary order, and
@@ -157,9 +152,8 @@ class WheelerIndex:
     both the matcher's label-order bound and breaks_axiom3.  Because the
     targets ascend, a label's smallest and largest target are base and
     base + offsets[-1]; a minimum or maximum over a block of labels is
-    then the same as over all their edges.  These rows, r (the longest
-    label) and sentinel_mode (whether the dictionary holds the sentinel
-    label) are derived here and nowhere else.
+    then the same as over all their edges.  These rows and r (the
+    longest label) are derived here and nowhere else.
     """
 
     def __init__(
@@ -169,13 +163,13 @@ class WheelerIndex:
         finals: RankSelectBits,
         b_max: RankSelectBits,
         b_min: RankSelectBits,
+        sentinel_mode: bool,
         labels: tuple[bytes, ...],
         postings: dict[bytes, tuple[array, array, int]],
     ):
         self.n_states = state_count
         self.epsilon_edge_count = epsilon_edge_count
-        # the sentinel byte sorts below every other label byte
-        self.sentinel_mode = labels[:1] == (SENTINEL_BYTES,)
+        self.sentinel_mode = sentinel_mode
         self.finals = finals
         self.b_max = b_max
         self.b_min = b_min
@@ -332,11 +326,9 @@ def build_index(
     One pass over the edges groups the labeled ones by label and counts
     the epsilon edges, and the epsilon closure, handed the ones that are
     not self-loops, gives the marker bits.
-    with_sentinel adds the one edge (1, 1, 0x01) that membership
-    queries need, a sentinel loop on the initial state, and keeps the
-    numbering: the sentinel byte sorts below every allowed label byte
-    and labels no other edge, so the order stays Wheeler, and every
-    query interval and marker bit is the plain build's.
+    with_sentinel sets sentinel_mode, which lets membership queries run,
+    and changes nothing else: the loop 0x01 on state 1 that membership
+    reasons about is never stored (see the matcher's module docstring).
 
     Raises SentinelInLabelError if a label holds one of the reserved
     bytes 0x00 and 0x01, which no container could load, and
@@ -362,8 +354,6 @@ def build_index(
         tgts.append(v)
     if any(0x00 in rho or SENTINEL in rho for rho in per_label):
         raise SentinelInLabelError("reserved byte 0x00 or 0x01 in a label")
-    if with_sentinel:
-        per_label[SENTINEL_BYTES] = ([1], [1])
 
     closure = build_closure_arrays(a, eps)
 
@@ -384,6 +374,7 @@ def build_index(
         finals=RankSelectBits(bytes(finals_bits)),
         b_max=RankSelectBits(closure.b_max[1:]),
         b_min=RankSelectBits(closure.b_min[1:]),
+        sentinel_mode=with_sentinel,
         labels=labels,
         postings=postings,
     )

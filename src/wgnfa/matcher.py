@@ -26,16 +26,19 @@ per-symbol StepRecord of these internals only when asked to trace;
 interval queries run it without, and `wgnfa query --trace` runs it
 again with them.
 
-An index built with the sentinel holds one more edge, the loop 0x01 on
-the initial state 1, and numbers the states as the plain index does.
-Membership of P is the recursion on 0x01.P, whose suffixed block is
-exactly the states P enters from the initial state.  The only string
-co-lexicographically in [alpha, 0x01.alpha) is alpha itself, since no
-label holds 0x00, and every state alpha enters is entered by
-0x01.alpha too, through the loop: c(0x01.alpha) = c(alpha) for every
-alpha, the empty one included.  No label but the sentinel's holds
-0x01, so none ends with 0x01.alpha for nonempty alpha, and i* is 0
-past the sentinel.  accepts thus reuses P's own c and runs only the
+An index built with the sentinel stores the plain index's edges and
+differs only in allowing membership queries, which reason about the
+automaton with one more edge, the loop 0x01 on the initial state 1.
+That loop is virtual: the index never stores it, and no step reads it.
+0x01 sorts below every label byte, so the numbering stays Wheeler with
+the loop added.  Membership of P is the recursion on 0x01.P, whose
+suffixed block is exactly the states P enters from the initial state.
+The only string co-lexicographically in [alpha, 0x01.alpha) is alpha
+itself, since no label holds 0x00, and every state alpha enters is
+entered by 0x01.alpha too, through the loop: c(0x01.alpha) = c(alpha)
+for every alpha, the empty one included.  No label holds 0x01, so
+none ends with 0x01.alpha for nonempty alpha, and i* is 0 past the
+sentinel.  accepts thus reuses P's own c and runs only the
 upper counter e[l] = d(0x01.P[:l]), from e[0] = marker_ceiling(1),
 with g_k > f_k read as the chunk's g_k-th source lying above the cut.
 match_interval runs accepts only when the pattern's own block

@@ -23,7 +23,6 @@ from operator import itemgetter
 from typing import Iterable
 
 SENTINEL = 0x01
-SENTINEL_BYTES = bytes([SENTINEL])
 EPSILON = b""
 
 Edge = tuple[int, int, bytes]

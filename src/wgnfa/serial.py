@@ -3,8 +3,9 @@
 Layout, all integers little-endian:
 
   magic   "WGNE" (4 bytes)
-  version 0x05   (1 byte)
-  flags   1 byte, bit 0 set when the index was built with the sentinel
+  version 0x06   (1 byte)
+  flags   1 byte, bit 0 set when the index was built with the sentinel,
+          which makes it a sentinel index and is stored nowhere else
   6 sections, each an 8-byte payload length followed by the payload:
     1 summary        width byte w in {1,2,4,8}, then two w-byte ints:
                      states n and epsilon edge count
@@ -60,30 +61,29 @@ direct epsilon edge into v from above v, since by axiom 4 an epsilon
 path whose last edge climbs into v stays below v throughout, and
 likewise a zero in b_min one from below, so each edge pays for at most
 one zero), that dictionary labels are non-empty, strictly increasing in
-co-lex order and free of the reserved bytes 0x00 and 0x01 but for the
-single label 0x01, and that every postings entry holds at least one
-edge and each of its sides of more than one state a gap width in
-{4,8,16,32,64}, a clear padding nibble and states in 1..n (the states
-ascend by construction, since the gaps are unsigned).  The index is a
-sentinel index iff its dictionary holds the label 0x01; the flag bit
-must agree, and that label's postings must be exactly the loop 1 -> 1
-the sentinel build adds, so that membership walks start at state 1
-alone.  Last, the labeled edges must keep Wheeler axiom 3: no label
-co-lexicographically above label B, other than one ending with B,
-enters a state below B's largest target (WheelerIndex.breaks_axiom3:
-one bisect per label into suffix_min, the index's one suffix minimum
-over the labels' smallest targets, which the matcher's label-order
-bound reads too), and the states 2..n that no
-posting enters must be at most the epsilon-edge count, since each such
-state needs an epsilon edge of its own (WheelerIndex.unentered_states:
-one bytearray of n + 1 flags).  Axiom 4 holds by construction, since
-each label pairs its ascending sources with its ascending targets.
-Version 1 files, which also stored derived tables, version 2 files,
-which stored every posting w bytes wide, version 3 files, which stored
-gap widths in bytes and every marker section in full, and version 4
-files, whose sentinel was an extra state 1 with the edge 1 -> 2 ahead
-of every other state, are rejected; rebuild them from their .gnfa
-source.
+co-lex order and free of the reserved bytes 0x00 and 0x01, and that
+every postings entry holds at least one edge and each of its sides of
+more than one state a gap width in {4,8,16,32,64}, a clear padding
+nibble and states in 1..n (the states ascend by construction, since the
+gaps are unsigned).  A sentinel file stores the edges a plain one does:
+the sentinel loop 0x01 on state 1 is never stored, and no label holds
+0x01, so the flag bit cannot disagree with the rest of the file.  Last,
+the labeled edges must keep Wheeler axiom 3: no label
+co-lexicographically above label B, other than one ending with B, enters
+a state below B's largest target (WheelerIndex.breaks_axiom3: one bisect
+per label into suffix_min, the index's one suffix minimum over the
+labels' smallest targets, which the matcher's label-order bound reads
+too), and the states 2..n that no posting enters must be at most the
+epsilon-edge count, since each such state needs an epsilon edge of its
+own (WheelerIndex.unentered_states: one bytearray of n + 1
+flags).  Axiom 4 holds by construction, since each label pairs its
+ascending sources with its ascending targets.  Version 1 files, which
+also stored derived tables, version 2 files, which stored every posting
+w bytes wide, version 3 files, which stored gap widths in bytes and
+every marker section in full, version 4 files, whose sentinel was an
+extra state 1 with the edge 1 -> 2 ahead of every other state, and
+version 5 files, which stored the sentinel as the label 0x01 on the loop
+1 -> 1, are rejected; rebuild them from their .gnfa source.
 """
 
 from __future__ import annotations
@@ -94,16 +94,13 @@ from itertools import accumulate
 
 from .bitvec import UINT_TYPECODES, RankSelectBits, uint_array, uint_bytes, uint_lanes, uint_width
 from .index import WheelerIndex, target_offsets
-from .model import SENTINEL, SENTINEL_BYTES
+from .model import SENTINEL
 
 MAGIC = b"WGNE"
-VERSION = 5
+VERSION = 6
 FLAG_SENTINEL = 0x01
 SECTION_COUNT = 6
 DIGEST_SIZE = 8
-# the postings of the sentinel label: the one loop 1 -> 1 that the
-# sentinel build adds, so that membership walks start at state 1 alone
-_SENTINEL_EDGE = (array("B", [1]), array("B", [0]), 1)
 # bytes.translate tables for 4-bit gaps: the gaps below 16, a gap moved
 # to the high nibble, and the high and the low nibble of a packed byte
 _NIBBLES = bytes(range(16))
@@ -341,8 +338,8 @@ def deserialize(data: bytes) -> WheelerIndex:
             )
         if 0x00 in rho:
             raise IndexFormatError("reserved byte 0x00 in a dictionary label")
-        if SENTINEL in rho and rho != SENTINEL_BYTES:
-            raise IndexFormatError("reserved byte 0x01 outside the sentinel label")
+        if SENTINEL in rho:
+            raise IndexFormatError("reserved byte 0x01 in a dictionary label")
         labels.append(rho)
         prev_rev = rev
     rd.finish("dictionary")
@@ -377,13 +374,10 @@ def deserialize(data: bytes) -> WheelerIndex:
         finals=finals,
         b_max=b_max,
         b_min=b_min,
+        sentinel_mode=bool(flags & FLAG_SENTINEL),
         labels=tuple(labels),
         postings=postings,
     )
-    if ix.sentinel_mode != bool(flags & FLAG_SENTINEL):
-        raise IndexFormatError("the sentinel flag and the reserved byte 0x01 label disagree")
-    if ix.sentinel_mode and postings[SENTINEL_BYTES] != _SENTINEL_EDGE:
-        raise IndexFormatError("the sentinel label 0x01 must be the one edge 1->1")
     if ix.breaks_axiom3():
         raise IndexFormatError("the stored edges break Wheeler axiom 3")
     # each state but 1 needs an in-edge, and an epsilon edge enters one state

@@ -37,6 +37,27 @@ def load_index(name: str, with_sentinel: bool = False) -> WheelerIndex:
     return build_index(load_instance(name), with_sentinel=with_sentinel)
 
 
+# the label of augment's loop: a plain build refuses the reserved sentinel
+# byte 0x01, and 0x02 also sorts below every label byte and appears in no
+# test label or pattern
+STAND_IN = b"\x02"
+
+
+def augment(a: GeneralizedAutomaton) -> GeneralizedAutomaton:
+    """a with the loop (1, 1, STAND_IN) added: the automaton a sentinel
+    index's membership queries reason about, with the never-stored 0x01
+    loop on state 1 made explicit.  Its plain index, walked on STAND_IN
+    followed by P, is the reference for membership of P."""
+    return GeneralizedAutomaton(
+        state_count=a.state_count, edges=((1, 1, STAND_IN), *a.edges), finals=a.finals
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def load_augmented_index(name: str) -> WheelerIndex:
+    return build_index(augment(load_instance(name)))
+
+
 def suffix_label_max(ix: WheelerIndex, alpha: bytes) -> int:
     """ix.max_state_with_suffix_label for alpha, asked as the matcher asks
     it: with alpha reversed and where that sorts among the reversed labels."""

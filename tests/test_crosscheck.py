@@ -80,9 +80,9 @@ def test_detects_planted_divergence(ten_state, scrambled_ten_state):
 )
 def test_labeled_cycles_through_state_1_agree(edges, finals):
     # cycles that spell a nonempty string, through an edge into state 1
-    # or a loop at state 1 beside the sentinel's own: the numbering stays
-    # Wheeler, and sentinel membership matches the oracle on every
-    # pattern over {a, b} up to length 5
+    # or a loop at state 1 beside the sentinel's virtual one: the
+    # numbering stays Wheeler, and sentinel membership matches the oracle
+    # on every pattern over {a, b} up to length 5
     a = GeneralizedAutomaton(state_count=2, edges=edges, finals=frozenset(finals))
     assert validate(a, 6).ok
     patterns = [bytes(p) for k in range(6) for p in itertools.product(b"ab", repeat=k)]

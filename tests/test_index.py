@@ -13,16 +13,10 @@ from hypothesis import strategies as st
 
 from wgnfa.generate import build_piece_trie
 from wgnfa.index import _SAMPLED_MIN, NO_ROW, build_index
-from wgnfa.model import (
-    SENTINEL_BYTES,
-    GeneralizedAutomaton,
-    SentinelInLabelError,
-    colex_key,
-    validate,
-)
+from wgnfa.model import GeneralizedAutomaton, SentinelInLabelError, colex_key, validate
 from wgnfa.serial import IndexFormatError, deserialize, serialize
 
-from conftest import corpus_names, load_index, load_instance, suffix_label_max
+from conftest import augment, corpus_names, load_index, load_instance, suffix_label_max
 
 
 def test_out_count_ten(ten_state_index):
@@ -128,7 +122,6 @@ def test_min_state_above_is_the_colex_suffix_minimum(all_corpus_names):
         a = load_instance(name)
         for sentinel in (False, True):
             led = [(v, rho) for _, v, rho in a.edges if rho]
-            led += [(1, SENTINEL_BYTES)] * sentinel
             built = load_index(name, sentinel)
             for ix in (built, deserialize(serialize(built))):
                 assert {id(rho) for rho in ix.rows} == {id(rho) for rho in ix.labels}
@@ -148,31 +141,23 @@ def test_summary_derived_from_postings():
             assert ix.r == a.max_label_len, name
 
 
-def _augment(a, loop_label=SENTINEL_BYTES):
-    """Reference for the sentinel build: add the loop on state 1."""
-    return GeneralizedAutomaton(
-        state_count=a.state_count,
-        edges=((1, 1, loop_label), *a.edges),
-        finals=a.finals,
-    )
-
-
 def test_sentinel_build_matches_augmented(ten_state, four_state):
-    """The sentinel build indexes the automaton with the sentinel loop
-    added on state 1 and the numbering unchanged, which stays Wheeler."""
-    assert validate(_augment(ten_state), axiom1_depth=5).ok
+    """The sentinel build stores the plain build's labels, rows, bits
+    and r, and differs only in sentinel_mode: the loop on state 1 that
+    membership reasons about is never stored.  With that loop added the
+    numbering stays Wheeler."""
+    assert validate(augment(ten_state), axiom1_depth=5).ok
     instances = [ten_state, four_state] + [load_instance(name) for name in corpus_names()]
-    # a plain build refuses the reserved sentinel byte, so the reference
-    # loops on 0x02, which also sorts below every corpus label byte
-    stand_in = {SENTINEL_BYTES: b"\x02"}
     for a in instances:
         got = build_index(a, with_sentinel=True)
-        want = build_index(_augment(a, b"\x02"))
-        assert (
-            got.n_states,
-            [stand_in.get(rho, rho) for rho in got.labels],
-            {stand_in.get(rho, rho): row for rho, row in got.rows.items()},
-        ) == (want.n_states, list(want.labels), want.rows)
+        want = build_index(a)
+        assert (got.sentinel_mode, want.sentinel_mode) == (True, False)
+        assert (got.n_states, got.labels, got.rows, got.r) == (
+            want.n_states,
+            want.labels,
+            want.rows,
+            want.r,
+        )
         for bits in ("finals", "b_max", "b_min"):
             assert getattr(got, bits).to_bytes() == getattr(want, bits).to_bytes()
 

@@ -22,10 +22,18 @@ from wgnfa.matcher import (
     match_patterns,
     run_steps,
 )
-from wgnfa.model import SENTINEL_BYTES
-from wgnfa.oracle import brute_accepts
+from wgnfa.model import parse_gnfa
+from wgnfa.oracle import brute_accepts, brute_below_count, brute_match
 
-from conftest import corpus_names, load_index, load_instance, load_sidecar_patterns
+from conftest import (
+    STAND_IN,
+    augment,
+    corpus_names,
+    load_augmented_index,
+    load_index,
+    load_instance,
+    load_sidecar_patterns,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -175,9 +183,9 @@ def test_sentinel_index_translation(ten_state, four_state):
 
 
 def test_sentinel_trace_equals_plain_trace(all_corpus_names):
-    """A sentinel index numbers its states as the plain index does, so
-    on every corpus instance and sidecar pattern the traced recursion
-    prints the same rows and counts the same ops on both."""
+    """A sentinel index stores the plain index's edges, so on every
+    corpus instance and sidecar pattern the traced recursion prints the
+    same rows and counts the same ops on both."""
     runs = 0
     for name in all_corpus_names:
         plain, sent = load_index(name), load_index(name, with_sentinel=True)
@@ -186,6 +194,45 @@ def test_sentinel_trace_equals_plain_trace(all_corpus_names):
             assert (got.dump_tsv(), got.ops) == (want.dump_tsv(), want.ops), (name, p)
             runs += 1
     assert runs > 10_000
+
+
+def test_patterns_holding_0x00_answer_alike_on_both_indexes(all_corpus_names):
+    """No label holds the byte 0x00, so a pattern holding it reaches no
+    state: on every corpus instance, with 0x00 spliced into each sidecar
+    pattern at each position and as the pattern 0x00 alone, the plain
+    and the sentinel index both answer the oracle's (empty) block after
+    the brute-force strictly-below count, and membership is False.  So
+    the sentinel index may store no 0x01 label: it would sort just above
+    0x00, and a head step's bisect could land on it."""
+    checked = 0
+    for name in all_corpus_names:
+        a = load_instance(name)
+        sidecar = load_sidecar_patterns(name)
+        spliced = {p[:i] + b"\x00" + p[i:] for p in sidecar for i in range(len(p) + 1)}
+        pats = sorted(spliced | {b"\x00"})
+        plain = match_patterns(load_index(name), pats)
+        sent = match_patterns(load_index(name, with_sentinel=True), pats)
+        for p, (lo, hi, _, _), (lo_s, hi_s, _, accepted) in zip(pats, plain, sent):
+            below = brute_below_count(a, p)
+            want = (below + 1, below + len(brute_match(a, p)))
+            assert (lo, hi) == (lo_s, hi_s) == want, (name, p)
+            assert accepted is False, (name, p)
+            checked += 1
+    assert checked > 10_000, checked
+
+
+def test_label_free_automaton_traces_alike_on_both_indexes():
+    """states 2 with the one edge 1 -> 2 @e: there is no labeled edge,
+    so both indexes have r = 0 and print traces with no f_k or g_k
+    column, and a sentinel index's membership is the oracle's."""
+    a = parse_gnfa("gnfa 1\nstates 2\ninitial 1\nfinal 2\nedge 1 2 @e\n")
+    plain, sent = build_index(a), build_index(a, with_sentinel=True)
+    assert plain.r == sent.r == 0
+    for pat in (b"", b"a", b"ab", b"\x00", b"ba\x00"):
+        want, got = run_steps(plain, pat), run_steps(sent, pat)
+        assert (got.dump_tsv(), got.ops) == (want.dump_tsv(), want.ops), pat
+        assert accepts(sent, pat) == brute_accepts(a, pat), pat
+    assert accepts(sent, b"") is True
 
 
 def test_acceptance_ten_state(ten_state):
@@ -241,15 +288,15 @@ def _sweep_patterns(name: str) -> list[bytes]:
 
 
 def test_untraced_recursion_equals_traced(all_corpus_names):
-    # the sidecar patterns on plain and sentinel indexes (raw, as
-    # match_interval runs them, and sentinel-prefixed, as accepts does),
-    # plus the exhaustive short sweep
+    # the sidecar patterns on plain and sentinel indexes, as
+    # match_interval runs them, and STAND_IN-prefixed on the augmented
+    # index, the walk accepts stands for; plus the exhaustive short sweep
     runs = 0
     for name in all_corpus_names:
         pats = list(load_sidecar_patterns(name)) + _sweep_patterns(name)
-        sent = load_index(name, with_sentinel=True)
+        sent, ref = load_index(name, with_sentinel=True), load_augmented_index(name)
         cases = [(load_index(name), p) for p in pats]
-        cases += [(sent, p) for p in pats] + [(sent, SENTINEL_BYTES + p) for p in pats]
+        cases += [(sent, p) for p in pats] + [(ref, STAND_IN + p) for p in pats]
         for ix, pat in cases:
             full = run_steps(ix, pat, trace=True)
             bare = run_steps(ix, pat, trace=False)
@@ -324,15 +371,16 @@ def _check_against_reference(ix, patterns) -> int:
 
 def test_fused_step_equals_reference_on_the_corpus(all_corpus_names):
     # the sidecar patterns, and every fifth with a byte no label holds
-    # spliced in, on plain and sentinel indexes, sentinel-prefixed on the
-    # latter
+    # spliced in, on plain and sentinel indexes, and STAND_IN-prefixed
+    # on the augmented index
     ran = no_row = fallback = shorter = 0
     for name in all_corpus_names:
         pats = list(load_sidecar_patterns(name))
         pats += [p[:2] + b"z" + p[2:] for p in pats[::5]]
         plain, sent = load_index(name), load_index(name, with_sentinel=True)
+        ref = load_augmented_index(name)
         no_row += sum(b"z" in p for p in pats)
-        for ix, ix_pats in ((plain, pats), (sent, pats + [SENTINEL_BYTES + p for p in pats])):
+        for ix, ix_pats in ((plain, pats), (sent, pats), (ref, [STAND_IN + p for p in pats])):
             ran += _check_against_reference(ix, ix_pats)
             # the steps past r whose length-r chunk is not a label bisect
             # for the label-order bound; in most a shorter chunk is a label
@@ -362,19 +410,22 @@ def test_fused_step_equals_reference_with_marker_zeros():
     assert checked > 150, checked
 
 
-def _check_membership_pass(ix, patterns) -> int:
-    """accepts against the recursion run on the sentinel-prefixed
-    pattern: that walk's lower counters past the sentinel are the
-    pattern's own (c[2:] == c[1:]), and the upper counters e that
-    accepts keeps on the walk are its d[1:].  Checked fresh, with and
-    without the pattern's walk, and resumed over the patterns (and the
-    empty one) in sorted order, where every third pattern skips accepts
-    and every other one hands accepts the walk still holding the pattern
-    before it.  Returns how many prefix positions were compared."""
+def _check_membership_pass(a, patterns) -> int:
+    """accepts on a's sentinel index against the recursion run on the
+    augmented automaton's plain index with STAND_IN put in front of the
+    pattern, the walk on 0x01.pattern made explicit: that walk's lower
+    counters past STAND_IN are the pattern's own (c[2:] == c[1:]), and
+    the upper counters e that accepts keeps on the walk are its d[1:].
+    Checked fresh, with and without the pattern's walk, and resumed over
+    the patterns (and the empty one) in sorted order, where every third
+    pattern skips accepts and every other one hands accepts the walk
+    still holding the pattern before it.  Returns how many prefix
+    positions were compared."""
+    ix, ref = build_index(a, with_sentinel=True), build_index(augment(a))
     walk, checked = run_steps(ix, b"", trace=False), 0
     for n, pat in enumerate(sorted(set(patterns) | {b""})):
-        sent = run_steps(ix, SENTINEL_BYTES + pat, trace=False)
-        want = ix.finals_in(sent.c[-1] + 1, sent.d[-1])
+        sent = run_steps(ref, STAND_IN + pat, trace=False)
+        want = ref.finals_in(sent.c[-1] + 1, sent.d[-1])
         fresh = run_steps(ix, pat, trace=False)
         assert sent.c[2:] == fresh.c[1:], pat
         assert accepts(ix, pat, fresh) is want and fresh.e == sent.d[1:], pat
@@ -396,7 +447,7 @@ def test_membership_pass_equals_sentinel_walk_on_the_corpus(all_corpus_names):
     checked = 0
     for name in all_corpus_names:
         pats = list(load_sidecar_patterns(name)) + _sweep_patterns(name)
-        checked += _check_membership_pass(load_index(name, with_sentinel=True), pats)
+        checked += _check_membership_pass(load_instance(name), pats)
     assert checked > 50_000, checked
 
 
@@ -408,9 +459,9 @@ def test_membership_pass_equals_sentinel_walk_with_epsilon():
         params = GenerationParams(epsilon_attempts=40, max_piece_len=max_piece_len)
         for seed in range(60):
             a = generate_instance(seed, params)
-            ix = build_index(a, with_sentinel=True)
             pats = sample_patterns(random.Random(seed), a, 30) + [b"z", b"az", b"zab"]
-            checked += _check_membership_pass(ix, pats)
+            checked += _check_membership_pass(a, pats)
+            ix = build_index(a)
             rounded += ix.b_min.ones < ix.b_min.n
     assert checked > 8000 and rounded > 100, (checked, rounded)
 
@@ -431,7 +482,8 @@ def test_steps_slice_at_most_r_plus_one_bytes(all_corpus_names):
     # a step may look at the last r + 1 bytes of the prefix and no more,
     # so no slice of a long pattern grows with it: run_steps traced,
     # untraced and resumed, and accepts fresh and resumed, on plain and
-    # sentinel indexes, with patterns up to 64 symbols long
+    # sentinel indexes, and the STAND_IN-prefixed walk on the augmented
+    # index, with patterns up to 64 symbols long
     _SliceLog.lengths = lengths = []
     for name in all_corpus_names[::10]:
         symbols = sorted({b for _, _, rho in load_instance(name).edges for b in rho})
@@ -447,7 +499,7 @@ def test_steps_slice_at_most_r_plus_one_bytes(all_corpus_names):
                 run_steps(ix, pat, trace=False)
                 run_steps(ix, pat, trace=False, resume=walk)
                 if sentinel:
-                    run_steps(ix, _SliceLog(SENTINEL_BYTES + pat), trace=False)
+                    run_steps(load_augmented_index(name), _SliceLog(STAND_IN + pat), trace=False)
                     accepts(ix, pat)
                     accepts(ix, pat, walk)
                 assert lengths and max(lengths) <= ix.r + 1, (name, pat, lengths)
@@ -542,14 +594,14 @@ def test_membership_gate_on_generated_instances(accepts_calls, interval_calls):
 @given(st.data())
 def test_resumed_walk_equals_fresh_runs(data):
     # a batch run in sorted order, each pattern resuming from the one
-    # before, on plain and sentinel indexes with raw and sentinel-prefixed
-    # patterns: every pattern gets a fresh run's counters, running only
-    # the steps past the prefix it shares with the one before, and a
-    # traced run ignores the walk
+    # before, on plain and sentinel indexes with raw patterns and on the
+    # augmented index with STAND_IN-prefixed ones: every pattern gets a
+    # fresh run's counters, running only the steps past the prefix it
+    # shares with the one before, and a traced run ignores the walk
     name = data.draw(st.sampled_from(corpus_names()))
     sentinel = data.draw(st.booleans())
-    lead = SENTINEL_BYTES if sentinel and data.draw(st.booleans()) else b""
-    ix = load_index(name, with_sentinel=sentinel)
+    lead = STAND_IN if sentinel and data.draw(st.booleans()) else b""
+    ix = load_augmented_index(name) if lead else load_index(name, with_sentinel=sentinel)
     symbols = sorted({b for _, _, rho in load_instance(name).edges for b in rho} | {ord("z")})
     word = st.lists(st.sampled_from(symbols), max_size=8).map(bytes)
     patterns = data.draw(st.lists(word, min_size=1, max_size=12))

@@ -23,7 +23,7 @@ from wgnfa.oracle import brute_accepts, brute_match
 from wgnfa.crosscheck import crosscheck_instance
 from wgnfa.serial import MAGIC, VERSION, IndexFormatError, deserialize, payload_bits, serialize
 
-from conftest import load_index, suffix_label_max
+from conftest import load_index, load_instance, load_sidecar_patterns, suffix_label_max
 
 
 def probe_ops(ix, rng, count=200):
@@ -70,10 +70,12 @@ def test_round_trip_sentinel(ten_state):
 def test_header_bytes(four_state, four_state_index):
     data = serialize(four_state_index)
     assert data[:4] == b"WGNE"
-    assert data[4] == 5
+    assert data[4] == 6
     assert data[5] == 0
     data_s = serialize(build_index(four_state, with_sentinel=True))
     assert data_s[5] == 1
+    # the flag is all a sentinel file adds: the rest but the digest is equal
+    assert data_s[:5] + data_s[6:-8] == data[:5] + data[6:-8]
 
 
 def test_known_sizes(ten_state_index, four_state_index):
@@ -94,8 +96,8 @@ def test_bad_magic(four_state_index):
 
 
 def test_bad_version(four_state_index):
-    # version 1 to 4 files are rejected cleanly; they have to be rebuilt
-    for version in (1, 2, 3, 4):
+    # version 1 to 5 files are rejected cleanly; they have to be rebuilt
+    for version in (1, 2, 3, 4, 5):
         data = bytearray(serialize(four_state_index))
         data[4] = version
         with pytest.raises(IndexFormatError, match=f"unsupported index version {version}"):
@@ -298,14 +300,17 @@ def test_load_checks(ten_state, ten_state_index):
     with pytest.raises(IndexFormatError, match="must be set"):
         deserialize(empty)  # no states, so no marker bits
 
-    # a sentinel file holds the label 0x01, but no other label with it
+    # a sentinel file stores the plain dictionary and postings; one that
+    # also stores the label 0x01 on the loop 1 -> 1, as version 5 did, is
+    # refused, and so is 0x01 inside another label
     data = serialize(build_index(ten_state, with_sentinel=True))
-    dictionary = split_sections(data)[4]
-    assert dictionary == b"\x07\x01\x01\x01a\x02ba\x02ca\x01b\x02bb\x01c"
-    assert deserialize(reframe(data, 4, dictionary)).sentinel_mode
-    crafted = dictionary.replace(b"\x02ba", b"\x02\x01a")
-    with pytest.raises(IndexFormatError, match="reserved byte 0x01"):
-        deserialize(reframe(data, 4, crafted))
+    assert split_sections(data)[4:] == [dictionary, postings]
+    assert deserialize(data).sentinel_mode
+    with_loop = reframe(data, 4, b"\x07\x01\x01" + dictionary[1:])
+    with_loop = reframe(with_loop, 5, postings_bytes([([1], [1]), a, *rest]))
+    for crafted in (with_loop, reframe(data, 4, dictionary.replace(b"\x02ba", b"\x02\x01a"))):
+        with pytest.raises(IndexFormatError, match="reserved byte 0x01 in a dictionary label"):
+            deserialize(crafted)
 
 
 def test_postings_gap_checks(ten_state_index):
@@ -548,52 +553,38 @@ def test_postings_take_about_a_byte_per_entry():
     assert len(postings) <= 0.8 * entries, (len(postings), entries, len(postings) / entries)
 
 
-def test_sentinel_flag_must_agree_with_dictionary(ten_state, ten_state_index):
-    """The flag bit alone does not make a sentinel index, and the label
-    0x01 alone does not either: the two must agree, or the file is
-    refused.  A sentinel index numbers its states as the plain one does,
-    so a stray flag would change no interval ('a' answers 2..5 on both);
-    the flag is a checked redundancy."""
-    res = match_interval(ten_state_index, b"a")
-    assert (res.lo, res.hi) == (2, 5)
-    data = serialize(ten_state_index)
-    flagged = data[:5] + b"\x01" + data[6:]
-    with pytest.raises(IndexFormatError, match="sentinel flag"):
-        deserialize(reframe(flagged, 4, split_sections(data)[4]))
-    data = serialize(build_index(ten_state, with_sentinel=True))
-    cleared = data[:5] + b"\x00" + data[6:]
-    with pytest.raises(IndexFormatError, match="reserved byte 0x01"):
-        deserialize(reframe(cleared, 4, split_sections(data)[4]))
-
-
-def test_sentinel_posting_is_the_loop_on_state_1(ten_state):
-    """The label 0x01 must hold exactly the loop 1 -> 1 that the sentinel
-    build adds: any other sentinel edge, or a second one, would start
-    membership walks somewhere other than the initial state alone, so
-    the file is refused."""
-    ix = build_index(ten_state, with_sentinel=True)
-    data = serialize(ix)
-    sentinel, a, *rest = edge_lists(ix)
-    # label 0x01: edge 1 -> 1; label a: sources 1, 8, 9 and targets 2, 3, 4
-    assert (sentinel, a) == (([1], [1]), ([1, 8, 9], [2, 3, 4]))
-    assert split_sections(data)[5] == postings_bytes([sentinel, a, *rest])
-    for edge in (([1], [2]), ([2], [2]), ([2], [1]), ([1, 1], [1, 2]), ([1, 1], [1, 1])):
-        crafted = postings_bytes([edge, a, *rest])
-        with pytest.raises(IndexFormatError, match="sentinel label"):
-            deserialize(reframe(data, 5, crafted))
+def test_sentinel_flag_alone_makes_a_sentinel_index(all_corpus_names):
+    """The flag bit is the only record of the sentinel: a plain file
+    with the flag set, under a digest of its own, is the sentinel file.
+    It loads as a sentinel index that answers the plain intervals and
+    the oracle's membership, so no setting of the flag gives a wrong
+    answer."""
+    checked = 0
+    for name in all_corpus_names[::5]:
+        a, patterns = load_instance(name), list(load_sidecar_patterns(name))
+        data = serialize(load_index(name))
+        flagged = frame(data[:5] + b"\x01", split_sections(data))
+        assert flagged == serialize(load_index(name, with_sentinel=True))
+        ix = deserialize(flagged)
+        assert ix.sentinel_mode
+        answers = match_patterns(ix, patterns)
+        for p, got, want in zip(patterns, answers, match_patterns(load_index(name), patterns)):
+            assert got == (*want[:3], brute_accepts(a, p)), (name, p)
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_other_labels_may_start_or_end_at_state_1():
-    """Besides the sentinel loop, a sentinel file may hold edges that
-    leave or enter state 1, here 1 -> 2 'b' and 2 -> 1 'a'.  It loads,
-    and answers every pattern over {a, b} up to length 4 as the plain
-    index does, with the membership crosscheck_instance checks against
-    the brute-force oracle."""
+    """A sentinel file may hold edges that leave or enter state 1, where
+    the never-stored sentinel loop sits, here 1 -> 2 'b' and 2 -> 1 'a'.
+    It loads, and answers every pattern over {a, b} up to length 4 as
+    the plain index does, with the membership crosscheck_instance checks
+    against the brute-force oracle."""
     a = GeneralizedAutomaton(
         state_count=2, edges=((2, 1, b"a"), (1, 2, b"b")), finals=frozenset({1})
     )
     loaded = deserialize(serialize(build_index(a, with_sentinel=True)))
-    assert edge_lists(loaded) == [([1], [1]), ([2], [1]), ([1], [2])]
+    assert edge_lists(loaded) == [([2], [1]), ([1], [2])]
     patterns = [bytes(p) for k in range(5) for p in itertools.product(b"ab", repeat=k)]
     assert crosscheck_instance(a, patterns) == []
     answers = match_patterns(loaded, patterns)
