@@ -14,8 +14,10 @@ edge pair's order or ties it), mark extra states final and duplicate an
 edge (neither changes an axiom, reachability or a walk set).  These
 steps keep a Wheeler order by construction, so only the few random
 epsilon edges it then tries are screened: each is kept only if the
-exact Wheeler test (wheeler_exact) still passes with it.  Everything is
-driven by one seed, so instances are reproducible.
+exact Wheeler test (wheeler_exact) still passes with it.  Each step
+makes the same calls on its random.Random in the same order from one
+release to the next, so a seed gives the same instance and leaves the
+generator in the same state: the corpus and benchmark seeds rely on it.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .model import (
     EPSILON,
     GeneralizedAutomaton,
     axiom1_over_sets,
-    colex_key,
     incoming_strings,
     validate,
 )
@@ -93,30 +96,29 @@ def build_piece_trie(
     """The raw trie DAG, Wheeler-numbered, all sinks final.
 
     Used directly for large benchmark inputs, which are Wheeler by
-    construction and need no screening.
+    construction and need no screening.  Per string it draws from rng a
+    length, its symbols and each piece's length, always in that order.
     """
-    node_keys = {b""}
-    edge_set: set[tuple[bytes, bytes, bytes]] = set()
+    randrange, choice = rng.randrange, rng.choice
+    # each cut as (the prefix ending there, where its last piece starts)
+    cuts: set[tuple[bytes, int]] = set()
     for _ in range(n_strings):
-        length = rng.randint(1, max_string_len)
-        s = bytes(rng.choice(alphabet) for _ in range(length))
+        length = randrange(1, max_string_len + 1)  # randint(1, max_string_len)
+        s = bytes(map(choice, repeat(alphabet, length)))
         pos = 0
         while pos < length:
-            step = rng.randint(1, min(max_piece_len, length - pos))
-            piece = s[pos : pos + step]
-            edge_set.add((s[:pos], s[: pos + step], piece))
-            node_keys.add(s[: pos + step])
-            pos += step
+            end = pos + randrange(1, min(max_piece_len, length - pos) + 1)
+            cuts.add((s[:end], pos))
+            pos = end
 
-    ordered = sorted(node_keys, key=colex_key)
-    ids = {key: i for i, key in enumerate(ordered, start=1)}
-    edges = tuple(
-        (ids[a], ids[b], piece)
-        for a, b, piece in sorted(edge_set, key=lambda t: (ids[t[0]], ids[t[1]], t[2]))
-    )
-    has_out = {ids[a] for a, _, _ in edge_set}
-    sinks = frozenset(i for key, i in ids.items() if i not in has_out)
-    return GeneralizedAutomaton(state_count=len(ordered), edges=edges, finals=sinks)
+    # co-lex order is the order of the reversed strings
+    ordered = sorted({p for p, _ in cuts} | {b""}, key=itemgetter(slice(None, None, -1)))
+    n = len(ordered)
+    ids = dict(zip(ordered, range(1, n + 1)))
+    # (u, v) fixes the piece, so plain tuple order is (u, v) order
+    edges = sorted([(ids[p[:start]], ids[p], p[start:]) for p, start in cuts])
+    sinks = frozenset(range(1, n + 1)).difference(map(itemgetter(0), edges))
+    return GeneralizedAutomaton(state_count=n, edges=tuple(edges), finals=sinks)
 
 
 def _merge_sink_run(

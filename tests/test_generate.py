@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
 import random
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wgnfa.generate import (
     ALPHABET_POOL,
@@ -21,7 +24,7 @@ from wgnfa.generate import (
     sample_patterns,
     wheeler_exact,
 )
-from wgnfa.model import GeneralizedAutomaton, validate
+from wgnfa.model import GeneralizedAutomaton, colex_key, format_gnfa, validate
 from wgnfa.oracle import brute_below_count
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +62,68 @@ def test_trie_is_wheeler_by_construction():
         assert validate(a, axiom1_depth=6).ok
         assert a.finals  # sinks exist and are final
         assert wheeler_exact(a)
+
+
+def _reference_piece_trie(rng, n_strings, max_string_len, max_piece_len, alphabet):
+    """A plain build of the piece trie: the draws spelled out one call at
+    a time, every cut kept as its (parent, child, piece) strings and the
+    states numbered by colex_key."""
+    node_keys = {b""}
+    edge_set: set[tuple[bytes, bytes, bytes]] = set()
+    for _ in range(n_strings):
+        length = rng.randint(1, max_string_len)
+        s = bytes(rng.choice(alphabet) for _ in range(length))
+        pos = 0
+        while pos < length:
+            step = rng.randint(1, min(max_piece_len, length - pos))
+            piece = s[pos : pos + step]
+            edge_set.add((s[:pos], s[: pos + step], piece))
+            node_keys.add(s[: pos + step])
+            pos += step
+
+    ordered = sorted(node_keys, key=colex_key)
+    ids = {key: i for i, key in enumerate(ordered, start=1)}
+    edges = tuple(
+        (ids[a], ids[b], piece)
+        for a, b, piece in sorted(edge_set, key=lambda t: (ids[t[0]], ids[t[1]], t[2]))
+    )
+    has_out = {ids[a] for a, _, _ in edge_set}
+    sinks = frozenset(i for key, i in ids.items() if i not in has_out)
+    return GeneralizedAutomaton(state_count=len(ordered), edges=edges, finals=sinks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alphabet_size=st.integers(1, 4),
+    max_piece_len=st.integers(1, 8),
+    max_string_len=st.integers(1, 28),
+    n_strings=st.one_of(st.integers(0, 40), st.integers(0, 3000)),
+)
+@example(seed=0, alphabet_size=1, max_piece_len=1, max_string_len=1, n_strings=0)
+@example(seed=1, alphabet_size=1, max_piece_len=8, max_string_len=1, n_strings=30)
+@example(seed=271828, alphabet_size=4, max_piece_len=8, max_string_len=28, n_strings=3000)
+def test_piece_trie_equals_reference(seed, alphabet_size, max_piece_len, max_string_len, n_strings):
+    """build_piece_trie gives the reference's automaton and leaves the
+    generator in the reference's state: the same calls in the same order,
+    which the corpus and the benchmark seeds rely on."""
+    alphabet = ALPHABET_POOL[:alphabet_size]
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = build_piece_trie(got_rng, n_strings, max_string_len, max_piece_len, alphabet)
+    want = _reference_piece_trie(want_rng, n_strings, max_string_len, max_piece_len, alphabet)
+    assert got == want
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "n_strings, states, edges, digest",
+    [(1300, 9863, 10227, "1d630300e652e0b3"), (13000, 85229, 88808, "fee8ba6036ea31a5")],
+)
+def test_benchmark_tries_are_pinned(n_strings, states, edges, digest):
+    """The seed-271828 tries that criterion 09 and the benchmark draw."""
+    a = build_piece_trie(random.Random(271828), n_strings, 28, 2, b"abcd")
+    assert (a.state_count, len(a.edges)) == (states, edges)
+    assert hashlib.sha256(format_gnfa(a).encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("shape", [0, 1])

@@ -116,19 +116,18 @@ def test_min_state_above_is_the_colex_suffix_minimum(all_corpus_names):
     """Each label's row holds the smallest state entered by any label
     co-lexicographically above it (0 if none), found by a direct scan of
     the edges, keyed by the dictionary's own label objects, built and
-    loaded back."""
+    loaded back.  A sentinel build holds the same rows (see
+    test_sentinel_build_matches_augmented)."""
     rows = 0
     for name in all_corpus_names:
-        a = load_instance(name)
-        for sentinel in (False, True):
-            led = [(v, rho) for _, v, rho in a.edges if rho]
-            built = load_index(name, sentinel)
-            for ix in (built, deserialize(serialize(built))):
-                assert {id(rho) for rho in ix.rows} == {id(rho) for rho in ix.labels}
-                for rho in ix.labels:
-                    above = [v for v, r2 in led if colex_key(r2) > colex_key(rho)]
-                    assert ix.rows[rho][2] == min(above, default=0), (name, sentinel, rho)
-                    rows += 1
+        led = [(v, rho) for _, v, rho in load_instance(name).edges if rho]
+        built = load_index(name)
+        for ix in (built, deserialize(serialize(built))):
+            assert {id(rho) for rho in ix.rows} == {id(rho) for rho in ix.labels}
+            for rho in ix.labels:
+                above = [v for v, r2 in led if colex_key(r2) > colex_key(rho)]
+                assert ix.rows[rho][2] == min(above, default=0), (name, rho)
+                rows += 1
     assert rows > 1000
 
 
@@ -144,10 +143,13 @@ def test_summary_derived_from_postings():
 def test_sentinel_build_matches_augmented(ten_state, four_state):
     """The sentinel build stores the plain build's labels, rows, bits
     and r, and differs only in sentinel_mode: the loop on state 1 that
-    membership reasons about is never stored.  With that loop added the
-    numbering stays Wheeler."""
+    membership reasons about is never stored.  Its file is the plain
+    file but for the header's flag bit and the digest.  With that loop
+    added the numbering stays Wheeler.  This is why the tests of rows,
+    bits and files elsewhere build plain indexes only."""
     assert validate(augment(ten_state), axiom1_depth=5).ok
     instances = [ten_state, four_state] + [load_instance(name) for name in corpus_names()]
+    instances.append(_criterion09_trie())
     for a in instances:
         got = build_index(a, with_sentinel=True)
         want = build_index(a)
@@ -160,6 +162,9 @@ def test_sentinel_build_matches_augmented(ten_state, four_state):
         )
         for bits in ("finals", "b_max", "b_min"):
             assert getattr(got, bits).to_bytes() == getattr(want, bits).to_bytes()
+        data_s, data = serialize(got), serialize(want)
+        assert (data_s[5], data[5]) == (1, 0)
+        assert data_s[:5] + data_s[6:-8] == data[:5] + data[6:-8]
 
 
 @pytest.mark.parametrize("byte", [0x00, 0x01])
@@ -226,26 +231,25 @@ def _bits(bv):
 
 def test_markers_and_finals_match_scans_on_corpus():
     """marker_floor, marker_ceiling and finals_in agree with linear scans
-    of the index's own bits on every corpus instance, plain and sentinel,
-    built and loaded back; the corpus's epsilon instances give the only
-    marker bits that are not all set."""
+    of the index's own bits on every corpus instance, built and loaded
+    back; the corpus's epsilon instances give the only marker bits that
+    are not all set."""
     zeros = 0
     for name in corpus_names():
-        for sentinel in (False, True):
-            built = load_index(name, sentinel)
-            for ix in (built, deserialize(serialize(built))):
-                n = ix.n_states
-                b_max, b_min, fin = (_bits(ix.b_max), _bits(ix.b_min), _bits(ix.finals))
-                zeros += b_max.count(0) + b_min.count(0)
-                for j in range(n + 1):
-                    want = max((t for t in range(1, j + 1) if b_max[t - 1]), default=0)
-                    assert ix.marker_floor(j) == want, (name, sentinel, j)
-                for h in range(n + 1):
-                    want = min(t for t in range(h, n + 1) if t == n or b_min[t])
-                    assert ix.marker_ceiling(h) == want, (name, sentinel, h)
-                for lo in range(1, n + 2):
-                    for hi in range(lo - 1, n + 1):
-                        assert ix.finals_in(lo, hi) == any(fin[lo - 1 : hi]), (name, lo, hi)
+        built = load_index(name)
+        for ix in (built, deserialize(serialize(built))):
+            n = ix.n_states
+            b_max, b_min, fin = (_bits(ix.b_max), _bits(ix.b_min), _bits(ix.finals))
+            zeros += b_max.count(0) + b_min.count(0)
+            for j in range(n + 1):
+                want = max((t for t in range(1, j + 1) if b_max[t - 1]), default=0)
+                assert ix.marker_floor(j) == want, (name, j)
+            for h in range(n + 1):
+                want = min(t for t in range(h, n + 1) if t == n or b_min[t])
+                assert ix.marker_ceiling(h) == want, (name, h)
+            for lo in range(1, n + 2):
+                for hi in range(lo - 1, n + 1):
+                    assert ix.finals_in(lo, hi) == any(fin[lo - 1 : hi]), (name, lo, hi)
     assert zeros > 0
 
 
@@ -359,17 +363,15 @@ def _assert_rank_is_a_plain_bisect(ix, every_j=True):
 
 
 def test_sampled_rank_is_a_plain_bisect(all_corpus_names):
-    """On every corpus index, plain and sentinel, on the criterion-09
-    trie and on the 3,703-label trie (every j on its three rows with
-    tables and on NO_ROW, the others where their count can change: every
-    j over all of them takes seconds)."""
+    """On every corpus index, on the criterion-09 trie and on the
+    3,703-label trie (every j on its three rows with tables and on
+    NO_ROW, the others where their count can change: every j over all of
+    them takes seconds)."""
     for name in all_corpus_names:
-        for sentinel in (False, True):
-            _assert_rank_is_a_plain_bisect(load_index(name, sentinel))
-    for sentinel in (False, True):
-        ix = build_index(_criterion09_trie(), with_sentinel=sentinel)
-        assert sum(row[5] is not None for row in ix.rows.values()) >= 19
-        _assert_rank_is_a_plain_bisect(ix)
+        _assert_rank_is_a_plain_bisect(load_index(name))
+    ix = build_index(_criterion09_trie())
+    assert sum(row[5] is not None for row in ix.rows.values()) >= 19
+    _assert_rank_is_a_plain_bisect(ix)
     ix = build_index(_many_label_trie())
     assert len(ix.labels) == 3703
     _assert_rank_is_a_plain_bisect(ix, every_j=False)
@@ -414,7 +416,7 @@ def test_block_tables_within_space_bound(all_corpus_names):
     all (E labeled edges, L labels), their blocks hold at most 32
     sources on average, and every label under the threshold holds None,
     as NO_ROW does, instead of an array of its own."""
-    indexes = [load_index(name, sentinel) for name in all_corpus_names for sentinel in (0, 1)]
+    indexes = [load_index(name) for name in all_corpus_names]
     indexes += [build_index(_criterion09_trie()), build_index(_many_label_trie())]
     indexes.append(build_index(build_piece_trie(random.Random(271828), 13000, 28, 2, b"abcd")))
     sampled = 0

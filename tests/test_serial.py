@@ -72,10 +72,8 @@ def test_header_bytes(four_state, four_state_index):
     assert data[:4] == b"WGNE"
     assert data[4] == 6
     assert data[5] == 0
-    data_s = serialize(build_index(four_state, with_sentinel=True))
-    assert data_s[5] == 1
-    # the flag is all a sentinel file adds: the rest but the digest is equal
-    assert data_s[:5] + data_s[6:-8] == data[:5] + data[6:-8]
+    # the flag is all a sentinel file adds (test_sentinel_build_matches_augmented)
+    assert serialize(build_index(four_state, with_sentinel=True))[5] == 1
 
 
 def test_known_sizes(ten_state_index, four_state_index):
@@ -434,12 +432,11 @@ def assert_same_rows(built, loaded):
 
 
 def test_build_and_load_give_identical_rows(all_corpus_names):
-    """On every corpus instance, plain and sentinel, and on the 85k-state
-    benchmark trie, loading gives the rows the build made."""
+    """On every corpus instance and on the 85k-state benchmark trie,
+    loading gives the rows the build made."""
     for name in all_corpus_names:
-        for sentinel in (False, True):
-            built = load_index(name, sentinel)
-            assert_same_rows(built, deserialize(serialize(built)))
+        built = load_index(name)
+        assert_same_rows(built, deserialize(serialize(built)))
     a = build_piece_trie(random.Random(271828), 13000, 28, 2, b"abcd")
     built = build_index(a, with_sentinel=True)
     assert built.n_states > 80_000
@@ -602,9 +599,8 @@ def test_file_breaking_axiom3_refused():
     a = GeneralizedAutomaton(
         state_count=3, edges=((1, 3, b"a"), (1, 2, b"b")), finals=frozenset({3})
     )
-    for sentinel in (False, True):
-        with pytest.raises(IndexFormatError, match="axiom 3"):
-            deserialize(serialize(build_index(a, with_sentinel=sentinel)))
+    with pytest.raises(IndexFormatError, match="axiom 3"):
+        deserialize(serialize(build_index(a)))
     # a label ending with 'a' may enter a smaller state
     a = GeneralizedAutomaton(
         state_count=3, edges=((1, 3, b"a"), (1, 2, b"ba")), finals=frozenset({3})
@@ -616,9 +612,8 @@ def test_file_leaving_a_state_unentered_refused():
     """Edge 1 -> 3 'a' alone: no edge enters state 2, and there is no
     epsilon edge that could."""
     a = GeneralizedAutomaton(state_count=3, edges=((1, 3, b"a"),), finals=frozenset({3}))
-    for sentinel in (False, True):
-        with pytest.raises(IndexFormatError, match="without an incoming edge"):
-            deserialize(serialize(build_index(a, with_sentinel=sentinel)))
+    with pytest.raises(IndexFormatError, match="without an incoming edge"):
+        deserialize(serialize(build_index(a)))
     # an epsilon edge may be a state's only way in
     a = GeneralizedAutomaton(
         state_count=3, edges=((1, 2, b"a"), (2, 3, b"")), finals=frozenset({3})
@@ -695,13 +690,12 @@ def test_every_integer_width(ten_state, sentinel):
         assert serialize(again) == data
 
 
-@pytest.mark.parametrize("sentinel", [False, True])
-def test_loaded_index_heap_within_4x_file(sentinel):
+def test_loaded_index_heap_within_4x_file():
     """The criterion-09 10k trie loads into at most four heap bytes per
     file byte, measured as the benchmark measures index_heap_mib."""
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
-    blob = serialize(build_index(a, with_sentinel=sentinel))
+    blob = serialize(build_index(a))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -713,8 +707,7 @@ def test_loaded_index_heap_within_4x_file(sentinel):
     assert heap <= 4 * len(blob), (heap, len(blob), heap / len(blob))
 
 
-@pytest.mark.parametrize("sentinel", [False, True])
-def test_loaded_index_heap_within_1_5x_payload(sentinel):
+def test_loaded_index_heap_within_1_5x_payload():
     """The criterion-09 10k trie loads into at most 1.5 heap bytes per
     byte of its loaded postings arrays and packed bit sections, the
     payload of a container that stores postings at a fixed width (the
@@ -724,7 +717,7 @@ def test_loaded_index_heap_within_1_5x_payload(sentinel):
     packed bytes."""
     rng = random.Random(271828)
     a = build_piece_trie(rng, n_strings=1300, max_string_len=28, max_piece_len=2, alphabet=b"abcd")
-    blob = serialize(build_index(a, with_sentinel=sentinel))
+    blob = serialize(build_index(a))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
