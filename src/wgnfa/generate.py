@@ -103,7 +103,7 @@ def build_piece_trie(
     # each cut as (the prefix ending there, where its last piece starts)
     cuts: set[tuple[bytes, int]] = set()
     for _ in range(n_strings):
-        length = randrange(1, max_string_len + 1)  # randint(1, max_string_len)
+        length = randrange(1, max_string_len + 1)  # the draw of randint(1, max_string_len)
         s = bytes(map(choice, repeat(alphabet, length)))
         pos = 0
         while pos < length:

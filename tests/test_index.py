@@ -116,8 +116,7 @@ def test_min_state_above_is_the_colex_suffix_minimum(all_corpus_names):
     """Each label's row holds the smallest state entered by any label
     co-lexicographically above it (0 if none), found by a direct scan of
     the edges, keyed by the dictionary's own label objects, built and
-    loaded back.  A sentinel build holds the same rows (see
-    test_sentinel_build_matches_augmented)."""
+    loaded back."""
     rows = 0
     for name in all_corpus_names:
         led = [(v, rho) for _, v, rho in load_instance(name).edges if rho]
